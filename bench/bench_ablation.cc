@@ -1,15 +1,14 @@
 // Ablation study over the BGP query-path knobs: join reordering (source vs
-// greedy order), the reorderer's cost model (legacy range-width heuristic
-// vs GraphStats-calibrated estimates), the join strategy (index nested-loop
-// vs adaptive order-preserving hash join), and planner v2 (DP join ordering
-// + order-aware merge joins with sideways information passing). Every
-// configuration must return the same result set; what changes is the work
-// done, reported as total index rows enumerated (rows_scanned) and wall
-// time.
+// greedy order from GraphStats-calibrated estimates), the join strategy
+// (index nested-loop vs adaptive order-preserving hash join), and planner
+// v2 (DP join ordering + order-aware merge joins with sideways information
+// passing). Every configuration must return the same result set; what
+// changes is the work done, reported as total index rows enumerated
+// (rows_scanned) and wall time.
 //
 // Run: ./build/bench/bench_ablation [--scale=100k] [--iters=N]
 //                                   [--json=<path>] [--ablate-hash-join]
-//                                   [--ablate-sip] [--storage=heap|mmap]
+//                                   [--storage=heap|mmap]
 //                                   [--trace-out=<dir>]
 //   --scale:            laptop count of the generated product KG
 //                       (default 20k)
@@ -20,11 +19,6 @@
 //                       ExecStats + plan shapes + result hash)
 //   --ablate-hash-join: force nested-loop joins in the adaptive configs,
 //                       isolating the hash join's contribution
-//   --ablate-sip:       disable sideways information passing in the
-//                       planner-v2 configs (merge cursors advance linearly,
-//                       decoding every entry); the dp-vs-adaptive gate is
-//                       skipped, since the ablation exists to measure the
-//                       decode delta
 //   --storage=heap|mmap: serve the KG from the heap (default) or round-trip
 //                       it through an RDFA3 snapshot and run everything off
 //                       the mapped view; result hashes must agree between
@@ -34,10 +28,9 @@
 //                       (query, config) pair — first iteration of each
 //
 // Exit code is non-zero if any configuration diverges from the baseline
-// result set, if (without --ablate-hash-join) the stats+hash configuration
-// fails to beat the NLJ baseline on total rows_scanned, or if (without
-// either ablation) the planner-v2 DP+merge configuration fails to beat the
-// adaptive one.
+// result set, or if (without --ablate-hash-join) the adaptive configuration
+// fails to beat the NLJ baseline on total rows_scanned, or the planner-v2
+// dp configuration fails to beat the adaptive one.
 
 #include <chrono>
 #include <cstdio>
@@ -98,10 +91,8 @@ const QuerySpec kSuite[] = {
 struct Config {
   std::string name;
   bool reorder = false;
-  bool calibrated = false;
   JoinStrategy strategy = JoinStrategy::kNestedLoop;
   bool use_dp = false;
-  bool sip = true;
 };
 
 struct RunResult {
@@ -121,10 +112,8 @@ RunResult RunOnce(rdfa::rdf::Graph* graph, const std::string& query,
     return r;
   }
   rdfa::sparql::Executor exec(graph, cfg.reorder);
-  exec.set_calibrated_estimates(cfg.calibrated);
   exec.set_join_strategy(cfg.strategy);
   exec.set_use_dp(cfg.use_dp);
-  exec.set_sip(cfg.sip);
   if (tracer != nullptr) {
     rdfa::QueryContext ctx;
     ctx.set_tracer(tracer);
@@ -153,13 +142,7 @@ std::string StrategyString(const rdfa::sparql::ExecStats& stats) {
 }
 
 const char* StrategyName(JoinStrategy s) {
-  switch (s) {
-    case JoinStrategy::kAdaptive: return "adaptive";
-    case JoinStrategy::kNestedLoop: return "nested-loop";
-    case JoinStrategy::kHash: return "hash";
-    case JoinStrategy::kMerge: return "merge";
-  }
-  return "?";
+  return s == JoinStrategy::kNestedLoop ? "nested-loop" : "adaptive";
 }
 
 // Row-order-insensitive view of a TSV result, for comparing runs whose join
@@ -207,7 +190,6 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string storage = "heap";
   bool ablate_hash = false;
-  bool ablate_sip = false;
   rdfa::bench::TraceSink trace_sink;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -221,8 +203,6 @@ int main(int argc, char** argv) {
       json_path = arg.substr(7);
     } else if (arg == "--ablate-hash-join") {
       ablate_hash = true;
-    } else if (arg == "--ablate-sip") {
-      ablate_sip = true;
     } else if (arg.rfind("--storage=", 0) == 0) {
       storage = arg.substr(10);
       if (storage != "heap" && storage != "mmap") {
@@ -237,27 +217,21 @@ int main(int argc, char** argv) {
 
   const JoinStrategy adaptive =
       ablate_hash ? JoinStrategy::kNestedLoop : JoinStrategy::kAdaptive;
+  // Indices matter: 0/2 share the source-order plan and 1/3 the reordered
+  // plan, so each pair differs only in strategy.
   const std::vector<Config> configs = {
-      // The NLJ baseline: the pre-stats cost model, nested loops only.
-      {"legacy-nlj/source", false, false, JoinStrategy::kNestedLoop},
-      {"legacy-nlj/reorder", true, false, JoinStrategy::kNestedLoop},
-      // Calibrated estimates, still nested loops: isolates the cost model.
-      {"stats-nlj/reorder", true, true, JoinStrategy::kNestedLoop},
-      // PR-3 tentpole: calibrated estimates + adaptive hash join.
-      {"stats-adaptive/source", false, true, adaptive},
-      {"stats-adaptive/reorder", true, true, adaptive},
-      // Planner v2: DP join ordering + merge joins (+ SIP unless ablated).
-      // DP *is* the reorderer, so the two rows share one plan and exist for
-      // accounting symmetry with the per-flag pairs above.
-      {"dp-merge/source", false, true, JoinStrategy::kMerge, true,
-       !ablate_sip},
-      {"dp-merge/reorder", true, true, JoinStrategy::kMerge, true,
-       !ablate_sip},
+      // The NLJ baseline: nested loops only.
+      {"nlj/source", false, JoinStrategy::kNestedLoop},
+      {"nlj/reorder", true, JoinStrategy::kNestedLoop},
+      // Adaptive hash join.
+      {"adaptive/source", false, adaptive},
+      {"adaptive/reorder", true, adaptive},
+      // Planner v2: DP join ordering + merge joins. DP *is* the reorderer,
+      // so it ignores the reorder flag and one plan covers both orders.
+      {"dp", true, JoinStrategy::kAdaptive, true},
   };
 
-  std::printf(
-      "== BGP ablation: reorder x cost model x join strategy x planner ==\n"
-      "\n");
+  std::printf("== BGP ablation: reorder x join strategy x planner ==\n\n");
   rdfa::rdf::Graph heap_graph;
   rdfa::workload::ProductKgOptions opt;
   opt.laptops = scale;
@@ -283,17 +257,16 @@ int main(int argc, char** argv) {
   }
   g->Freeze();
   std::printf(
-      "product KG: %zu triples (%zu laptops, %zu companies) storage=%s%s%s\n"
+      "product KG: %zu triples (%zu laptops, %zu companies) storage=%s%s\n"
       "\n",
       g->size(), opt.laptops, opt.companies, storage.c_str(),
-      ablate_hash ? "  [hash join ABLATED]" : "",
-      ablate_sip ? "  [SIP ABLATED]" : "");
+      ablate_hash ? "  [hash join ABLATED]" : "");
 
   bool identical = true;
   bool all_ok = true;
-  size_t baseline_scanned = 0;  // legacy-nlj, summed over queries + orders
-  size_t adaptive_scanned = 0;  // stats-adaptive, same accounting
-  size_t dp_scanned = 0;        // dp-merge, same accounting
+  size_t baseline_scanned = 0;  // nlj, summed over queries + orders
+  size_t adaptive_scanned = 0;  // adaptive, same accounting
+  size_t dp_scanned = 0;        // dp, its one plan counted for both orders
   std::vector<double> latencies;
   std::vector<std::string> run_json;
 
@@ -301,9 +274,8 @@ int main(int argc, char** argv) {
     const std::string query = std::string(kPfx) + spec.body;
     std::printf("%s  %s\n", spec.id, spec.description);
     // Equivalence contract: runs that share a join order (same `reorder`
-    // flag and cost model, or the same DP plan) must match byte-for-byte no
-    // matter the strategy; runs under different orders must agree as row
-    // sets.
+    // flag) must match byte-for-byte no matter the strategy; runs under
+    // different orders must agree as row sets.
     std::vector<std::string> tsvs;  // parallel to configs
     for (const Config& cfg : configs) {
       RunResult first;
@@ -329,12 +301,12 @@ int main(int argc, char** argv) {
       }
       tsvs.push_back(first.tsv);
       const size_t scanned = TotalScanned(first.stats);
-      if (cfg.name.rfind("legacy-nlj", 0) == 0) {
+      if (cfg.use_dp) {
+        dp_scanned += 2 * scanned;
+      } else if (cfg.name.rfind("nlj", 0) == 0) {
         baseline_scanned += scanned;
-      } else if (cfg.name.rfind("stats-adaptive", 0) == 0) {
+      } else {
         adaptive_scanned += scanned;
-      } else if (cfg.name.rfind("dp-merge", 0) == 0) {
-        dp_scanned += scanned;
       }
       std::printf("  %-24s %9zu scanned  strategy=%-4s %9.2f ms\n",
                   cfg.name.c_str(), scanned,
@@ -345,10 +317,8 @@ int main(int argc, char** argv) {
       run.AddString("query", spec.id);
       run.AddString("config", cfg.name);
       run.AddBool("reorder", cfg.reorder);
-      run.AddBool("calibrated", cfg.calibrated);
       run.AddString("strategy", StrategyName(cfg.strategy));
       run.AddBool("use_dp", cfg.use_dp);
-      run.AddBool("sip", cfg.sip);
       run.AddInt("rows_scanned_total", scanned);
       run.AddString("tsv_hash", TsvHash(first.tsv));
       run.AddNumber("p50_ms", Percentile(cfg_ms, 0.50));
@@ -359,9 +329,7 @@ int main(int argc, char** argv) {
       run_json.push_back(run.Render());
     }
     if (tsvs.size() == configs.size() && !tsvs[0].empty()) {
-      // Indices follow `configs`: 0/3 share the source-order plan, 2/4 the
-      // calibrated reordered plan, 5/6 the DP plan — those pairs differ
-      // only in strategy and must be byte-identical. Any other pair may
+      // Pairs that share a plan must be byte-identical; any other pair may
       // differ in row order.
       auto check_exact = [&](size_t a, size_t b) {
         if (tsvs[a] != tsvs[b]) {
@@ -377,18 +345,16 @@ int main(int argc, char** argv) {
                       configs[a].name.c_str(), configs[b].name.c_str());
         }
       };
-      check_exact(0, 3);
-      check_exact(2, 4);
-      check_exact(5, 6);
+      check_exact(0, 2);
+      check_exact(1, 3);
       check_set(0, 1);
-      check_set(0, 2);
-      check_set(0, 5);
+      check_set(0, 4);
     }
   }
 
   std::printf("\ntotals over the query set (source + reordered runs):\n");
-  std::printf("  legacy-nlj baseline : %9zu rows scanned\n", baseline_scanned);
-  std::printf("  stats-adaptive      : %9zu rows scanned (%.1fx fewer)\n",
+  std::printf("  nlj baseline        : %9zu rows scanned\n", baseline_scanned);
+  std::printf("  adaptive            : %9zu rows scanned (%.1fx fewer)\n",
               adaptive_scanned,
               adaptive_scanned > 0
                   ? static_cast<double>(baseline_scanned) /
@@ -398,7 +364,7 @@ int main(int argc, char** argv) {
       dp_scanned > 0 ? static_cast<double>(adaptive_scanned) /
                            static_cast<double>(dp_scanned)
                      : 0.0;
-  std::printf("  dp-merge (planner v2): %8zu rows scanned (%.2fx fewer than "
+  std::printf("  dp (planner v2)     : %9zu rows scanned (%.2fx fewer than "
               "adaptive)\n",
               dp_scanned, planner_ratio);
   std::printf("  results across configs: %s\n",
@@ -409,9 +375,8 @@ int main(int argc, char** argv) {
     std::printf("FAILED: adaptive hash join did not reduce rows scanned\n");
   }
   const bool dp_won = dp_scanned < adaptive_scanned;
-  if (!ablate_sip && !ablate_hash && !dp_won) {
-    std::printf(
-        "FAILED: planner v2 (DP+merge) did not reduce rows scanned\n");
+  if (!ablate_hash && !dp_won) {
+    std::printf("FAILED: planner v2 (DP+merge) did not reduce rows scanned\n");
   }
 
   if (!json_path.empty()) {
@@ -422,7 +387,6 @@ int main(int argc, char** argv) {
     top.AddInt("triples", g->size());
     top.AddString("storage", storage);
     top.AddBool("ablate_hash_join", ablate_hash);
-    top.AddBool("ablate_sip", ablate_sip);
     top.AddNumber("p50_ms", Percentile(latencies, 0.50));
     top.AddNumber("p99_ms", Percentile(latencies, 0.99));
     top.AddInt("baseline_rows_scanned", baseline_scanned);
@@ -436,7 +400,6 @@ int main(int argc, char** argv) {
   }
 
   if (!all_ok || !identical) return 1;
-  if (!ablate_hash && !hash_won) return 1;
-  if (!ablate_sip && !ablate_hash && !dp_won) return 1;
+  if (!ablate_hash && (!hash_won || !dp_won)) return 1;
   return 0;
 }

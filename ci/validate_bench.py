@@ -22,13 +22,11 @@ carrying its own inline python:
       the uncompressed RDFA2 bytes, and every suite answer must be
       byte-identical across the heap and mapped backends
 
-  validate_bench.py planner-gates --heap=F --mmap=F --sip-off=F
-                                  [--min-ratio=1.3]
+  validate_bench.py planner-gates --heap=F --mmap=F [--min-ratio=1.3]
       the planner-v2 gates: the DP+merge configuration must scan at least
-      min-ratio x fewer rows than the adaptive one over the suite, every
+      min-ratio x fewer rows than the adaptive one over the suite, and every
       (query, config) result-set hash must agree between the heap and mmap
-      runs, and the SIP runs must decode fewer merge rows than the ablated
-      (--ablate-sip) ones
+      runs
 
   validate_bench.py server-gates FILE [FILE ...] [--require-shed]
       the HTTP endpoint gates: every leg must have served requests with
@@ -183,11 +181,9 @@ def cmd_storage_gates(args):
 def cmd_planner_gates(args):
     heap = json.load(open(args.heap))
     mmap_ = json.load(open(args.mmap))
-    sip_off = json.load(open(args.sip_off))
     assert heap["storage"] == "heap", heap["storage"]
     assert mmap_["storage"] == "mmap", mmap_["storage"]
-    assert sip_off["ablate_sip"], "sip-off file was not run with --ablate-sip"
-    for doc, name in ((heap, "heap"), (mmap_, "mmap"), (sip_off, "sip-off")):
+    for doc, name in ((heap, "heap"), (mmap_, "mmap")):
         assert doc["byte_identical"], "%s run diverged across configs" % name
 
     # Gate 1: the DP+merge planner must beat the adaptive configuration on
@@ -210,25 +206,9 @@ def cmd_planner_gates(args):
     diverged = [k for k in h_heap if h_heap[k] != h_mmap[k]]
     assert not diverged, "heap/mmap result hashes diverge: %s" % diverged
 
-    # Gate 3: SIP must pay for itself — the dp-merge runs with seeking must
-    # decode fewer merge rows than the linearly advancing ablated runs
-    # (summed over the suite; per-query ties are fine where the sieve is
-    # dense). The result sets must still agree.
-    def merge_decoded(doc):
-        return sum(r["exec_stats"]["merge_rows_decoded"]
-                   for r in doc["runs"] if r["config"].startswith("dp-merge"))
-    with_sip, without_sip = merge_decoded(heap), merge_decoded(sip_off)
-    assert with_sip < without_sip, (
-        "SIP decoded %s merge rows vs %s without it" % (with_sip,
-                                                        without_sip))
-    h_sip_off = hashes(sip_off)
-    diverged = [k for k in h_heap if h_heap[k] != h_sip_off[k]]
-    assert not diverged, "sip ablation changed result sets: %s" % diverged
-
     print("planner gates ok: dp+merge %.2fx fewer rows than adaptive "
-          "(>= %.2fx), %d (query, config) hashes identical across backends, "
-          "sip decoded %d vs %d merge rows ablated"
-          % (ratio, args.min_ratio, len(h_heap), with_sip, without_sip))
+          "(>= %.2fx), %d (query, config) hashes identical across backends"
+          % (ratio, args.min_ratio, len(h_heap)))
 
 
 def cmd_server_gates(args):
@@ -396,7 +376,6 @@ def main(argv):
     p = sub.add_parser("planner-gates")
     p.add_argument("--heap", required=True)
     p.add_argument("--mmap", required=True)
-    p.add_argument("--sip-off", required=True)
     p.add_argument("--min-ratio", type=float, default=1.3)
     p.set_defaults(func=cmd_planner_gates)
 

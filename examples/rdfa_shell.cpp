@@ -50,9 +50,6 @@ struct Shell {
   std::vector<std::unique_ptr<rdfa::analytics::AnalyticsSession>> sessions;
   std::string default_ns;
   int threads = 1;       ///< morsel-parallelism budget for exec
-  /// --join-strategy=adaptive|nlj|hash|merge: join-strategy override.
-  rdfa::sparql::JoinStrategy join_strategy =
-      rdfa::sparql::JoinStrategy::kAdaptive;
   bool use_dp = true;     ///< planner-v2 DP ordering; --no-dp disables
   double timeout_ms = 0;  ///< per-exec deadline; 0 = none
   bool pending_cancel = false;  ///< `cancel` arms this for the next exec
@@ -91,7 +88,6 @@ struct Shell {
       adm.base_timeout_ms = 0;  // the shell's own `timeout` command governs
       endpoint->set_admission(adm);
       endpoint->set_thread_count(threads);
-      endpoint->set_join_strategy(join_strategy);
       endpoint->set_use_dp(use_dp);
       if (!slow_dir.empty()) {
         endpoint->set_slow_query_capture(slow_dir, slow_ms, slow_max);
@@ -193,7 +189,6 @@ struct Shell {
     sessions.push_back(
         std::make_unique<rdfa::analytics::AnalyticsSession>(graphs[0].get()));
     sessions.back()->set_thread_count(threads);
-    sessions.back()->set_join_strategy(join_strategy);
     sessions.back()->set_use_dp(use_dp);
   }
 
@@ -255,8 +250,7 @@ void PrintHelp() {
   kill <id>                     cooperatively cancel an in-flight query
   exec                          run the analytic query (fills the AF)
   threads <n>                   parallelism for exec (results identical)
-                                (planner flags: --join-strategy=adaptive|
-                                nlj|hash|merge, --no-dp turns off the
+                                (planner flag: --no-dp turns off the
                                 planner-v2 DP join ordering)
   timeout <ms>                  deadline for each exec (0 = none); a tripped
                                 exec returns DeadlineExceeded, partial stats
@@ -498,7 +492,6 @@ bool HandleLine(Shell& shell, const std::string& line) {
     if (!report(parsed.status())) return true;
     rdfa::sparql::Executor exec(&shell.graph());
     exec.set_thread_count(shell.threads);
-    exec.set_join_strategy(shell.join_strategy);
     exec.set_use_dp(shell.use_dp);
     std::string plan = exec.ExplainJson(parsed.value());
     if (!analyze) {
@@ -756,7 +749,6 @@ bool HandleLine(Shell& shell, const std::string& line) {
       shell.graphs.push_back(std::move(g));
       shell.sessions.push_back(std::move(nested).value());
       shell.sessions.back()->set_thread_count(shell.threads);
-      shell.sessions.back()->set_join_strategy(shell.join_strategy);
       shell.sessions.back()->set_use_dp(shell.use_dp);
       std::printf("exploring the answer as a dataset (level %zu)\n",
                   shell.sessions.size() - 1);
@@ -815,23 +807,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--threads=", 0) == 0) {
       int n = std::atoi(arg.c_str() + 10);
       shell.threads = n < 1 ? 1 : n;
-    } else if (arg.rfind("--join-strategy=", 0) == 0) {
-      const std::string name = arg.substr(16);
-      if (name == "adaptive") {
-        shell.join_strategy = rdfa::sparql::JoinStrategy::kAdaptive;
-      } else if (name == "nlj") {
-        shell.join_strategy = rdfa::sparql::JoinStrategy::kNestedLoop;
-      } else if (name == "hash") {
-        shell.join_strategy = rdfa::sparql::JoinStrategy::kHash;
-      } else if (name == "merge") {
-        shell.join_strategy = rdfa::sparql::JoinStrategy::kMerge;
-      } else {
-        std::fprintf(stderr,
-                     "error: --join-strategy wants "
-                     "adaptive|nlj|hash|merge, got '%s'\n",
-                     name.c_str());
-        return 1;
-      }
     } else if (arg == "--no-dp") {
       shell.use_dp = false;
     } else if (arg.rfind("--timeout-ms=", 0) == 0) {

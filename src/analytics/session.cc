@@ -157,7 +157,6 @@ Result<AnswerFrame> AnalyticsSession::Execute() {
   parse_span.reset();
   sparql::Executor exec(graph_);
   exec.set_thread_count(thread_count_);
-  exec.set_join_strategy(join_strategy_);
   exec.set_use_dp(use_dp_);
   exec.set_query_context(ctx_);
   Result<sparql::ResultTable> table = exec.Execute(parsed);

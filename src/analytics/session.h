@@ -54,13 +54,6 @@ class AnalyticsSession {
   }
   int thread_count() const { return thread_count_; }
 
-  /// Join-strategy override for Execute/ExecuteDirect (default kAdaptive;
-  /// see Executor::set_join_strategy).
-  void set_join_strategy(sparql::JoinStrategy strategy) {
-    join_strategy_ = strategy;
-  }
-  sparql::JoinStrategy join_strategy() const { return join_strategy_; }
-
   /// Planner-v2 DP join ordering (default off; see Executor::set_use_dp).
   void set_use_dp(bool on) { use_dp_ = on; }
   bool use_dp() const { return use_dp_; }
@@ -149,7 +142,6 @@ class AnalyticsSession {
   std::optional<hifun::ResultRestriction> result_restriction_;
   AnswerFrame answer_;
   int thread_count_ = 1;
-  sparql::JoinStrategy join_strategy_ = sparql::JoinStrategy::kAdaptive;
   bool use_dp_ = false;
   QueryContext ctx_;
   sparql::ExecStats exec_stats_;

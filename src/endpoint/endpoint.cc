@@ -396,18 +396,10 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
   };
   if (cache_on) {
     fingerprint = NormalizeQueryText(sparql);
-    // Planner configuration shapes both the cached plan's join orders and
-    // (via row order) the answer bytes; non-default configurations get
-    // their own cache slots. The default config keeps the legacy
-    // fingerprint so mixed-mode deployments still share those entries.
-    if (join_strategy_ != sparql::JoinStrategy::kAdaptive || use_dp_) {
-      fingerprint += "\n#planner-cfg:" +
-                     std::to_string(static_cast<int>(join_strategy_)) +
-                     (use_dp_ ? ":dp" : "");
-    }
-    query_hash = sparql::PlanCache::ConfigKey(HashQueryText(fingerprint),
-                                              join_strategy_, use_dp_,
-                                              /*calibrated=*/true);
+    // DP shapes both the cached plan's join orders and (via row order) the
+    // answer bytes, so DP runs get their own answer and plan cache slots.
+    if (use_dp_) fingerprint += "\n#planner-cfg:dp";
+    query_hash = HashQueryText(fingerprint);
     generation = g->Generation();
     TraceSpan cache_span(tracer.get(), "cache-lookup");
     cache_span.Arg("generation", generation);
@@ -477,7 +469,6 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
   }
   sparql::Executor exec(g);
   exec.set_thread_count(thread_count_);
-  exec.set_join_strategy(join_strategy_);
   exec.set_use_dp(use_dp_);
   exec.set_query_context(ctx);
   if (plan != nullptr) {

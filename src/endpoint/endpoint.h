@@ -200,16 +200,9 @@ class SimulatedEndpoint {
   void set_thread_count(int threads) { thread_count_ = threads < 1 ? 1 : threads; }
   int thread_count() const { return thread_count_; }
 
-  /// Join-strategy override for served queries (default kAdaptive). The
-  /// planner configuration is folded into the answer/plan cache keys, so
-  /// entries never leak across configurations.
-  void set_join_strategy(sparql::JoinStrategy strategy) {
-    join_strategy_ = strategy;
-  }
-  sparql::JoinStrategy join_strategy() const { return join_strategy_; }
-
   /// Planner-v2 DP join ordering for served queries (default off); see
-  /// Executor::set_use_dp. Folded into the cache keys like the strategy.
+  /// Executor::set_use_dp. Folded into the answer/plan cache keys, so
+  /// entries never leak across configurations.
   void set_use_dp(bool on) { use_dp_ = on; }
   bool use_dp() const { return use_dp_; }
 
@@ -282,7 +275,6 @@ class SimulatedEndpoint {
   bool predicate_invalidation_ = true;
   LatencyProfile profile_;
   int thread_count_ = 1;
-  sparql::JoinStrategy join_strategy_ = sparql::JoinStrategy::kAdaptive;
   bool use_dp_ = false;
 
   /// Cache layers. Internally synchronized (sharded locks); the unique_ptrs

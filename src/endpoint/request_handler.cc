@@ -138,7 +138,6 @@ Result<std::string> RequestHandler::Explain(const std::string& query) const {
   }
   sparql::Executor exec(g);
   exec.set_thread_count(endpoint_->thread_count());
-  exec.set_join_strategy(endpoint_->join_strategy());
   exec.set_use_dp(endpoint_->use_dp());
   return exec.ExplainJson(parsed.value());
 }

@@ -53,23 +53,6 @@ constexpr size_t kHashMinRows = 64;
 // reduces index rows enumerated.
 constexpr double kHashBuildFactor = 2.0;
 
-// Legacy selectivity score: raw index-range width, with a flat /16 discount
-// per bound variable (their values are row-dependent, so the old model had
-// no better number). Kept as the ablation baseline.
-double LegacyScore(const rdf::Graph& graph, const CompiledPattern& p,
-                   const std::set<int>& bound) {
-  TermId s = p.s_var < 0 ? p.s_id : kNoTermId;
-  TermId pp = p.p_var < 0 ? p.p_id : kNoTermId;
-  TermId o = p.o_var < 0 ? p.o_id : kNoTermId;
-  double est = static_cast<double>(graph.EstimateMatch(s, pp, o)) + 1.0;
-  int bound_vars = 0;
-  if (p.s_var >= 0 && bound.count(p.s_var)) ++bound_vars;
-  if (p.p_var >= 0 && bound.count(p.p_var)) ++bound_vars;
-  if (p.o_var >= 0 && bound.count(p.o_var)) ++bound_vars;
-  for (int i = 0; i < bound_vars; ++i) est /= 16.0;
-  return est;
-}
-
 }  // namespace
 
 // Calibrated per-row cardinality estimate: the constant-narrowed match
@@ -101,8 +84,7 @@ double CalibratedRowEstimate(const rdf::Graph& graph, const CompiledPattern& p,
 namespace {
 
 double Score(const rdf::Graph& graph, const CompiledPattern& p,
-             const std::set<int>& bound, bool calibrated) {
-  if (!calibrated) return LegacyScore(graph, p, bound);
+             const std::set<int>& bound) {
   return CalibratedRowEstimate(
       graph, p, p.s_var >= 0 && bound.count(p.s_var) > 0,
       p.p_var >= 0 && bound.count(p.p_var) > 0,
@@ -120,7 +102,7 @@ void MarkBound(const CompiledPattern& p, std::set<int>* bound) {
 // execution order. Shared by JoinBgp and the plan-only EXPLAIN path.
 std::vector<int> GreedyOrder(const rdf::Graph& graph,
                              const std::vector<CompiledPattern>& patterns,
-                             std::set<int> bound, bool calibrated) {
+                             std::set<int> bound) {
   std::vector<int> order;
   order.reserve(patterns.size());
   std::vector<bool> used(patterns.size(), false);
@@ -129,7 +111,7 @@ std::vector<int> GreedyOrder(const rdf::Graph& graph,
     size_t best_i = 0;
     for (size_t i = 0; i < patterns.size(); ++i) {
       if (used[i]) continue;
-      double s = Score(graph, patterns[i], bound, calibrated);
+      double s = Score(graph, patterns[i], bound);
       if (best < 0 || s < best) {
         best = s;
         best_i = i;
@@ -244,12 +226,8 @@ HashPlan PlanHash(const rdf::Graph& graph, const CompiledPattern& p,
       plan.build_perm, s_const ? p.s_id : kNoTermId,
       p_const ? p.p_id : kNoTermId, o_const ? p.o_id : kNoTermId);
 
-  if (strategy == JoinStrategy::kHash) {
-    plan.use_hash = true;
-    return plan;
-  }
-  // Adaptive: hash only when the one-off build is decisively cheaper than
-  // the per-row scans it replaces.
+  // Hash only when the one-off build is decisively cheaper than the per-row
+  // scans it replaces.
   if (rows.size() < kHashMinRows) return plan;
   const double per_row = CalibratedRowEstimate(graph, p, plan.key_s,
                                                plan.key_p, plan.key_o);
@@ -632,16 +610,16 @@ bool BuildSieve(const std::vector<Binding>& rows, int head_slot,
 }
 
 // Streams one merge cursor against a contiguous range of sieve runs,
-// appending extensions in input-row order. With SIP the cursor seeks
-// straight to each run's key (skipping whole blocks of non-candidates);
-// without it the cursor advances linearly, decoding every entry in the
-// range. Each key group is buffered once and replayed across its run's
-// rows — the replay enumerates exactly the triples (in exactly the order) a
-// per-row NLJ probe of that key would, which is the byte-identity argument.
+// appending extensions in input-row order. The cursor seeks straight to
+// each run's key (sideways information passing: whole blocks of
+// non-candidates are skipped undecoded). Each key group is buffered once
+// and replayed across its run's rows — the replay enumerates exactly the
+// triples (in exactly the order) a per-row NLJ probe of that key would,
+// which is the byte-identity argument.
 Status MergeRuns(const rdf::Graph& graph, const CompiledPattern& p,
                  rdf::Graph::Perm perm, const std::vector<Binding>& rows,
                  const std::vector<SieveRun>& runs, size_t run_lo,
-                 size_t run_hi, bool sip, const QueryContext* ctx,
+                 size_t run_hi, const QueryContext* ctx,
                  std::vector<Binding>* out, size_t* decoded, size_t* seeks,
                  size_t* advances) {
   rdf::Graph::MergeCursor cur = graph.OpenMergeCursor(
@@ -650,21 +628,7 @@ Status MergeRuns(const rdf::Graph& graph, const CompiledPattern& p,
   std::vector<rdf::TripleId> group;
   for (size_t ri = run_lo; ri < run_hi && !cur.at_end(); ++ri) {
     const SieveRun& run = runs[ri];
-    if (sip) {
-      cur.SeekGE(run.key);
-    } else {
-      while (!cur.at_end() && cur.key() < run.key) {
-        cur.Next();
-        if (ctx != nullptr && ++*advances % kCheckEveryRows == 0) {
-          Status check = ctx->Check("merge-advance");
-          if (!check.ok()) {
-            *decoded += cur.decoded();
-            *seeks += cur.seeks();
-            return check;
-          }
-        }
-      }
-    }
+    cur.SeekGE(run.key);
     if (cur.at_end()) break;
     if (cur.key() != run.key) continue;
     group.clear();
@@ -690,10 +654,9 @@ Status MergeRuns(const rdf::Graph& graph, const CompiledPattern& p,
 }
 
 // Planner-v2 merge step: sieve the input's interesting-order keys, stream
-// an order-agreeing cursor against them. Parallel execution (SIP only)
-// splits the *runs* into morsels, each with its own cursor; concatenation
-// in morsel order equals the serial output. Without SIP the linear advance
-// is inherently sequential, so execution stays serial.
+// an order-agreeing cursor against them. Parallel execution splits the
+// *runs* into morsels, each with its own cursor; concatenation in morsel
+// order equals the serial output.
 Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
                         int source_pattern, const PlannedStep& step,
                         int head_slot, const JoinOptions& opts, int threads,
@@ -720,7 +683,7 @@ Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
   if (merge_status.ok()) {
     next.reserve(rows->size());
     bool merged = false;
-    if (opts.sip && threads > 1 && rows->size() >= 2 * kMinMorselRows) {
+    if (threads > 1 && rows->size() >= 2 * kMinMorselRows) {
       auto morsels = Morsels(runs.size(),
                              static_cast<size_t>(threads) * kMorselsPerThread,
                              kMinMorselRows);
@@ -734,9 +697,8 @@ Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
           if (opts.ctx != nullptr && opts.ctx->ShouldStop()) return;
           auto [lo, hi] = morsels[m];
           part_status[m] = MergeRuns(graph, p, step.perm, *rows, runs, lo, hi,
-                                     /*sip=*/true, opts.ctx, &parts[m],
-                                     &part_decoded[m], &part_seeks[m],
-                                     &part_advances[m]);
+                                     opts.ctx, &parts[m], &part_decoded[m],
+                                     &part_seeks[m], &part_advances[m]);
         });
         for (size_t m = 0; m < morsels.size(); ++m) {
           decoded += part_decoded[m];
@@ -752,8 +714,8 @@ Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
     }
     if (!merged) {
       merge_status = MergeRuns(graph, p, step.perm, *rows, runs, 0,
-                               runs.size(), opts.sip, opts.ctx, &next,
-                               &decoded, &seeks, &advances);
+                               runs.size(), opts.ctx, &next, &decoded, &seeks,
+                               &advances);
     }
   }
   if (opts.stats != nullptr) {
@@ -778,7 +740,7 @@ Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
 
 // Planner-v2 pipeline: annotate the execution-ordered patterns, surface the
 // plan shape, run the seed scan in the interesting-order permutation, then
-// each later step as a merge (when qualified and the strategy allows) or
+// each later step as a merge (when qualified and not forced to NLJ) or
 // through the adaptive machinery. Annotation is a pure function of the
 // order, so a plan-cache replay of the captured order reproduces the plan
 // bit-for-bit.
@@ -803,10 +765,9 @@ Status ExecuteBgpV2(const rdf::Graph& graph,
                                      plan.steps[0], opts, threads, tracer,
                                      rows));
   if (rows->empty()) return Status::OK();
-  // kHash / kNestedLoop demote qualified merge steps to their forced
-  // strategy — byte-identical by the order argument in MergeRuns.
-  const bool merge_enabled = opts.strategy == JoinStrategy::kAdaptive ||
-                             opts.strategy == JoinStrategy::kMerge;
+  // kNestedLoop demotes qualified merge steps to the NLJ oracle —
+  // byte-identical by the order argument in MergeRuns.
+  const bool merge_enabled = opts.strategy == JoinStrategy::kAdaptive;
   for (size_t pi = 1; pi < patterns.size(); ++pi) {
     const PlannedStep& step = plan.steps[pi];
     if (step.strategy == 'M' && merge_enabled) {
@@ -846,11 +807,11 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
 
   Tracer* tracer = opts.ctx != nullptr ? opts.ctx->tracer() : nullptr;
 
-  // Planner v2 engages only on trivial-seed runs (one all-unbound input
-  // row — the top-level BGP case): its interesting-order and seed-scan
-  // reasoning assumes the first pattern produces the intermediate. Seeded
-  // re-entries (OPTIONAL / UNION / EXISTS) run the v1 machinery, where
-  // kMerge degrades to kAdaptive semantics.
+  // Planner v2 engages only with use_dp on trivial-seed runs (one
+  // all-unbound input row — the top-level BGP case): its interesting-order
+  // and seed-scan reasoning assumes the first pattern produces the
+  // intermediate. Seeded re-entries (OPTIONAL / UNION / EXISTS) run the v1
+  // machinery.
   bool trivial_seed = rows->size() == 1;
   if (trivial_seed) {
     for (TermId v : rows->front()) {
@@ -860,12 +821,11 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
       }
     }
   }
-  const bool v2 = trivial_seed && !patterns.empty() &&
-                  (opts.strategy == JoinStrategy::kMerge || opts.use_dp);
+  const bool v2 = trivial_seed && !patterns.empty() && opts.use_dp;
   // "This plan's order came from the DP search" — deterministic across
   // capture and replay (a replayed DP order still reports dp=true).
-  const bool dp_ordered = v2 && opts.use_dp && patterns.size() > 1 &&
-                          patterns.size() <= kMaxDpPatterns;
+  const bool dp_ordered =
+      v2 && patterns.size() > 1 && patterns.size() <= kMaxDpPatterns;
 
   // Plan-cache replay: apply a previously chosen order without re-running
   // the greedy reorderer. Only a valid permutation of the pattern count is
@@ -908,7 +868,6 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
   if (!replayed && patterns.size() > 1 && (reorder || dp_ordered)) {
     TraceSpan plan_span(tracer, "plan");
     plan_span.Arg("patterns", static_cast<uint64_t>(patterns.size()));
-    plan_span.Arg("calibrated", opts.calibrated_estimates);
     std::vector<int> order;
     if (dp_ordered) {
       DpStats dp_stats;
@@ -934,8 +893,7 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
           if (first[i] != kNoTermId) bound.insert(static_cast<int>(i));
         }
       }
-      order = GreedyOrder(graph, patterns, std::move(bound),
-                          opts.calibrated_estimates);
+      order = GreedyOrder(graph, patterns, std::move(bound));
     }
     std::vector<CompiledPattern> ordered;
     std::vector<int> ordered_source;
@@ -982,8 +940,7 @@ std::vector<int> PlanBgpOrder(const rdf::Graph& graph,
   const bool dp = opts.use_dp && patterns.size() <= kMaxDpPatterns;
   if (dp) return PlanBgpOrderDp(graph, patterns);
   if (!reorder) return source;
-  return GreedyOrder(graph, patterns, std::set<int>(),
-                     opts.calibrated_estimates);
+  return GreedyOrder(graph, patterns, std::set<int>());
 }
 
 }  // namespace rdfa::sparql

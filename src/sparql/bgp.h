@@ -39,28 +39,14 @@ double CalibratedRowEstimate(const rdf::Graph& graph, const CompiledPattern& p,
 
 /// How JoinBgp extends rows through a pattern.
 enum class JoinStrategy {
-  /// Per-pattern cost-based choice between the two strategies below (the
-  /// default): hash when one build pays for many probes, NLJ otherwise.
-  /// With JoinOptions::use_dp, planner-v2 runs also take merge steps the
-  /// plan marks qualified.
+  /// Per-pattern cost-based choice (the default and the only served mode):
+  /// an order-preserving hash join when one build pays for many probes, one
+  /// index range scan per input row otherwise. With JoinOptions::use_dp,
+  /// planner-v2 runs also take the merge steps the plan marks qualified.
   kAdaptive,
-  /// One binary-search index range scan per input row.
+  /// One binary-search index range scan per input row, everywhere — the
+  /// test oracle. Planner-v2 merge steps demote to it in place.
   kNestedLoop,
-  /// Materialize the pattern's index range once into a hash table keyed on
-  /// the join-variable lane(s), then probe every input row in order
-  /// (build-once / probe-many). Probing in input order — with buckets built
-  /// in index-scan order — keeps results byte-identical to the serial NLJ.
-  kHash,
-  /// Planner v2: streaming merge join. The first pattern scans the
-  /// permutation whose sort order matches the plan's interesting-order
-  /// variable; later patterns that join on that variable stream an
-  /// order-agreeing permutation cursor against the sorted input, skipping
-  /// non-candidate keys via SeekGE (sideways information passing) and
-  /// replaying each decoded key group across its input-row run — no build
-  /// side is ever materialized. Steps the plan does not mark as merges fall
-  /// back to the adaptive hash/NLJ machinery. On seeded (non-trivial) input
-  /// rows — OPTIONAL/UNION/EXISTS re-entries — this degrades to kAdaptive.
-  kMerge,
 };
 
 /// Knobs and instrumentation for one JoinBgp call.
@@ -79,27 +65,16 @@ struct JoinOptions {
   /// tripped deadline / cancellation unwinds with the typed Status and
   /// `*rows` left in an unspecified partial state. Null = never stops.
   const QueryContext* ctx = nullptr;
-  /// Join-strategy override. kAdaptive decides per pattern; kNestedLoop /
-  /// kHash force one path (kHash still falls back to NLJ for patterns with
-  /// no bound join variable, where no hash key exists).
+  /// kAdaptive decides per pattern; kNestedLoop forces the NLJ oracle.
   JoinStrategy strategy = JoinStrategy::kAdaptive;
-  /// Reorderer cost model: true uses per-predicate GraphStats fanout
-  /// calibration, false the legacy range-width + flat-discount heuristic
-  /// (the ablation benchmark toggles this).
-  bool calibrated_estimates = true;
-  /// Planner v2 join ordering: replaces the greedy reorderer with an
-  /// exhaustive DP search over subsets (<= 8 patterns; order-aware greedy
-  /// above that), costed from the calibrated GraphStats and aware of which
-  /// orders enable merge joins. Applies to trivial-seed BGP runs and, when
-  /// set, overrides a false `reorder` flag — DP *is* the reorderer, so it is
-  /// immune to source-order accidents. Orders only change performance,
-  /// never the result set.
+  /// Planner v2, engaged on trivial-seed BGP runs: replaces the greedy
+  /// reorderer with an exhaustive DP search over subsets (<= 8 patterns;
+  /// order-aware greedy above that), costed from the calibrated GraphStats
+  /// and aware of which orders enable merge joins, then executes the plan
+  /// with a seed scan and merge steps. When set, it overrides a false
+  /// `reorder` flag — DP *is* the reorderer, so it is immune to source-order
+  /// accidents. Orders only change performance, never the result set.
   bool use_dp = false;
-  /// Sideways information passing inside merge steps: true (default) seeks
-  /// the cursor past non-candidate merge keys; false advances linearly,
-  /// decoding every key in the range (the bench --ablate-sip baseline;
-  /// forces serial merge execution). Identical result bytes either way.
-  bool sip = true;
   /// Plan-cache replay: a join order previously chosen for this BGP (source
   /// indexes in execution order, the ExecStats::join_order format). When it
   /// is a valid permutation of the pattern count, the greedy reorderer is

@@ -289,9 +289,7 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
           jopts.stats = &stats_;
           jopts.ctx = &ctx_;
           jopts.strategy = join_strategy_;
-          jopts.calibrated_estimates = calibrated_estimates_;
           jopts.use_dp = use_dp_;
-          jopts.sip = sip_;
           // Plan-cache hookup: BGP join runs are numbered in evaluation
           // order (deterministic for a fixed AST + graph), so a replayed
           // query consumes the cached order recorded at the same position.
@@ -1003,24 +1001,11 @@ std::string Executor::ExplainJson(const ParsedQuery& query) {
       form = "describe";
       break;
   }
-  const char* strategy = "adaptive";
-  switch (join_strategy_) {
-    case JoinStrategy::kAdaptive:
-      break;
-    case JoinStrategy::kNestedLoop:
-      strategy = "nested-loop";
-      break;
-    case JoinStrategy::kHash:
-      strategy = "hash";
-      break;
-    case JoinStrategy::kMerge:
-      strategy = "merge";
-      break;
-  }
   std::string out = "{\"form\":\"";
   out += form;
   out += "\",\"strategy\":\"";
-  out += strategy;
+  out += join_strategy_ == JoinStrategy::kNestedLoop ? "nested-loop"
+                                                     : "adaptive";
   out += "\",\"use_dp\":";
   out += use_dp_ ? "true" : "false";
   out += ",\"threads\":";
@@ -1031,9 +1016,7 @@ std::string Executor::ExplainJson(const ParsedQuery& query) {
 
   JoinOptions opts;
   opts.strategy = join_strategy_;
-  opts.calibrated_estimates = calibrated_estimates_;
   opts.use_dp = use_dp_;
-  opts.sip = sip_;
   VarTable vars;
   bool first = true;
   const auto& body = where->elements;

@@ -39,18 +39,12 @@ class Executor {
   void set_thread_count(int threads) { threads_ = threads < 1 ? 1 : threads; }
   int thread_count() const { return threads_; }
 
-  /// Join-strategy override for subsequent queries: kAdaptive (default)
-  /// chooses per pattern between index NLJ and the order-preserving hash
-  /// join; kNestedLoop / kHash force one path. Any choice yields
-  /// byte-identical results — this is a performance/ablation knob.
+  /// Join strategy for subsequent queries: kAdaptive (default) chooses per
+  /// pattern between index NLJ and the order-preserving hash join (plus
+  /// planner-v2 merge steps under use_dp); kNestedLoop forces the NLJ test
+  /// oracle. Either yields byte-identical results.
   void set_join_strategy(JoinStrategy strategy) { join_strategy_ = strategy; }
   JoinStrategy join_strategy() const { return join_strategy_; }
-
-  /// Toggles the GraphStats-calibrated cardinality model in the BGP
-  /// reorderer (default on); off falls back to the legacy range-width
-  /// heuristic. Ablation knob — result bytes never change.
-  void set_calibrated_estimates(bool on) { calibrated_estimates_ = on; }
-  bool calibrated_estimates() const { return calibrated_estimates_; }
 
   /// Planner-v2 DP join ordering (default off): replaces the greedy
   /// reorderer with an exhaustive subset-DP search for top-level BGPs of up
@@ -59,13 +53,6 @@ class Executor {
   /// unchanged; only join order / permutation choices move.
   void set_use_dp(bool on) { use_dp_ = on; }
   bool use_dp() const { return use_dp_; }
-
-  /// Sideways information passing inside planner-v2 merge steps (default
-  /// on): off decodes merge ranges linearly instead of seeking past
-  /// non-candidate keys — the bench --ablate-sip baseline. Identical result
-  /// bytes either way.
-  void set_sip(bool on) { sip_ = on; }
-  bool sip() const { return sip_; }
 
   /// Installs the deadline/cancellation context for subsequent queries
   /// (copies share cancellation state with the caller's handle). The
@@ -148,9 +135,7 @@ class Executor {
   bool push_filters_;
   int threads_ = 1;
   JoinStrategy join_strategy_ = JoinStrategy::kAdaptive;
-  bool calibrated_estimates_ = true;
   bool use_dp_ = false;
-  bool sip_ = true;
   ExecStats stats_;
   QueryContext ctx_;
   const std::vector<std::vector<int>>* replay_orders_ = nullptr;

@@ -8,7 +8,6 @@
 
 #include "common/lru_cache.h"
 #include "sparql/ast.h"
-#include "sparql/bgp.h"
 
 namespace rdfa::sparql {
 
@@ -45,19 +44,6 @@ class PlanCache {
   }
 
   explicit PlanCache(CacheOptions opts = DefaultOptions());
-
-  /// Mixes the planner configuration that shaped a plan's join orders into
-  /// the query-hash key. Orders captured under one strategy / DP / cost-
-  /// model setting must not replay into a run configured differently (a DP
-  /// order replayed into a greedy-configured executor would silently keep
-  /// DP's choices, and vice versa), so each configuration gets its own
-  /// cache slot.
-  static uint64_t ConfigKey(uint64_t query_hash, JoinStrategy strategy,
-                            bool use_dp, bool calibrated) {
-    const uint64_t salt = (static_cast<uint64_t>(strategy) << 2) |
-                          (use_dp ? 2u : 0u) | (calibrated ? 1u : 0u);
-    return query_hash ^ ((salt + 1) * 0x9E3779B97F4A7C15ull);
-  }
 
   /// The cached plan for `query_hash` computed at `generation`, or null.
   std::shared_ptr<const PlanEntry> Get(uint64_t query_hash,

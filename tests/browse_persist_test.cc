@@ -18,6 +18,7 @@
 #include "rdf/rdfs.h"
 #include "viz/chart.h"
 #include "viz/table_render.h"
+#include "test_paths.h"
 #include "workload/products.h"
 
 namespace rdfa {
@@ -142,7 +143,7 @@ TEST(BinaryIoTest, RequiresEmptyGraph) {
 TEST(BinaryIoTest, FileRoundTrip) {
   rdf::Graph g;
   workload::BuildRunningExample(&g);
-  std::string path = ::testing::TempDir() + "/rdfa_snapshot.bin";
+  std::string path = test::UniqueTempPath("snapshot.bin");
   ASSERT_TRUE(rdf::SaveBinaryFile(g, path).ok());
   rdf::Graph loaded;
   ASSERT_TRUE(rdf::LoadBinaryFile(path, &loaded).ok());

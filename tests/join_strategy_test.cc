@@ -1,9 +1,11 @@
 // Coverage for the PR-3 query-path additions: per-predicate GraphStats,
 // longest-bound-prefix index selection, the adaptive order-preserving hash
-// join (byte-identity with serial NLJ across seeds, thread counts, reorder
-// settings and forced strategies), a deterministic deadline trip inside the
-// hash-build loop, and the versioned binary snapshot stats block.
+// join (byte-identity with serial NLJ across seeds, thread counts and
+// reorder settings, with every test asserting the hash path really ran), a
+// deterministic deadline trip inside the hash-build loop, and the versioned
+// binary snapshot stats block.
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -31,6 +33,11 @@ const std::string kEx = workload::kExampleNs;
 constexpr char kPfx[] = "PREFIX ex: <http://www.ics.forth.gr/example#>\n";
 
 Term Iri(const std::string& local) { return Term::Iri("urn:" + local); }
+
+bool UsedHash(const sparql::ExecStats& stats) {
+  return std::find(stats.join_strategy.begin(), stats.join_strategy.end(),
+                   'H') != stats.join_strategy.end();
+}
 
 TEST(GraphStatsTest, PerPredicateCountsAndFanout) {
   Graph g;
@@ -201,7 +208,7 @@ class JoinStrategyTest : public ::testing::Test {
   }
 };
 
-TEST_F(JoinStrategyTest, HashIsByteIdenticalAcrossSeedsThreadsAndReorder) {
+TEST_F(JoinStrategyTest, AdaptiveIsByteIdenticalAcrossSeedsThreadsAndReorder) {
   const char* kQueries[] = {
       "SELECT ?l ?m ?c WHERE { ?l ex:manufacturer ?m . ?m ex:origin ?c . }",
       "SELECT ?l ?m ?c ?g WHERE { ?l ex:manufacturer ?m . ?m ex:origin ?c . "
@@ -216,6 +223,10 @@ TEST_F(JoinStrategyTest, HashIsByteIdenticalAcrossSeedsThreadsAndReorder) {
     opt.laptops = 300;
     opt.seed = seed;
     workload::GenerateProductKg(&g, opt);
+    // Source order runs the big range first, so hundreds of probe rows meet
+    // a 20-company build side: adaptive must take the hash path somewhere in
+    // each seed's corpus, or this test would compare NLJ with itself.
+    size_t hash_runs = 0;
     for (const char* body : kQueries) {
       const std::string q = std::string(kPfx) + body;
       for (bool reorder : {false, true}) {
@@ -223,19 +234,24 @@ TEST_F(JoinStrategyTest, HashIsByteIdenticalAcrossSeedsThreadsAndReorder) {
         const std::string reference =
             RunTsv(&g, q, 1, reorder, sparql::JoinStrategy::kNestedLoop);
         for (int threads : {1, 4}) {
-          for (sparql::JoinStrategy strategy :
-               {sparql::JoinStrategy::kNestedLoop,
-                sparql::JoinStrategy::kHash,
-                sparql::JoinStrategy::kAdaptive}) {
-            EXPECT_EQ(RunTsv(&g, q, threads, reorder, strategy), reference)
-                << "seed=" << seed << " threads=" << threads
-                << " reorder=" << reorder
-                << " strategy=" << static_cast<int>(strategy) << "\n"
-                << q;
-          }
+          EXPECT_EQ(RunTsv(&g, q, threads, reorder,
+                           sparql::JoinStrategy::kNestedLoop),
+                    reference)
+              << "nlj seed=" << seed << " threads=" << threads
+              << " reorder=" << reorder << "\n"
+              << q;
+          sparql::ExecStats stats;
+          EXPECT_EQ(RunTsv(&g, q, threads, reorder,
+                           sparql::JoinStrategy::kAdaptive, &stats),
+                    reference)
+              << "adaptive seed=" << seed << " threads=" << threads
+              << " reorder=" << reorder << "\n"
+              << q;
+          if (UsedHash(stats)) ++hash_runs;
         }
       }
     }
+    EXPECT_GT(hash_runs, 0u) << "seed=" << seed;
   }
 }
 
@@ -303,17 +319,25 @@ TEST_F(JoinStrategyTest, HeterogeneousRowsFallBackPerRowByteIdentically) {
                  });
   ASSERT_GE(seed_rows.size(), 100u);
 
-  auto run = [&](sparql::JoinStrategy strategy) {
+  // The first row has ?m bound, and >= 100 probes against a 20-company
+  // build side clear kHashBuildFactor: adaptive builds the table.
+  auto run = [&](sparql::JoinStrategy strategy, sparql::ExecStats* stats) {
     std::vector<sparql::Binding> rows = seed_rows;
     sparql::JoinOptions jopts;
     jopts.strategy = strategy;
+    jopts.stats = stats;
     Status st = sparql::JoinBgp(g, patterns, vars.size(), /*reorder=*/false,
                                 jopts, &rows);
     EXPECT_TRUE(st.ok()) << st.ToString();
     return rows;
   };
-  std::vector<sparql::Binding> nlj = run(sparql::JoinStrategy::kNestedLoop);
-  std::vector<sparql::Binding> hash = run(sparql::JoinStrategy::kHash);
+  sparql::ExecStats nlj_stats, hash_stats;
+  std::vector<sparql::Binding> nlj =
+      run(sparql::JoinStrategy::kNestedLoop, &nlj_stats);
+  std::vector<sparql::Binding> hash =
+      run(sparql::JoinStrategy::kAdaptive, &hash_stats);
+  ASSERT_TRUE(UsedHash(hash_stats)) << hash_stats.Summary();
+  EXPECT_FALSE(UsedHash(nlj_stats));
   ASSERT_EQ(nlj.size(), hash.size());
   for (size_t i = 0; i < nlj.size(); ++i) {
     EXPECT_EQ(nlj[i], hash[i]) << "row " << i;
@@ -323,7 +347,7 @@ TEST_F(JoinStrategyTest, HeterogeneousRowsFallBackPerRowByteIdentically) {
 TEST_F(JoinStrategyTest, DeadlineTripsInsideHashBuildDeterministically) {
   rdf::Graph g;
   workload::ProductKgOptions opt;
-  opt.laptops = 1000;  // price build range comfortably > one 512-row check
+  opt.laptops = 1000;  // build range comfortably > one 512-row check
   workload::GenerateProductKg(&g, opt);
   g.Freeze();
 
@@ -333,23 +357,24 @@ TEST_F(JoinStrategyTest, DeadlineTripsInsideHashBuildDeterministically) {
       sparql::NodePattern::Const(Term::Iri(kEx + "manufacturer")),
       sparql::NodePattern::Var("m")};
   sparql::TriplePattern tp2{
-      sparql::NodePattern::Var("l"),
-      sparql::NodePattern::Const(Term::Iri(kEx + "price")),
-      sparql::NodePattern::Var("p")};
+      sparql::NodePattern::Var("k"),
+      sparql::NodePattern::Const(Term::Iri(kEx + "manufacturer")),
+      sparql::NodePattern::Var("m")};
   std::vector<sparql::CompiledPattern> patterns = {
       sparql::CompileTriple(tp1, &vars, g),
       sparql::CompileTriple(tp2, &vars, g)};
 
-  // Counted checks in a forced-hash run: pattern-1 entry + exit, pattern-2
-  // entry (all "bgp-join"), then the hash build's 512-row check. Cancelling
-  // on the 4th check therefore lands inside the build loop, every time.
+  // Pairs sharing a manufacturer: ~1250 probe rows keyed on ?m against a
+  // ~1250-row build side with dozens of matches per key, so adaptive
+  // hashes. Counted checks: pattern-1 entry + exit, pattern-2 entry (all
+  // "bgp-join"), then the hash build's 512-row check. Cancelling on the 4th
+  // check therefore lands inside the build loop, every time.
   QueryContext ctx;
   ctx.CancelAfterChecks(4);
   sparql::ExecStats stats;
   sparql::JoinOptions jopts;
   jopts.stats = &stats;
   jopts.ctx = &ctx;
-  jopts.strategy = sparql::JoinStrategy::kHash;
   std::vector<sparql::Binding> rows = {
       sparql::Binding(vars.size(), kNoTermId)};
   Status st =

@@ -35,6 +35,7 @@
 #include "sparql/bgp.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
+#include "test_paths.h"
 #include "workload/invoices.h"
 #include "workload/products.h"
 
@@ -338,20 +339,22 @@ TEST(TraceCoverageTest, ResultsByteIdenticalWithTracingOnAndOff) {
 TEST(AbortTraceTest, MidJoinCancellationClosesTheAbortedSpan) {
   rdf::Graph g;
   workload::ProductKgOptions opt;
-  opt.laptops = 1000;  // price build range comfortably > one 512-row check
+  opt.laptops = 1000;  // build range comfortably > one 512-row check
   workload::GenerateProductKg(&g, opt);
   g.Freeze();
   const std::string kEx = workload::kExampleNs;
 
+  // Pairs sharing a manufacturer: every probe row is keyed on ?m, and the
+  // build side is far cheaper than the probes, so adaptive hashes.
   sparql::VarTable vars;
   sparql::TriplePattern tp1{
       sparql::NodePattern::Var("l"),
       sparql::NodePattern::Const(Term::Iri(kEx + "manufacturer")),
       sparql::NodePattern::Var("m")};
   sparql::TriplePattern tp2{
-      sparql::NodePattern::Var("l"),
-      sparql::NodePattern::Const(Term::Iri(kEx + "price")),
-      sparql::NodePattern::Var("p")};
+      sparql::NodePattern::Var("k"),
+      sparql::NodePattern::Const(Term::Iri(kEx + "manufacturer")),
+      sparql::NodePattern::Var("m")};
   std::vector<sparql::CompiledPattern> patterns = {
       sparql::CompileTriple(tp1, &vars, g),
       sparql::CompileTriple(tp2, &vars, g)};
@@ -364,7 +367,6 @@ TEST(AbortTraceTest, MidJoinCancellationClosesTheAbortedSpan) {
   sparql::JoinOptions jopts;
   jopts.stats = &stats;
   jopts.ctx = &ctx;
-  jopts.strategy = sparql::JoinStrategy::kHash;
   std::vector<sparql::Binding> rows = {
       sparql::Binding(vars.size(), rdf::kNoTermId)};
   Status st = sparql::JoinBgp(g, patterns, vars.size(), /*reorder=*/false,
@@ -372,6 +374,8 @@ TEST(AbortTraceTest, MidJoinCancellationClosesTheAbortedSpan) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCancelled);
   ASSERT_STREQ(ctx.trip_stage(), "hash-build");
+  ASSERT_EQ(stats.join_strategy, (std::vector<char>{'N', 'H'}));
+  EXPECT_EQ(stats.rows_scanned[1], 512u);
 
   // The span carrying the abort stage's name was closed by RAII unwind.
   EXPECT_TRUE(tracer->HasSpan(ctx.trip_stage()));
@@ -743,10 +747,8 @@ TEST(QueryLogTest, FormatProducesOneWellFormedJsonLine) {
 
 TEST(QueryLogTest, EndpointWritesTraceFilesAndStructuredLog) {
   namespace fs = std::filesystem;
-  const std::string dir =
-      ::testing::TempDir() + "rdfa_obs_trace";
-  const std::string log_path =
-      ::testing::TempDir() + "rdfa_obs_queries.jsonl";
+  const std::string dir = test::UniqueTempPath("trace");
+  const std::string log_path = test::UniqueTempPath("queries.jsonl");
   std::error_code ec;
   fs::remove_all(dir, ec);
   fs::remove(log_path, ec);
@@ -879,7 +881,7 @@ TEST(TraceSinkTest, DisabledSinkIsInertEnabledSinkWritesFiles) {
   EXPECT_EQ(sink.StartRun(), nullptr);
   EXPECT_EQ(sink.FinishRun(nullptr, "x"), "");
 
-  const std::string dir = ::testing::TempDir() + "rdfa_obs_sink";
+  const std::string dir = test::UniqueTempPath("sink");
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   sink.set_dir(dir);
@@ -1150,7 +1152,7 @@ TEST(QueryRegistryTest, ConcurrentRegisterSampleKill) {
 
 TEST(SlowQueryCaptureTest, RingNeverGrowsPastMaxFiles) {
   namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "rdfa_obs_slow_ring";
+  const std::string dir = test::UniqueTempPath("slow_ring");
   std::error_code ec;
   fs::remove_all(dir, ec);
 
@@ -1185,7 +1187,7 @@ TEST(SlowQueryCaptureTest, RingNeverGrowsPastMaxFiles) {
 
 TEST(SlowQueryCaptureTest, EndpointCapturesForensicRecordWithProfile) {
   namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "rdfa_obs_slow_ep";
+  const std::string dir = test::UniqueTempPath("slow_ep");
   std::error_code ec;
   fs::remove_all(dir, ec);
 
@@ -1233,7 +1235,7 @@ struct ExplainFixture {
     opt.laptops = 120;
     opt.seed = 7;
     workload::GenerateProductKg(heap.get(), opt);
-    snapshot_path = ::testing::TempDir() + "rdfa_obs_explain.rdfa";
+    snapshot_path = test::UniqueTempPath("explain.rdfa");
     EXPECT_TRUE(rdf::SaveBinaryFile(*heap, snapshot_path).ok());
     auto opened = rdf::OpenMappedSnapshot(snapshot_path);
     EXPECT_TRUE(opened.ok());
@@ -1255,9 +1257,8 @@ TEST(ExplainTest, SchemaHoldsAcrossStrategiesAndBackends) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
 
   const sparql::JoinStrategy strategies[] = {
-      sparql::JoinStrategy::kAdaptive, sparql::JoinStrategy::kNestedLoop,
-      sparql::JoinStrategy::kHash, sparql::JoinStrategy::kMerge};
-  const char* strategy_names[] = {"adaptive", "nested-loop", "hash", "merge"};
+      sparql::JoinStrategy::kAdaptive, sparql::JoinStrategy::kNestedLoop};
+  const char* strategy_names[] = {"adaptive", "nested-loop"};
 
   struct Backend {
     rdf::Graph* g;
@@ -1265,7 +1266,7 @@ TEST(ExplainTest, SchemaHoldsAcrossStrategiesAndBackends) {
   } backends[] = {{fx.heap.get(), "heap"}, {fx.mapped.get(), "mmap"}};
 
   for (const Backend& b : backends) {
-    for (size_t i = 0; i < 4; ++i) {
+    for (size_t i = 0; i < 2; ++i) {
       sparql::Executor exec(b.g);
       exec.set_join_strategy(strategies[i]);
       const std::string plan = exec.ExplainJson(parsed.value());
@@ -1299,18 +1300,22 @@ TEST(ExplainTest, AnalyzeProfileReconcilesWithExecStats) {
   auto parsed = sparql::ParseQuery(kProductPfx + std::string(kJoinQuery));
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
 
-  const sparql::JoinStrategy strategies[] = {
-      sparql::JoinStrategy::kAdaptive, sparql::JoinStrategy::kNestedLoop,
-      sparql::JoinStrategy::kHash, sparql::JoinStrategy::kMerge};
+  // The two strategies, plus planner v2 (seed scan and merge steps).
+  const struct {
+    sparql::JoinStrategy strategy;
+    bool use_dp;
+  } configs[] = {{sparql::JoinStrategy::kAdaptive, false},
+                 {sparql::JoinStrategy::kNestedLoop, false},
+                 {sparql::JoinStrategy::kAdaptive, true}};
 
   struct Backend {
     rdf::Graph* g;
     const char* name;
   } backends[] = {{fx.heap.get(), "heap"}, {fx.mapped.get(), "mmap"}};
 
-  // Join strategies may legitimately emit rows in different orders; the
-  // row *set* must agree across every (strategy, backend) configuration,
-  // and within one configuration profiling must not change a byte.
+  // Configs may legitimately emit rows in different orders; the row *set*
+  // must agree across every (config, backend) pair, and within one
+  // configuration profiling must not change a byte.
   auto sorted_lines = [](const std::string& tsv) {
     std::vector<std::string> lines;
     size_t start = 0;
@@ -1326,10 +1331,11 @@ TEST(ExplainTest, AnalyzeProfileReconcilesWithExecStats) {
 
   std::vector<std::string> reference_rows;
   for (const Backend& b : backends) {
-    for (const sparql::JoinStrategy strategy : strategies) {
+    for (const auto& cfg : configs) {
       // Untraced run = the answer bytes the profiled run must reproduce.
       sparql::Executor plain(b.g);
-      plain.set_join_strategy(strategy);
+      plain.set_join_strategy(cfg.strategy);
+      plain.set_use_dp(cfg.use_dp);
       auto baseline = plain.Execute(parsed.value());
       ASSERT_TRUE(baseline.ok());
       const std::string baseline_tsv = baseline.value().ToTsv();
@@ -1342,7 +1348,8 @@ TEST(ExplainTest, AnalyzeProfileReconcilesWithExecStats) {
 
       auto tracer = std::make_shared<Tracer>();
       sparql::Executor exec(b.g);
-      exec.set_join_strategy(strategy);
+      exec.set_join_strategy(cfg.strategy);
+      exec.set_use_dp(cfg.use_dp);
       QueryContext ctx;
       ctx.set_tracer(tracer);
       exec.set_query_context(ctx);
@@ -1376,7 +1383,7 @@ TEST(ExplainTest, AnalyzeProfileReconcilesWithExecStats) {
 
 TEST(StorageSpanTest, MvccCommitAndWalReplayEmitSpans) {
   MetricsRegistry::Global().ResetForTest();
-  const std::string wal_path = ::testing::TempDir() + "rdfa_obs_wal.log";
+  const std::string wal_path = test::UniqueTempPath("wal.log");
   std::remove(wal_path.c_str());
 
   auto commit_tracer = std::make_shared<Tracer>();

@@ -2,13 +2,13 @@
 // in-memory permutations, sort-aware 4-arg ChoosePerm, the streaming
 // MergeCursor on both storage backends), the DP join-order search and plan
 // annotation, and the merge-join execution path — byte-identity against the
-// forced NLJ/hash strategies across seeds, thread counts and backends,
-// sideways-information-passing ablation, deterministic cancellation trips
-// inside the sieve-build and merge-advance loops, and plan-shape capture /
-// replay reproducibility.
+// NLJ oracle across seeds, thread counts and backends, sideways information
+// passing, deterministic cancellation trips inside the sieve-build and
+// merge-advance loops, and plan-shape capture / replay reproducibility.
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,13 +16,14 @@
 #include <gtest/gtest.h>
 
 #include "common/query_context.h"
+#include "endpoint/endpoint.h"
 #include "rdf/binary_io.h"
 #include "rdf/graph.h"
 #include "sparql/bgp.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
-#include "sparql/plan_cache.h"
 #include "sparql/planner.h"
+#include "test_paths.h"
 #include "workload/products.h"
 
 namespace rdfa {
@@ -47,11 +48,11 @@ std::unique_ptr<Graph> BuildKg(uint64_t seed, size_t laptops) {
 
 // Round-trips `g` through an RDFA3 snapshot and opens it as a mapped graph.
 std::unique_ptr<Graph> OpenMapped(const Graph& g, const std::string& tag) {
-  const std::string path = ::testing::TempDir() + "planner_v2_" + tag +
-                           ".rdfa";
+  const std::string path = test::UniqueTempPath(tag + ".rdfa");
   EXPECT_TRUE(rdf::SaveBinaryFile(g, path).ok());
   auto mapped = rdf::OpenMappedSnapshot(path);
   EXPECT_TRUE(mapped.ok()) << mapped.status().message();
+  std::remove(path.c_str());  // the mapping outlives the directory entry
   return std::move(mapped).value();
 }
 
@@ -59,7 +60,6 @@ struct RunOpts {
   int threads = 1;
   sparql::JoinStrategy strategy = sparql::JoinStrategy::kAdaptive;
   bool use_dp = false;
-  bool sip = true;
   bool reorder = true;
 };
 
@@ -72,7 +72,6 @@ std::string RunTsv(Graph* g, const std::string& q, const RunOpts& o,
   exec.set_thread_count(o.threads);
   exec.set_join_strategy(o.strategy);
   exec.set_use_dp(o.use_dp);
-  exec.set_sip(o.sip);
   auto res = exec.Execute(parsed.value());
   EXPECT_TRUE(res.ok()) << res.status().ToString() << "\nquery: " << q;
   if (stats != nullptr) *stats = exec.stats();
@@ -309,13 +308,12 @@ TEST(PlannerV2Test, MergeIsByteIdenticalAcrossSeedsThreadsAndBackends) {
       ref_opts.strategy = sparql::JoinStrategy::kNestedLoop;
       ref_opts.use_dp = true;
       const std::string reference = RunTsv(heap.get(), q, ref_opts);
-      // Same order, every strategy, both thread counts, both backends:
-      // byte-identical (merge demotes to the forced strategy in-place).
+      // Same order, both strategies, both thread counts, both backends:
+      // byte-identical (NLJ demotes merge steps in place).
       for (Graph* g : {heap.get(), mapped.get()}) {
         for (int threads : {1, 4}) {
           for (sparql::JoinStrategy strategy :
                {sparql::JoinStrategy::kNestedLoop,
-                sparql::JoinStrategy::kHash, sparql::JoinStrategy::kMerge,
                 sparql::JoinStrategy::kAdaptive}) {
             RunOpts o;
             o.threads = threads;
@@ -345,7 +343,6 @@ TEST(PlannerV2Test, MergeStepsEngageAndSurfaceStats) {
       std::string(kPfx) +
       "SELECT ?l ?m ?c WHERE { ?l ex:manufacturer ?m . ?m ex:origin ?c . }";
   RunOpts o;
-  o.strategy = sparql::JoinStrategy::kMerge;
   o.use_dp = true;
   sparql::ExecStats stats;
   RunTsv(g.get(), q, o, &stats);
@@ -365,12 +362,12 @@ TEST(PlannerV2Test, MergeStepsEngageAndSurfaceStats) {
 
 // ---- sideways information passing ----------------------------------------
 
-TEST(PlannerV2Test, SipAblationKeepsBytesButDecodesMoreRows) {
+TEST(PlannerV2Test, MergeSeeksPastNonCandidateKeys) {
   // A sparse sieve over a wide, interleaved cursor range: 1000 `data`
   // subjects, of which every 100th also carries a `link` edge. Seeding on
   // `link` sorts the intermediate on ?s; the merge over `data`'s (p, s)
-  // cursor then has 990 non-candidate entries to either seek past (SIP) or
-  // decode one by one (ablated).
+  // cursor then has 990 non-candidate entries to seek past. The order is
+  // pinned by replay so the test does not depend on the DP's choice.
   Graph g;
   const Term link = Term::Iri("urn:link");
   const Term data = Term::Iri("urn:data");
@@ -379,7 +376,8 @@ TEST(PlannerV2Test, SipAblationKeepsBytesButDecodesMoreRows) {
     g.Add(s, data, Term::Iri("urn:v" + std::to_string(i)));
     if (i % 100 == 0) g.Add(s, link, Term::Iri("urn:t"));
   }
-  auto run = [&](bool sip, sparql::ExecStats* stats) {
+  const std::vector<int> link_first = {0, 1};
+  auto run = [&](sparql::JoinStrategy strategy, sparql::ExecStats* stats) {
     sparql::VarTable vars;
     std::vector<sparql::CompiledPattern> patterns = {
         sparql::CompileTriple({sparql::NodePattern::Var("s"),
@@ -394,26 +392,30 @@ TEST(PlannerV2Test, SipAblationKeepsBytesButDecodesMoreRows) {
     std::vector<sparql::Binding> rows = {
         sparql::Binding(vars.size(), kNoTermId)};
     sparql::JoinOptions jopts;
-    jopts.strategy = sparql::JoinStrategy::kMerge;
-    jopts.sip = sip;
+    jopts.strategy = strategy;
+    jopts.use_dp = true;
+    jopts.replay_order = &link_first;
     jopts.stats = stats;
     Status st = sparql::JoinBgp(g, patterns, vars.size(), /*reorder=*/false,
                                 jopts, &rows);
     EXPECT_TRUE(st.ok()) << st.ToString();
     return rows;
   };
-  sparql::ExecStats with_sip, without_sip;
-  const std::vector<sparql::Binding> a = run(true, &with_sip);
-  const std::vector<sparql::Binding> b = run(false, &without_sip);
+  sparql::ExecStats merge, nlj;
+  const std::vector<sparql::Binding> a =
+      run(sparql::JoinStrategy::kAdaptive, &merge);
+  const std::vector<sparql::Binding> b =
+      run(sparql::JoinStrategy::kNestedLoop, &nlj);
   ASSERT_EQ(a.size(), b.size());
   ASSERT_GT(a.size(), 0u);
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "row " << i;
   }
-  // The whole point of the sieve: strictly fewer index entries decoded.
-  EXPECT_LT(with_sip.merge_rows_decoded, without_sip.merge_rows_decoded);
-  EXPECT_GT(with_sip.sieve_seeks, 0u);
-  EXPECT_EQ(without_sip.sieve_seeks, 0u);
+  ASSERT_EQ(merge.join_strategy, (std::vector<char>{'S', 'M'}));
+  // The whole point of the sieve: the cursor decodes a small fraction of
+  // the 1000-entry range.
+  EXPECT_GT(merge.sieve_seeks, 0u);
+  EXPECT_LT(merge.merge_rows_decoded, 100u);
 }
 
 // ---- deterministic cancellation ------------------------------------------
@@ -428,11 +430,14 @@ TEST(PlannerV2Test, CancelTripsInsideSieveBuildDeterministically) {
   };
   // Counted checks: seed entry + exit ("bgp-join"), then the sieve build's
   // 512-row check over the ~1250-row sorted intermediate. Cancelling on the
-  // 3rd check therefore lands inside BuildSieve, every time.
+  // 3rd check therefore lands inside BuildSieve, every time. The replayed
+  // order keeps the DP from seeding on the small side instead.
   QueryContext ctx;
   ctx.CancelAfterChecks(3);
+  const std::vector<int> source_order = {0, 1};
   sparql::JoinOptions jopts;
-  jopts.strategy = sparql::JoinStrategy::kMerge;
+  jopts.use_dp = true;
+  jopts.replay_order = &source_order;
   jopts.ctx = &ctx;
   std::vector<sparql::Binding> rows = {
       sparql::Binding(vars.size(), kNoTermId)};
@@ -455,17 +460,18 @@ TEST(PlannerV2Test, CancelTripsInsideMergeAdvanceDeterministically) {
       Pat(*g, &vars, "?l", "manufacturer", "?m"),
       Pat(*g, &vars, "?l", "price", "?p"),
   };
-  // Without SIP the merge advances its ~1000-entry price cursor linearly,
-  // checking every 512 advances. Counted checks before that: seed entry +
-  // exit, floor(seed_rows / 512) sieve-build checks, the merge step's
-  // "bgp-join" entry — so arming one past those trips the first
-  // merge-advance check, deterministically.
+  // Every laptop has one price, so the merge advances through ~1000 key
+  // group entries of the price cursor, checking every 512 advances. Counted
+  // checks before that: seed entry + exit, floor(seed_rows / 512)
+  // sieve-build checks, the merge step's "bgp-join" entry — so arming one
+  // past those trips the first merge-advance check, deterministically.
   QueryContext ctx;
   ctx.CancelAfterChecks(2 + static_cast<int64_t>(seed_rows / 512) + 2);
+  const std::vector<int> source_order = {0, 1};
   sparql::ExecStats stats;
   sparql::JoinOptions jopts;
-  jopts.strategy = sparql::JoinStrategy::kMerge;
-  jopts.sip = false;
+  jopts.use_dp = true;
+  jopts.replay_order = &source_order;
   jopts.ctx = &ctx;
   jopts.stats = &stats;
   std::vector<sparql::Binding> rows = {
@@ -529,31 +535,45 @@ TEST(PlannerV2Test, CapturedOrderReplayReproducesPlanBitForBit) {
   EXPECT_EQ(replayed_stats.join_strategy, first_stats.join_strategy);
 }
 
-// ---- plan-cache config key -----------------------------------------------
+// ---- endpoint cache slots ------------------------------------------------
 
-TEST(PlanCacheConfigKeyTest, DistinguishesEveryPlannerKnobCombination) {
-  const uint64_t h = 0x1234ABCD5678EF90ull;
-  std::vector<uint64_t> keys;
-  for (sparql::JoinStrategy strategy :
-       {sparql::JoinStrategy::kAdaptive, sparql::JoinStrategy::kNestedLoop,
-        sparql::JoinStrategy::kHash, sparql::JoinStrategy::kMerge}) {
-    for (bool use_dp : {false, true}) {
-      for (bool calibrated : {false, true}) {
-        keys.push_back(
-            sparql::PlanCache::ConfigKey(h, strategy, use_dp, calibrated));
-      }
-    }
-  }
-  std::vector<uint64_t> unique_keys = keys;
-  std::sort(unique_keys.begin(), unique_keys.end());
-  unique_keys.erase(std::unique(unique_keys.begin(), unique_keys.end()),
-                    unique_keys.end());
-  EXPECT_EQ(unique_keys.size(), keys.size());
-  // Same inputs, same key: the salt is deterministic.
-  EXPECT_EQ(sparql::PlanCache::ConfigKey(h, sparql::JoinStrategy::kMerge,
-                                         true, true),
-            sparql::PlanCache::ConfigKey(h, sparql::JoinStrategy::kMerge,
-                                         true, true));
+TEST(PlannerV2Test, EndpointDpRunsGetTheirOwnPlanAndAnswerSlots) {
+  // The `#planner-cfg:dp` fingerprint suffix is the only thing that keeps a
+  // DP plan (and its row order) from being served to a greedy run: toggling
+  // use_dp must miss both caches once, then hit its own entries.
+  auto g = BuildKg(7, 600);
+  const std::string q =
+      std::string(kPfx) +
+      "SELECT ?l ?m ?c WHERE { ?l ex:manufacturer ?m . ?m ex:origin ?c . }";
+  endpoint::SimulatedEndpoint ep(g.get(), endpoint::LatencyProfile::Local(),
+                                 /*enable_cache=*/true);
+  auto greedy = ep.Query(q);
+  ASSERT_TRUE(greedy.ok());
+  ASSERT_TRUE(greedy.value().status.ok());
+  EXPECT_EQ(greedy.value().exec_stats.dp_plans, 0u);
+
+  ep.set_use_dp(true);
+  auto dp = ep.Query(q);
+  ASSERT_TRUE(dp.ok());
+  ASSERT_TRUE(dp.value().status.ok());
+  EXPECT_FALSE(dp.value().cache_hit);
+  EXPECT_FALSE(dp.value().plan_cache_hit);
+  EXPECT_EQ(dp.value().exec_stats.dp_plans, 1u);
+  EXPECT_EQ(ep.plan_cache_stats().entries, 2u);
+  EXPECT_EQ(ep.answer_cache_stats().entries, 2u);
+  EXPECT_EQ(SortedLines(dp.value().table.ToTsv()),
+            SortedLines(greedy.value().table.ToTsv()));
+
+  auto dp_again = ep.Query(q);
+  ASSERT_TRUE(dp_again.ok());
+  EXPECT_TRUE(dp_again.value().cache_hit);
+  EXPECT_EQ(dp_again.value().table.ToTsv(), dp.value().table.ToTsv());
+
+  ep.set_use_dp(false);
+  auto greedy_again = ep.Query(q);
+  ASSERT_TRUE(greedy_again.ok());
+  EXPECT_TRUE(greedy_again.value().cache_hit);
+  EXPECT_EQ(greedy_again.value().table.ToTsv(), greedy.value().table.ToTsv());
 }
 
 }  // namespace

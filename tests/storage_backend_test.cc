@@ -26,6 +26,7 @@
 #include "sparql/parser.h"
 #include "sparql/results_io.h"
 #include "workload/invoices.h"
+#include "test_paths.h"
 #include "workload/products.h"
 
 namespace rdfa {
@@ -54,7 +55,7 @@ const char* const kQueries[] = {
 };
 
 std::string TempPath(const std::string& tag) {
-  return ::testing::TempDir() + "storage_backend_" + tag + ".rdfa";
+  return test::UniqueTempPath(tag + ".rdfa");
 }
 
 std::unique_ptr<Graph> BuildKg(uint64_t seed) {
@@ -97,6 +98,7 @@ BackendPair SaveAndReopen(const Graph& g, const std::string& tag) {
   auto mapped = rdf::OpenMappedSnapshot(path);
   EXPECT_TRUE(mapped.ok()) << mapped.status().message();
   pair.mapped = std::move(mapped).value();
+  std::remove(path.c_str());  // the mapping outlives the directory entry
   return pair;
 }
 

@@ -10,6 +10,7 @@
 
 #include "rdf/graph.h"
 #include "rdf/mvcc.h"
+#include "test_paths.h"
 
 namespace rdfa::rdf {
 namespace {
@@ -17,8 +18,7 @@ namespace {
 Term Iri(const std::string& s) { return Term::Iri("urn:" + s); }
 
 std::string TempWalPath(const std::string& tag) {
-  const char* dir = ::testing::TempDir().c_str();
-  return std::string(dir) + "wal_test_" + tag + ".wal";
+  return test::UniqueTempPath(tag + ".wal");
 }
 
 std::string ReadAll(const std::string& path) {
