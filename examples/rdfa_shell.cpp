@@ -505,6 +505,13 @@ bool HandleLine(Shell& shell, const std::string& line) {
     ctx.set_tracer(tracer);
     exec.set_query_context(std::move(ctx));
     auto result = exec.Execute(parsed.value());
+    if (result.ok()) {
+      // The serialize stage a served answer would pay, profiled alongside.
+      rdfa::TraceSpan span(tracer.get(), "serialize");
+      const std::string body = rdfa::sparql::WriteResultsJson(result.value());
+      span.Arg("rows", static_cast<uint64_t>(result.value().num_rows()));
+      span.Arg("bytes", static_cast<uint64_t>(body.size()));
+    }
     std::printf("{\"plan\":%s,\"profile\":%s,\"stats\":%s,\"ok\":%s,"
                 "\"rows\":%llu}\n",
                 plan.c_str(), tracer->ProfileJson().c_str(),

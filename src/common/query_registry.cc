@@ -31,16 +31,22 @@ QueryRegistry::Handle QueryRegistry::Register(QueryContext* ctx,
   Slot& slot = slots_[index];
   const int64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   // Seqlock write: odd while the metadata is inconsistent.
+  constexpr auto kRelaxed = std::memory_order_relaxed;
   slot.seq.fetch_add(1, std::memory_order_acquire);
-  slot.id = id;
-  slot.query_hash = query_hash;
-  slot.snapshot_epoch = snapshot_epoch;
-  slot.start = QueryContext::Clock::now();
-  slot.has_deadline = ctx->has_deadline();
-  slot.deadline = ctx->deadline();
-  const size_t n = std::min(query_text.size(), sizeof(slot.head) - 1);
-  std::memcpy(slot.head, query_text.data(), n);
-  slot.head[n] = '\0';
+  slot.id.store(id, kRelaxed);
+  slot.query_hash.store(query_hash, kRelaxed);
+  slot.snapshot_epoch.store(snapshot_epoch, kRelaxed);
+  slot.start_ticks.store(
+      QueryContext::Clock::now().time_since_epoch().count(), kRelaxed);
+  slot.has_deadline.store(ctx->has_deadline(), kRelaxed);
+  slot.deadline_ticks.store(ctx->deadline().time_since_epoch().count(),
+                            kRelaxed);
+  uint64_t words[kHeadWords] = {};
+  std::memcpy(words, query_text.data(),
+              std::min(query_text.size(), sizeof(words) - 1));
+  for (size_t w = 0; w < kHeadWords; ++w) {
+    slot.head[w].store(words[w], kRelaxed);
+  }
   slot.progress.stage.store(nullptr, std::memory_order_relaxed);
   slot.progress.rows.store(0, std::memory_order_relaxed);
   slot.cancel_ctx = *ctx;  // shares cancellation state: Kill() cancels it
@@ -64,7 +70,10 @@ QueryRegistry::Handle QueryRegistry::Register(QueryContext* ctx,
 void QueryRegistry::Unregister(size_t slot_index, int64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
   Slot& slot = slots_[slot_index];
-  if (slot.id != id || !slot.occupied.load(std::memory_order_relaxed)) return;
+  if (slot.id.load(std::memory_order_relaxed) != id ||
+      !slot.occupied.load(std::memory_order_relaxed)) {
+    return;
+  }
   slot.seq.fetch_add(1, std::memory_order_acquire);
   slot.occupied.store(false, std::memory_order_relaxed);
   slot.cancel_ctx = QueryContext();  // drop the shared cancellation state
@@ -90,25 +99,35 @@ void QueryRegistry::Handle::Release() {
 }
 
 std::vector<InflightQuery> QueryRegistry::Snapshot() const {
+  using Clock = QueryContext::Clock;
+  constexpr auto kRelaxed = std::memory_order_relaxed;
   std::vector<InflightQuery> out;
-  const auto now = QueryContext::Clock::now();
+  const auto now = Clock::now();
   for (const Slot& slot : slots_) {
     InflightQuery q;
     bool ok = false;
     for (int attempt = 0; attempt < 16; ++attempt) {
       const uint64_t s0 = slot.seq.load(std::memory_order_acquire);
       if (s0 & 1) continue;  // mid-write; retry
-      if (!slot.occupied.load(std::memory_order_relaxed)) break;
-      q.id = slot.id;
-      q.query_hash = slot.query_hash;
-      q.snapshot_epoch = slot.snapshot_epoch;
-      q.head.assign(slot.head,
-                    strnlen(slot.head, sizeof(slot.head)));
+      if (!slot.occupied.load(kRelaxed)) break;
+      q.id = slot.id.load(kRelaxed);
+      q.query_hash = slot.query_hash.load(kRelaxed);
+      q.snapshot_epoch = slot.snapshot_epoch.load(kRelaxed);
+      char head[sizeof(uint64_t) * kHeadWords];
+      for (size_t w = 0; w < kHeadWords; ++w) {
+        const uint64_t word = slot.head[w].load(kRelaxed);
+        std::memcpy(head + w * sizeof(word), &word, sizeof(word));
+      }
+      q.head.assign(head, strnlen(head, sizeof(head)));
+      const Clock::time_point start(
+          Clock::duration(slot.start_ticks.load(kRelaxed)));
       q.elapsed_ms =
-          std::chrono::duration<double, std::milli>(now - slot.start).count();
+          std::chrono::duration<double, std::milli>(now - start).count();
+      const Clock::time_point deadline(
+          Clock::duration(slot.deadline_ticks.load(kRelaxed)));
       q.deadline_remaining_ms =
-          slot.has_deadline
-              ? std::chrono::duration<double, std::milli>(slot.deadline - now)
+          slot.has_deadline.load(kRelaxed)
+              ? std::chrono::duration<double, std::milli>(deadline - now)
                     .count()
               : std::numeric_limits<double>::infinity();
       std::atomic_thread_fence(std::memory_order_acquire);
@@ -133,7 +152,8 @@ std::vector<InflightQuery> QueryRegistry::Snapshot() const {
 bool QueryRegistry::Kill(int64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
   for (Slot& slot : slots_) {
-    if (slot.occupied.load(std::memory_order_relaxed) && slot.id == id) {
+    if (slot.occupied.load(std::memory_order_relaxed) &&
+        slot.id.load(std::memory_order_relaxed) == id) {
       slot.cancel_ctx.Cancel();
       MetricsRegistry::Global()
           .GetCounter("rdfa_queries_killed_total",

@@ -34,10 +34,12 @@ struct InflightQuery {
 /// query shutdown. Slot metadata (id, hash, head, deadline) is guarded by a
 /// per-slot seqlock: writers (Register/Unregister, rare) bump the sequence
 /// to odd, mutate, bump to even; Snapshot() retries a slot while the
-/// sequence is odd or changed across the read. stage/rows ride outside the
-/// seqlock as relaxed atomics — monotonic telemetry where a momentarily
-/// stale read is fine. Register/Unregister/Kill serialize on one mutex;
-/// that path runs twice per query and never contends with sampling.
+/// sequence is odd or changed across the read. Every field inside the
+/// seqlock is itself an atomic accessed with relaxed loads and stores, so a
+/// read racing a write is a retry, never a data race. stage/rows ride
+/// outside the seqlock as relaxed atomics — monotonic telemetry where a
+/// momentarily stale read is fine. Register/Unregister/Kill serialize on one
+/// mutex; that path runs twice per query and never contends with sampling.
 class QueryRegistry {
  public:
   /// The process-wide registry (shell + endpoint share it).
@@ -99,17 +101,22 @@ class QueryRegistry {
   void UpdateStageGauges();
 
  private:
+  /// The query-head buffer, as 8-byte atomic words (96 bytes).
+  static constexpr size_t kHeadWords = 12;
+
   struct Slot {
     /// Seqlock over the metadata below: even = stable, odd = mid-write.
     std::atomic<uint64_t> seq{0};
     std::atomic<bool> occupied{false};
-    int64_t id = -1;
-    uint64_t query_hash = 0;
-    uint64_t snapshot_epoch = 0;
-    QueryContext::Clock::time_point start{};
-    QueryContext::Clock::time_point deadline{};
-    bool has_deadline = false;
-    char head[96] = {0};
+    std::atomic<int64_t> id{-1};
+    std::atomic<uint64_t> query_hash{0};
+    std::atomic<uint64_t> snapshot_epoch{0};
+    /// Clock::time_point ticks since the clock's epoch.
+    std::atomic<int64_t> start_ticks{0};
+    std::atomic<int64_t> deadline_ticks{0};
+    std::atomic<bool> has_deadline{false};
+    /// NUL-padded query head, packed into words.
+    std::atomic<uint64_t> head[kHeadWords] = {};
     /// Progress atomics sampled raw — owned here, reused, never freed.
     QueryProgress progress;
     /// Cancellable copy of the registered context; touched only under

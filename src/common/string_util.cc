@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -71,46 +72,92 @@ std::string ToLowerAscii(std::string_view s) {
   return out;
 }
 
+namespace {
+
+// Appends `s` to `*out`, copying runs of bytes that need no escaping in one
+// append each. `special` flags the bytes that may need escaping;
+// `escape(c, buf)` returns the replacement for such a byte (which may be
+// rendered into the 8-byte `buf`).
+template <typename EscapeFn>
+void AppendWithEscapes(std::string* out, std::string_view s,
+                       const std::array<bool, 256>& special, EscapeFn escape) {
+  char buf[8];
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (!special[static_cast<unsigned char>(s[i])]) continue;
+    out->append(s.data() + run, i - run);
+    out->append(escape(s[i], buf));
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
+constexpr std::array<bool, 256> SpecialBytes(std::string_view bytes,
+                                              bool controls) {
+  std::array<bool, 256> t{};
+  for (int c = 0; c < 0x20; ++c) t[c] = controls;
+  for (char c : bytes) t[static_cast<unsigned char>(c)] = true;
+  return t;
+}
+
+// The backslash escapes JSON strings and N-Triples literals share; nullptr
+// for any other byte.
+const char* BackslashEscape(char c) {
+  switch (c) {
+    case '\\': return "\\\\";
+    case '"': return "\\\"";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    default: return nullptr;
+  }
+}
+
+}  // namespace
+
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  static constexpr std::array<bool, 256> kSpecial =
+      SpecialBytes("\\\"\n\r\t", true);
+  AppendWithEscapes(out, s, kSpecial, [](char c, char* buf) {
+    if (const char* named = BackslashEscape(c)) return named;
+    std::snprintf(buf, 8, "\\u%04x",
+                  static_cast<unsigned>(static_cast<unsigned char>(c)));
+    return static_cast<const char*>(buf);
+  });
+}
+
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendJsonEscaped(&out, s);
   return out;
+}
+
+void AppendLiteralEscaped(std::string* out, std::string_view s) {
+  static constexpr std::array<bool, 256> kSpecial =
+      SpecialBytes("\\\"\n\r\t", false);
+  AppendWithEscapes(out, s, kSpecial,
+                    [](char c, char*) { return BackslashEscape(c); });
 }
 
 std::string EscapeLiteral(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
+  AppendLiteralEscaped(&out, s);
   return out;
+}
+
+void AppendXmlEscaped(std::string* out, std::string_view s) {
+  static constexpr std::array<bool, 256> kSpecial =
+      SpecialBytes("&<>\"", false);
+  AppendWithEscapes(out, s, kSpecial, [](char c, char*) -> const char* {
+    switch (c) {
+      case '&': return "&amp;";
+      case '<': return "&lt;";
+      case '>': return "&gt;";
+      default: return "&quot;";
+    }
+  });
 }
 
 std::string UnescapeLiteral(std::string_view s) {

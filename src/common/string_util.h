@@ -28,19 +28,30 @@ std::string ToUpperAscii(std::string_view s);
 /// Lowercases ASCII letters.
 std::string ToLowerAscii(std::string_view s);
 
-/// Escapes `s` for use inside a double-quoted JSON string: quotes and
-/// backslashes are backslash-escaped, the named control characters map to
-/// \b \f \n \r \t, and every other byte below 0x20 becomes \u00XX. The one
-/// escape helper shared by ExecStats::ToJson, the tracer's Chrome-trace
-/// export, the structured query log, and bench_util's JsonObject — so no
-/// JSON emitter in the tree can produce an unparsable document from a
-/// hostile string (a query text with an embedded newline, say).
+/// Appends `s` escaped for use inside a double-quoted JSON string: quotes
+/// and backslashes are backslash-escaped, \n \r \t keep their short
+/// escapes, and every other byte below 0x20 becomes \u00XX. Runs of bytes
+/// that need no escaping are copied in one append. The one JSON escaper in
+/// the tree: the SPARQL JSON results writer, ExecStats::ToJson, the tracer's
+/// Chrome-trace export, the structured query log and bench_util's
+/// JsonObject all go through it, so no JSON emitter can produce an
+/// unparsable document from a hostile string (a query text with an
+/// embedded newline, say).
+void AppendJsonEscaped(std::string* out, std::string_view s);
+/// AppendJsonEscaped into a fresh string.
 std::string JsonEscape(std::string_view s);
 
-/// Escapes `s` for use inside a double-quoted N-Triples / SPARQL literal.
+/// Appends `s` escaped for use inside a double-quoted N-Triples / SPARQL
+/// literal (quote, backslash, \n, \r, \t).
+void AppendLiteralEscaped(std::string* out, std::string_view s);
+/// AppendLiteralEscaped into a fresh string.
 std::string EscapeLiteral(std::string_view s);
 /// Reverses EscapeLiteral; unknown escapes are kept verbatim.
 std::string UnescapeLiteral(std::string_view s);
+
+/// Appends `s` escaped for XML character data and attribute values
+/// (&, <, >, ").
+void AppendXmlEscaped(std::string* out, std::string_view s);
 
 /// Formats a double the way SPARQL results print plain decimals: integral
 /// values have no trailing ".0"; otherwise up to 6 significant decimals with

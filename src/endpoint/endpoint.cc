@@ -407,12 +407,14 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
         mvcc_ != nullptr ? answer_cache_->Get(fingerprint, stamp_fn)
                          : answer_cache_->Get(fingerprint, generation);
     cache_span.Arg("hit", hit != nullptr);
+    // The copy is the entry's id cells and overflow terms; the term table
+    // they index is shared, not copied.
+    if (hit != nullptr) resp.table = *hit;
     {
       std::lock_guard<std::mutex> lock(mu_);
       resp.network_ms = SimulatedNetworkMs(sparql);
       if (hit != nullptr) {
         ++cache_hits_;
-        resp.table = *hit;
         resp.cache_hit = true;
         resp.exec_ms = 0;
         resp.total_ms = resp.network_ms + resp.queued_ms;

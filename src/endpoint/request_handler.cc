@@ -1,6 +1,7 @@
 #include "endpoint/request_handler.h"
 
 #include "common/string_util.h"
+#include "common/trace.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
 #include "sparql/results_io.h"
@@ -116,7 +117,10 @@ EndpointResponse RequestHandler::Handle(const EndpointRequest& request) {
   out.http_status = HttpStatusFor(out.status);
   if (out.http_status == 200) {
     out.content_type = ContentTypeFor(request.format);
+    TraceSpan span(ctx.tracer(), "serialize");
     out.body = Serialize(out.detail.table, request.format);
+    span.Arg("rows", static_cast<uint64_t>(out.detail.table.num_rows()));
+    span.Arg("bytes", static_cast<uint64_t>(out.body.size()));
   } else {
     out.content_type = "application/json";
     out.body = ErrorBody(out.status);

@@ -7,7 +7,7 @@ namespace rdfa::rdf {
 
 void Graph::AttachMapped(std::shared_ptr<const MappedGraphView> view) {
   view_ = std::move(view);
-  terms_.AttachDict(view_);
+  terms_->AttachDict(view_);
   stats_ = view_->stats();
   generation_.store(view_->generation(), std::memory_order_release);
   {
@@ -45,7 +45,7 @@ void Graph::MaterializeForWrite() {
 }
 
 bool Graph::Add(const Term& s, const Term& p, const Term& o) {
-  TripleId t{terms_.Intern(s), terms_.Intern(p), terms_.Intern(o)};
+  TripleId t{terms_->Intern(s), terms_->Intern(p), terms_->Intern(o)};
   return AddIds(t);
 }
 
@@ -109,7 +109,7 @@ uint64_t Graph::FootprintStamp(const CacheFootprint& fp) const {
   if (fp.wildcard) return Generation();
   uint64_t sum = 0;
   for (const std::string& iri : fp.predicates) {
-    const TermId p = terms_.FindIri(iri);
+    const TermId p = terms_->FindIri(iri);
     // An un-interned predicate has epoch 0; if it is later interned by a
     // mutation its epoch jumps to that mutation's generation, so the stamp
     // still moves.
@@ -120,7 +120,7 @@ uint64_t Graph::FootprintStamp(const CacheFootprint& fp) const {
 
 std::unique_ptr<Graph> Graph::Clone() const {
   auto copy = std::make_unique<Graph>();
-  copy->terms_.CopyFrom(terms_);
+  copy->terms_ = terms_;
   // A clone is always a plain heap graph: an MVCC commit mutates it
   // immediately, so materializing here (not lazily in the copy) keeps the
   // mapped original untouched and shareable.

@@ -55,6 +55,7 @@ class Graph {
     // so the index mutexes themselves need not — and cannot — be moved.
     if (this != &other) {
       terms_ = std::move(other.terms_);
+      other.terms_ = std::make_shared<TermTable>();
       triples_ = std::move(other.triples_);
       triple_set_ = std::move(other.triple_set_);
       spo_ = std::move(other.spo_);
@@ -157,8 +158,11 @@ class Graph {
     return static_cast<Perm>(best);
   }
 
-  TermTable& terms() { return terms_; }
-  const TermTable& terms() const { return terms_; }
+  TermTable& terms() { return *terms_; }
+  const TermTable& terms() const { return *terms_; }
+  /// Shared handle on the term table: result tables hold their cells as ids
+  /// into it, so it outlives this graph for as long as they do.
+  std::shared_ptr<const TermTable> shared_terms() const { return terms_; }
 
   /// Adds a triple of terms (interning them); returns false if the triple
   /// was already present.
@@ -238,11 +242,14 @@ class Graph {
   /// cache entry carrying this footprint) intact.
   uint64_t FootprintStamp(const CacheFootprint& fp) const;
 
-  /// Deep copy: terms (ids preserved), triples, generation and predicate
-  /// epochs. Indexes and stats are rebuilt lazily by the copy (Freeze() it
-  /// before publishing to readers). Safe under concurrent const readers of
-  /// *this*, including readers interning computed literals — this is how an
-  /// MVCC commit forks the next version off a pinned snapshot.
+  /// Copy of the triples, generation and predicate epochs that *shares*
+  /// this graph's term table: the table is append-only, so every version
+  /// forked this way reads one dictionary (terms a later version interns
+  /// are simply unused by earlier ones). Indexes and stats are rebuilt
+  /// lazily by the copy (Freeze() it before publishing to readers). Safe
+  /// under concurrent const readers of *this*, including readers interning
+  /// computed literals — this is how an MVCC commit forks the next version
+  /// off a pinned snapshot.
   std::unique_ptr<Graph> Clone() const;
 
   /// Calls `fn(const TripleId&)` for every triple matching the pattern;
@@ -455,7 +462,8 @@ class Graph {
   // exclusive access; every mutating method calls it first.
   void MaterializeForWrite();
 
-  TermTable terms_;
+  // Never null; shared with Clone()d versions and with result tables.
+  std::shared_ptr<TermTable> terms_ = std::make_shared<TermTable>();
   // Mutable because a mapped graph materializes the list lazily on first
   // triples() access; see MaterializeTriples.
   mutable std::vector<TripleId> triples_;

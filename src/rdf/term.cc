@@ -98,23 +98,37 @@ bool Term::IsNumericLiteral() const {
   return false;
 }
 
-std::string Term::ToNTriples() const {
+void Term::AppendNTriples(std::string* out) const {
   switch (kind_) {
     case TermKind::kIri:
-      return "<" + lexical_ + ">";
+      *out += '<';
+      *out += lexical_;
+      *out += '>';
+      return;
     case TermKind::kBlankNode:
-      return "_:" + lexical_;
-    case TermKind::kLiteral: {
-      std::string out = "\"" + EscapeLiteral(lexical_) + "\"";
+      *out += "_:";
+      *out += lexical_;
+      return;
+    case TermKind::kLiteral:
+      *out += '"';
+      AppendLiteralEscaped(out, lexical_);
+      *out += '"';
       if (!lang_.empty()) {
-        out += "@" + lang_;
+        *out += '@';
+        *out += lang_;
       } else if (!datatype_.empty()) {
-        out += "^^<" + datatype_ + ">";
+        *out += "^^<";
+        *out += datatype_;
+        *out += '>';
       }
-      return out;
-    }
+      return;
   }
-  return "";
+}
+
+std::string Term::ToNTriples() const {
+  std::string out;
+  AppendNTriples(&out);
+  return out;
 }
 
 size_t Term::Hash() const {

@@ -59,6 +59,8 @@ class Term {
 
   /// N-Triples-style rendering: <iri>, _:label, "lex"^^<dt>, "lex"@lang.
   std::string ToNTriples() const;
+  /// ToNTriples, appended to `*out`.
+  void AppendNTriples(std::string* out) const;
 
   friend bool operator==(const Term& a, const Term& b) {
     return a.kind_ == b.kind_ && a.lexical_ == b.lexical_ &&

@@ -139,31 +139,4 @@ TermId TermTable::MintBlank() {
   }
 }
 
-void TermTable::CopyFrom(const TermTable& other) {
-  // Hydrate the source first (outside the lock ordering below): the copy is
-  // a plain heap table, so every source term must be materialized.
-  if (!other.index_hydrated_.load(std::memory_order_acquire)) {
-    other.HydrateIndex();
-  }
-  std::unique_lock<std::shared_mutex> my_lock(mu_);
-  std::shared_lock<std::shared_mutex> their_lock(other.mu_);
-  DestroyChunks();
-  index_.clear();
-  dict_.reset();
-  index_hydrated_.store(true, std::memory_order_relaxed);
-  const size_t n = other.size_.load(std::memory_order_acquire);
-  for (size_t id = 0; id < n; ++id) {
-    const size_t c = ChunkOf(static_cast<TermId>(id));
-    Term* chunk = chunks_[c].load(std::memory_order_relaxed);
-    if (chunk == nullptr) {
-      chunk = new Term[ChunkSize(c)];
-      chunks_[c].store(chunk, std::memory_order_release);
-    }
-    chunk[id - ChunkBase(c)] = other.Get(static_cast<TermId>(id));
-  }
-  index_ = other.index_;
-  blank_counter_ = other.blank_counter_;
-  size_.store(n, std::memory_order_release);
-}
-
 }  // namespace rdfa::rdf

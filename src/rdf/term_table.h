@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
@@ -40,9 +41,10 @@ class TermDictSource {
 /// reader is always dereferenceable without taking a lock. `Find` takes a
 /// shared lock on the intern index; `Intern`/`MintBlank` take it exclusively
 /// only when actually inserting. This matters because queries intern
-/// *computed* literals (aggregates, BIND results) while other readers run,
-/// and because MVCC snapshot cloning copies the table of a version readers
-/// are still pinning.
+/// *computed* literals (BIND, VALUES) while other readers run, and because
+/// every MVCC version of a graph shares one append-only table: a commit
+/// interns its new terms while readers of older versions (and cached result
+/// tables, which hold ids into it) keep reading.
 class TermTable {
  public:
   TermTable() = default;
@@ -88,12 +90,6 @@ class TermTable {
   /// within this table.
   TermId MintBlank();
 
-  /// Replaces this table's contents with a deep copy of `other`, preserving
-  /// ids. Requires exclusive access to *this*; `other` may be serving
-  /// concurrent Find/Get/Intern calls (snapshot cloning copies the table of
-  /// a live version).
-  void CopyFrom(const TermTable& other);
-
  private:
   // Chunk c holds 64 << c terms; chunk bases are 64 * (2^c - 1). 28 chunks
   // cover the whole 32-bit id space. Slots are default-constructed Terms
@@ -103,9 +99,7 @@ class TermTable {
 
   static size_t ChunkOf(TermId id) {
     const uint64_t z = (static_cast<uint64_t>(id) >> kFirstChunkBits) + 1;
-    size_t c = 0;
-    while ((z >> (c + 1)) != 0) ++c;  // floor(log2(z))
-    return c;
+    return static_cast<size_t>(std::bit_width(z)) - 1;  // floor(log2(z))
   }
   static size_t ChunkBase(size_t c) {
     return ((size_t{64} << c) - 64);

@@ -18,6 +18,7 @@ struct ExecStats {
   double index_build_ms = 0;   ///< Graph::Freeze (non-zero on first touch)
   double bgp_ms = 0;           ///< total BGP join time across pattern runs
   double group_agg_ms = 0;     ///< grouping + aggregate computation
+  double projection_ms = 0;    ///< SELECT-list projection into result cells
   double total_ms = 0;         ///< whole Execute call
   size_t morsel_count = 0;     ///< parallel morsels executed, all stages
   size_t bgp_patterns = 0;     ///< triple patterns joined
@@ -58,6 +59,7 @@ struct ExecStats {
                     " index_build=" + FormatMs(index_build_ms) +
                     " bgp=" + FormatMs(bgp_ms) +
                     " group_agg=" + FormatMs(group_agg_ms) +
+                    " projection=" + FormatMs(projection_ms) +
                     " morsels=" + std::to_string(morsel_count) +
                     " patterns=" + std::to_string(bgp_patterns);
     if (aborted) {
@@ -111,6 +113,7 @@ struct ExecStats {
     s += ",\"index_build_ms\":" + JsonNum(index_build_ms);
     s += ",\"bgp_ms\":" + JsonNum(bgp_ms);
     s += ",\"group_agg_ms\":" + JsonNum(group_agg_ms);
+    s += ",\"projection_ms\":" + JsonNum(projection_ms);
     s += ",\"morsel_count\":" + std::to_string(morsel_count);
     s += ",\"bgp_patterns\":" + std::to_string(bgp_patterns);
     s += ",\"aborted\":" + std::string(aborted ? "true" : "false");

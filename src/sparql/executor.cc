@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_set>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -125,11 +126,6 @@ Value ComputeAggregate(const Expr& agg, const std::vector<Binding>& rows,
       return values.empty() ? Value::Unbound() : values[0];
   }
   return Value::Unbound();
-}
-
-Term ValueToCell(const Value& v) {
-  if (v.is_unbound()) return Term();  // empty IRI: the unbound marker
-  return v.ToTerm();
 }
 
 /// Engine-level per-query metrics, ticked exactly once per Execute() call
@@ -393,17 +389,19 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
           slots.push_back(vars->IdOf(col));
         }
         grow_rows();
-        // Intern subquery results.
+        // Subquery cells index this graph's dictionary already; only
+        // computed cells need interning.
         std::vector<std::vector<TermId>> sub_rows;
         sub_rows.reserve(sub.num_rows());
         for (size_t r = 0; r < sub.num_rows(); ++r) {
           std::vector<TermId> ids;
           ids.reserve(sub.num_columns());
           for (size_t c = 0; c < sub.num_columns(); ++c) {
-            const Term& t = sub.at(r, c);
-            ids.push_back(ResultTable::IsUnbound(t)
-                              ? kNoTermId
-                              : graph_->terms().Intern(t));
+            const ResultTable::Cell cell = sub.cell(r, c);
+            ids.push_back(cell == ResultTable::kUnboundCell ? kNoTermId
+                          : ResultTable::IsOverflow(cell)
+                              ? graph_->terms().Intern(sub.term(cell))
+                              : cell);
           }
           sub_rows.push_back(std::move(ids));
         }
@@ -554,29 +552,76 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
     if (p.expr != nullptr && p.expr->ContainsAggregate()) has_aggregate = true;
   }
 
-  ResultTable out([&] {
-    std::vector<std::string> cols;
-    cols.reserve(projections.size());
-    for (const Projection& p : projections) cols.push_back(p.var);
-    return cols;
-  }());
+  ResultTable out(
+      [&] {
+        std::vector<std::string> cols;
+        cols.reserve(projections.size());
+        for (const Projection& p : projections) cols.push_back(p.var);
+        return cols;
+      }(),
+      graph_->shared_terms());
 
   // Rows that survive to ordering: output cells + context for ORDER BY.
+  // Cells stay dictionary ids (or kUnboundCell); a computed value lives in
+  // the row's own `computed` list, named by kOverflowBit | its index there,
+  // until the row is appended to `out` — so rows dropped by DISTINCT or
+  // LIMIT never copy a term anywhere.
+  using Cell = ResultTable::Cell;
   struct OutRow {
-    std::vector<Term> cells;
+    std::vector<Cell> cells;
+    std::vector<Term> computed;
     Binding binding;
     std::map<const Expr*, Value> agg_values;
   };
   std::vector<OutRow> out_rows;
+  const rdf::TermTable& dict = graph_->terms();
+  auto push_computed = [](OutRow* r, Term t) {
+    r->computed.push_back(std::move(t));
+    r->cells.push_back(ResultTable::kOverflowBit |
+                       static_cast<Cell>(r->computed.size() - 1));
+  };
+  auto cell_term = [&](const OutRow& r, Cell c) -> const Term& {
+    if (c == ResultTable::kUnboundCell) return ResultTable::UnboundTerm();
+    if (ResultTable::IsOverflow(c)) {
+      return r.computed[c & ~ResultTable::kOverflowBit];
+    }
+    return dict.Get(c);
+  };
+  std::vector<int> proj_slots;
+  proj_slots.reserve(projections.size());
+  for (const Projection& p : projections) {
+    proj_slots.push_back(p.expr == nullptr ? vars.Find(p.var) : -1);
+  }
+  auto project = [&](const Binding& b, const EvalContext& ectx, OutRow* r) {
+    r->cells.reserve(projections.size());
+    for (size_t i = 0; i < projections.size(); ++i) {
+      if (projections[i].expr != nullptr) {
+        Value v = EvalExpr(*projections[i].expr, b, ectx);
+        if (v.is_unbound()) {
+          r->cells.push_back(ResultTable::kUnboundCell);
+        } else {
+          push_computed(r, v.ToTerm());
+        }
+        continue;
+      }
+      const int slot = proj_slots[i];
+      const TermId id = slot >= 0 && static_cast<size_t>(slot) < b.size()
+                            ? b[slot]
+                            : kNoTermId;
+      if (id == kNoTermId) {
+        r->cells.push_back(ResultTable::kUnboundCell);
+      } else if (ResultTable::IsOverflow(id)) {
+        push_computed(r, dict.Get(id));  // an id past the cell id space
+      } else {
+        r->cells.push_back(id);
+      }
+    }
+  };
 
-  auto agg_start = std::chrono::steady_clock::now();
-  // optional so the span closes at the stage boundary below, not at
-  // function exit (early returns still close it via RAII).
-  std::optional<TraceSpan> agg_span;
-  agg_span.emplace(ctx_.tracer(),
-                   has_aggregate ? "group-aggregate" : "projection");
-  agg_span->Arg("input_rows", static_cast<uint64_t>(rows.size()));
   if (has_aggregate) {
+    auto agg_start = std::chrono::steady_clock::now();
+    TraceSpan agg_span(ctx_.tracer(), "group-aggregate");
+    agg_span.Arg("input_rows", static_cast<uint64_t>(rows.size()));
     // Group rows by the GROUP BY key. With a thread budget, morsels of rows
     // build per-morsel partial hash tables that are merged in morsel order,
     // so every group's row list matches the serial order exactly (this is
@@ -637,9 +682,9 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
       CollectAggregates(*k.expr, &agg_nodes);
     }
 
-    // Aggregate + HAVING + projection per group. Groups are independent, so
-    // morsels of groups run in parallel; results land in pre-sized slots and
-    // survivors are appended in group (map) order — deterministic.
+    // Aggregate + HAVING per group. Groups are independent, so morsels of
+    // groups run in parallel; results land in pre-sized slots and survivors
+    // are appended in group (map) order — deterministic.
     std::vector<std::vector<Binding>*> group_rows_list;
     group_rows_list.reserve(groups.size());
     for (auto& [key, group_rows] : groups) group_rows_list.push_back(&group_rows);
@@ -664,21 +709,8 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
       }
       GroupOut& go = gout[gi];
       go.keep = true;
-      go.row.binding = rep;
+      go.row.binding = std::move(rep);
       go.row.agg_values = std::move(agg_values);
-      EvalContext rctx{&graph_->terms(), &vars, &go.row.agg_values};
-      for (const Projection& p : projections) {
-        if (p.expr == nullptr) {
-          int slot = vars.Find(p.var);
-          go.row.cells.push_back(
-              (slot >= 0 && static_cast<size_t>(slot) < rep.size() &&
-               rep[slot] != kNoTermId)
-                  ? graph_->terms().Get(rep[slot])
-                  : Term());
-        } else {
-          go.row.cells.push_back(ValueToCell(EvalExpr(*p.expr, rep, rctx)));
-        }
-      }
     };
     if (threads_ > 1 && group_rows_list.size() >= 2) {
       auto morsels = Morsels(group_rows_list.size(),
@@ -705,49 +737,53 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
     for (GroupOut& go : gout) {
       if (go.keep) out_rows.push_back(std::move(go.row));
     }
-  } else {
-    auto project_row = [&](Binding& row, OutRow* orow) {
-      for (const Projection& p : projections) {
-        if (p.expr == nullptr) {
-          int slot = vars.Find(p.var);
-          orow->cells.push_back(
-              (slot >= 0 && static_cast<size_t>(slot) < row.size() &&
-               row[slot] != kNoTermId)
-                  ? graph_->terms().Get(row[slot])
-                  : Term());
-        } else {
-          orow->cells.push_back(ValueToCell(EvalExpr(*p.expr, row, ctx)));
-        }
+    stats_.group_agg_ms += MsSince(agg_start);
+    agg_span.Arg("output_rows", static_cast<uint64_t>(out_rows.size()));
+  }
+
+  // Projection: ids are copied straight out of the bindings; only
+  // expressions materialize terms. Under aggregation it runs over the
+  // surviving groups' representative rows.
+  {
+    auto proj_start = std::chrono::steady_clock::now();
+    TraceSpan proj_span(ctx_.tracer(), "projection");
+    proj_span.Arg("input_rows", static_cast<uint64_t>(
+                                    has_aggregate ? out_rows.size()
+                                                  : rows.size()));
+    if (has_aggregate) {
+      for (OutRow& r : out_rows) {
+        EvalContext rctx{&graph_->terms(), &vars, &r.agg_values};
+        project(r.binding, rctx, &r);
       }
-      orow->binding = std::move(row);
-    };
-    if (threads_ > 1 && rows.size() >= kParallelRowThreshold) {
-      out_rows.resize(rows.size());
-      auto morsels =
-          Morsels(rows.size(), static_cast<size_t>(threads_) * kMorselsPerThread,
-                  kMinMorselRows);
-      ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-        if (ctx_.ShouldStop()) return;
-        auto [lo, hi] = morsels[m];
-        for (size_t r = lo; r < hi; ++r) project_row(rows[r], &out_rows[r]);
-      });
-      RDFA_RETURN_NOT_OK(ctx_.Check("projection"));
-      stats_.morsel_count += morsels.size();
     } else {
-      size_t r = 0;
-      for (Binding& row : rows) {
-        if (++r % kParallelRowThreshold == 0 && ctx_.ShouldStop()) {
-          return ctx_.Check("projection");
+      out_rows.resize(rows.size());
+      auto project_row = [&](size_t r) {
+        project(rows[r], ctx, &out_rows[r]);
+        out_rows[r].binding = std::move(rows[r]);
+      };
+      if (threads_ > 1 && rows.size() >= kParallelRowThreshold) {
+        auto morsels = Morsels(rows.size(),
+                               static_cast<size_t>(threads_) * kMorselsPerThread,
+                               kMinMorselRows);
+        ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
+          if (ctx_.ShouldStop()) return;
+          auto [lo, hi] = morsels[m];
+          for (size_t r = lo; r < hi; ++r) project_row(r);
+        });
+        RDFA_RETURN_NOT_OK(ctx_.Check("projection"));
+        stats_.morsel_count += morsels.size();
+      } else {
+        for (size_t r = 0; r < rows.size(); ++r) {
+          if ((r + 1) % kParallelRowThreshold == 0 && ctx_.ShouldStop()) {
+            return ctx_.Check("projection");
+          }
+          project_row(r);
         }
-        OutRow orow;
-        project_row(row, &orow);
-        out_rows.push_back(std::move(orow));
       }
     }
+    stats_.projection_ms += MsSince(proj_start);
+    proj_span.Arg("output_rows", static_cast<uint64_t>(out_rows.size()));
   }
-  stats_.group_agg_ms += MsSince(agg_start);
-  agg_span->Arg("output_rows", static_cast<uint64_t>(out_rows.size()));
-  agg_span.reset();
 
   // ORDER BY.
   if (!query.order_by.empty()) {
@@ -756,7 +792,7 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
       if (k.expr->kind == Expr::Kind::kVar) {
         int col = out.ColumnIndex(k.expr->var);
         if (col >= 0 && vars.Find(k.expr->var) < 0) {
-          const Term& t = r.cells[col];
+          const Term& t = cell_term(r, r.cells[col]);
           return ResultTable::IsUnbound(t) ? Value::Unbound()
                                            : Value::FromTerm(t);
         }
@@ -780,16 +816,33 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
                      });
   }
 
-  // DISTINCT.
+  // DISTINCT, on id tuples: one dictionary holds each term once, so equal
+  // ids are equal terms. A computed cell may equal a dictionary term, so
+  // once any row holds one, every row is keyed by its rendered terms.
   if (query.distinct) {
-    std::set<std::string> seen;
-    std::vector<OutRow> deduped;
-    for (OutRow& r : out_rows) {
-      std::string key;
-      for (const Term& t : r.cells) key += t.ToNTriples() + "\t";
-      if (seen.insert(key).second) deduped.push_back(std::move(r));
+    bool rendered = false;
+    for (const OutRow& r : out_rows) {
+      for (Cell c : r.cells) rendered = rendered || ResultTable::IsOverflow(c);
     }
-    out_rows = std::move(deduped);
+    std::unordered_set<std::string> seen;
+    size_t kept = 0;
+    for (size_t i = 0; i < out_rows.size(); ++i) {
+      const OutRow& r = out_rows[i];
+      std::string key;
+      if (rendered) {
+        for (Cell c : r.cells) {
+          cell_term(r, c).AppendNTriples(&key);
+          key += '\t';
+        }
+      } else {
+        key.assign(reinterpret_cast<const char*>(r.cells.data()),
+                   r.cells.size() * sizeof(Cell));
+      }
+      if (!seen.insert(std::move(key)).second) continue;
+      if (kept != i) out_rows[kept] = std::move(out_rows[i]);
+      ++kept;
+    }
+    out_rows.resize(kept);
   }
 
   // OFFSET / LIMIT. A negative offset (defensive: the parser rejects them)
@@ -802,8 +855,16 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
   if (query.limit >= 0) {
     end = std::min(end, begin + static_cast<size_t>(query.limit));
   }
+  out.Reserve(end - begin);
   for (size_t r = begin; r < end; ++r) {
-    out.AddRow(std::move(out_rows[r].cells));
+    OutRow& row = out_rows[r];
+    for (Cell& c : row.cells) {
+      if (ResultTable::IsOverflow(c)) {
+        c = out.StoreTerm(
+            std::move(row.computed[c & ~ResultTable::kOverflowBit]));
+      }
+    }
+    out.AddCellRow(row.cells);
   }
   return out;
 }

@@ -19,8 +19,9 @@ namespace rdfa::sparql {
 /// Evaluates parsed queries against one graph.
 ///
 /// The graph is held mutably because evaluation may intern freshly computed
-/// literals (BIND, aggregates, projection expressions) into its term table;
-/// no triples are ever added by SELECT/ASK evaluation.
+/// literals (BIND, VALUES, computed subquery cells) into its term table; no
+/// triples are ever added by SELECT/ASK evaluation. SELECT results hold ids
+/// into that table plus their own computed cells (see ResultTable).
 class Executor {
  public:
   /// `reorder_joins` toggles the greedy selectivity-based BGP reordering;

@@ -1,5 +1,7 @@
 #include "sparql/result_table.h"
 
+#include "sparql/results_io.h"
+
 namespace rdfa::sparql {
 
 int ResultTable::ColumnIndex(const std::string& name) const {
@@ -9,31 +11,50 @@ int ResultTable::ColumnIndex(const std::string& name) const {
   return -1;
 }
 
-std::string ResultTable::ToTsv() const {
-  std::string out;
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (i > 0) out += '\t';
-    out += '?' + columns_[i];
-  }
-  out += '\n';
-  for (const auto& row : rows_) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out += '\t';
-      out += IsUnbound(row[i]) ? "" : row[i].ToNTriples();
-    }
-    out += '\n';
-  }
+const rdf::Term& ResultTable::UnboundTerm() {
+  static const rdf::Term* const kUnbound = new rdf::Term();
+  return *kUnbound;
+}
+
+ResultTable::Cell ResultTable::StoreTerm(rdf::Term term) {
+  if (IsUnbound(term)) return kUnboundCell;
+  overflow_.push_back(std::move(term));
+  return kOverflowBit | static_cast<Cell>(overflow_.size() - 1);
+}
+
+void ResultTable::AddRow(std::vector<rdf::Term> row) {
+  row.resize(columns_.size());
+  for (rdf::Term& t : row) cells_.push_back(StoreTerm(std::move(t)));
+  ++num_rows_;
+}
+
+void ResultTable::AddCellRow(const std::vector<Cell>& cells) {
+  cells_.insert(cells_.end(), cells.begin(), cells.end());
+  ++num_rows_;
+}
+
+std::vector<rdf::Term> ResultTable::row(size_t r) const {
+  std::vector<rdf::Term> out;
+  out.reserve(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) out.push_back(at(r, c));
   return out;
 }
 
+std::string ResultTable::ToTsv() const { return WriteResultsTsv(*this); }
+
 size_t ResultTable::ApproxBytes() const {
-  size_t bytes = sizeof(ResultTable);
+  size_t bytes = sizeof(ResultTable) + cells_.capacity() * sizeof(Cell) +
+                 overflow_.capacity() * sizeof(rdf::Term);
   for (const std::string& c : columns_) bytes += sizeof(std::string) + c.size();
-  for (const auto& row : rows_) {
-    bytes += sizeof(row) + row.capacity() * sizeof(rdf::Term);
-    for (const rdf::Term& t : row) {
-      bytes += t.lexical().size() + t.datatype().size() + t.lang().size();
-    }
+  auto strings = [](const rdf::Term& t) {
+    return t.lexical().size() + t.datatype().size() + t.lang().size();
+  };
+  for (const rdf::Term& t : overflow_) bytes += strings(t);
+  // Overflow cells are charged through overflow_ above.
+  for (Cell c : cells_) {
+    if (IsOverflow(c)) continue;
+    bytes += sizeof(rdf::Term);
+    if (c != kUnboundCell) bytes += strings(dict_->Get(c));
   }
   return bytes;
 }

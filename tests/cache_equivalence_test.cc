@@ -9,6 +9,7 @@
 // const reads may run concurrently, updates require exclusive access.
 
 #include <atomic>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 
 #include "endpoint/endpoint.h"
 #include "sparql/executor.h"
+#include "sparql/results_io.h"
 #include "workload/products.h"
 
 namespace rdfa::endpoint {
@@ -366,6 +368,110 @@ TEST(CacheConcurrencyTest, ClearBetweenPhasesRestartsHitRateMath) {
     EXPECT_EQ(cached.answer_cache_stats().hits, 0u);
     EXPECT_EQ(cached.answer_cache_stats().entries, 0u);
   }
+}
+
+// Result tables hold ids into the term dictionary every MVCC version shares.
+// A served answer, its cached copy and a hit copy must all stay renderable
+// after later commits intern new terms and delete every triple the answer
+// came from — and after the endpoint and the store themselves are gone
+// (the tables keep the dictionary alive). ASan builds check the lifetimes.
+TEST(ResultLifetimeTest, AnswersOutliveCommitsAndTheStore) {
+  auto base = std::make_unique<rdf::Graph>();
+  BuildGraph(base.get(), 40);
+  auto mvcc = std::make_unique<rdf::MvccGraph>(std::move(base));
+  auto cached = std::make_unique<SimulatedEndpoint>(
+      mvcc.get(), LatencyProfile::Local(), /*enable_cache=*/true);
+  const std::string q = QueryPool()[4];  // ids and literals, many rows
+  auto miss = cached->Query(q);
+  auto hit = cached->Query(q);
+  ASSERT_TRUE(miss.ok() && hit.ok());
+  ASSERT_TRUE(hit.value().cache_hit);
+  ASSERT_GT(miss.value().table.num_rows(), 0u);
+  const sparql::ResultTable copy = hit.value().table;
+  const std::string json = sparql::WriteResultsJson(miss.value().table);
+  EXPECT_EQ(sparql::WriteResultsJson(hit.value().table), json);
+
+  const rdf::Term price = rdf::Term::Iri(kEx + "price");
+  for (int c = 0; c < 6; ++c) {
+    mvcc->Insert(rdf::Term::Iri(kEx + "fresh" + std::to_string(c)), price,
+                 rdf::Term::Literal("new term " + std::to_string(c)));
+    ASSERT_TRUE(mvcc->Commit().ok());
+  }
+  mvcc->Remove(nullptr, &price, nullptr);
+  ASSERT_TRUE(mvcc->Commit().ok());
+  // Every version shares the one dictionary the answers index.
+  EXPECT_EQ(mvcc->Snapshot().graph->shared_terms(), miss.value().table.dict());
+  auto after = cached->Query(q);
+  ASSERT_TRUE(after.ok());
+  EXPECT_FALSE(after.value().cache_hit);
+  EXPECT_EQ(after.value().table.num_rows(), 0u);
+
+  cached.reset();
+  mvcc.reset();
+  EXPECT_EQ(sparql::WriteResultsJson(miss.value().table), json);
+  EXPECT_EQ(sparql::WriteResultsJson(hit.value().table), json);
+  EXPECT_EQ(sparql::WriteResultsJson(copy), json);
+}
+
+// Readers keep rendering cached answers while a writer commits fresh terms
+// into the dictionary those answers index (a predicate no reader touches,
+// so the entries stay valid and are served as hits). Runs under TSan in the
+// sanitize suite: appends to the shared table race lock-free reads of it.
+TEST(SharedDictionaryTest, ReadersRenderCachedTablesWhileWriterInterns) {
+  auto base = std::make_unique<rdf::Graph>();
+  BuildGraph(base.get(), 60);
+  rdf::MvccGraph mvcc(std::move(base));
+  SimulatedEndpoint cached(&mvcc, LatencyProfile::Local(),
+                           /*enable_cache=*/true);
+  AdmissionOptions adm;
+  adm.max_in_flight = 8;
+  adm.max_queue = 64;
+  adm.base_timeout_ms = 0;  // no derived deadline under TSan slowdown
+  cached.set_admission(adm);
+
+  const std::vector<std::string> pool = QueryPool();
+  const std::vector<std::string> queries = {pool[0], pool[4]};
+  std::vector<std::string> expected;
+  for (const std::string& q : queries) {
+    auto r = cached.Query(q);
+    ASSERT_TRUE(r.ok() && r.value().status.ok());
+    expected.push_back(sparql::WriteResultsJson(r.value().table));
+  }
+
+  constexpr int kReaders = 4;
+  constexpr int kCommits = 16;
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; i < 8 || !writer_done.load(); ++i) {
+        const size_t k = static_cast<size_t>(i + t) % queries.size();
+        auto r = cached.Query(queries[k]);
+        if (!r.ok() || !r.value().status.ok() ||
+            sparql::WriteResultsJson(r.value().table) != expected[k]) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (i > 4000) break;  // writer stalled; bail out
+      }
+    });
+  }
+  std::thread writer([&] {
+    for (int c = 0; c < kCommits; ++c) {
+      for (int k = 0; k < 40; ++k) {
+        const std::string tag = std::to_string(c) + "_" + std::to_string(k);
+        mvcc.Insert(rdf::Term::Iri(kEx + "fresh" + tag),
+                    rdf::Term::Iri(kEx + "unrelatedPoke"),
+                    rdf::Term::Literal("fresh literal " + tag));
+      }
+      if (!mvcc.Commit().ok()) failures.fetch_add(1);
+    }
+    writer_done.store(true);
+  });
+  writer.join();
+  for (std::thread& th : readers) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(cached.answer_cache_stats().hits, 0u);
 }
 
 }  // namespace
