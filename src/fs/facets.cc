@@ -1,7 +1,9 @@
 #include "fs/facets.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <unordered_map>
 
 #include "sparql/value.h"
 
@@ -10,11 +12,179 @@ namespace rdfa::fs {
 using rdf::kNoTermId;
 using rdf::TermId;
 
+namespace {
+
+/// Walks single members along a property path, reusing its buffers across
+/// members.
+class PathWalker {
+ public:
+  PathWalker(const rdf::Graph& graph, const std::vector<PropRef>& path)
+      : graph_(graph) {
+    for (const PropRef& p : path) {
+      TermId pid = graph.terms().FindIri(p.iri);
+      if (pid == kNoTermId) {
+        known_ = false;
+        return;
+      }
+      steps_.push_back({pid, p.inverse});
+    }
+  }
+
+  /// False when a property of the path does not occur in the graph (then
+  /// no member reaches anything).
+  bool known() const { return known_; }
+
+  /// The distinct values at the end of the path from `e`, ascending.
+  const std::vector<TermId>& Walk(TermId e) {
+    out_.assign(1, e);
+    if (steps_.empty()) return out_;
+    Hop(0, &out_);
+    if (steps_.size() == 1) return out_;
+    // The hops after the first depend only on the node the first one
+    // reached, and members share those nodes (10k laptops, 200
+    // manufacturers): the rest of the path is walked once per node.
+    first_.swap(out_);
+    out_.clear();
+    for (TermId x : first_) {
+      const std::vector<TermId>& ends = Rest(x);
+      out_.insert(out_.end(), ends.begin(), ends.end());
+    }
+    if (first_.size() > 1) out_ = MakeExtension(std::move(out_));
+    return out_;
+  }
+
+ private:
+  /// Replaces `cur` (ascending, distinct) by its neighbours over step `i`.
+  void Hop(size_t i, std::vector<TermId>* cur) {
+    const auto [pid, inverse] = steps_[i];
+    next_.clear();
+    for (TermId x : *cur) {
+      if (!inverse) {
+        graph_.ForEachMatch(x, pid, kNoTermId, [&](const rdf::TripleId& t) {
+          next_.push_back(t.o);
+        });
+      } else {
+        graph_.ForEachMatch(kNoTermId, pid, x, [&](const rdf::TripleId& t) {
+          next_.push_back(t.s);
+        });
+      }
+    }
+    // One source's scan is already ascending and duplicate-free (SPO / POS
+    // order, set semantics); the scans of several may overlap.
+    if (cur->size() > 1) next_ = MakeExtension(std::move(next_));
+    cur->swap(next_);
+  }
+
+  /// The end values reached from `x` over steps 1.., memoized.
+  const std::vector<TermId>& Rest(TermId x) {
+    auto [it, fresh] = rest_.try_emplace(x);
+    if (fresh) {
+      std::vector<TermId>& ends = it->second;
+      ends.assign(1, x);
+      for (size_t i = 1; i < steps_.size() && !ends.empty(); ++i) {
+        Hop(i, &ends);
+      }
+    }
+    return it->second;
+  }
+
+  const rdf::Graph& graph_;
+  std::vector<std::pair<TermId, bool>> steps_;  ///< (property, inverse)
+  bool known_ = true;
+  std::unordered_map<TermId, std::vector<TermId>> rest_;
+  std::vector<TermId> out_;
+  std::vector<TermId> first_;
+  std::vector<TermId> next_;
+};
+
+std::optional<double> NumericValue(const rdf::Term& term) {
+  return sparql::Value::FromTerm(term).AsNumeric();
+}
+
+/// Counts term ids on a dense tally indexed by id, so that only the
+/// distinct ids get sorted (a facet's values repeat: 10k laptops reach 12
+/// countries). The tally is all zero again after every call.
+class IdTally {
+ public:
+  explicit IdTally(const rdf::Graph& graph) : tally_(graph.terms().size()) {}
+
+  /// Each distinct id of [begin, end) with its number of occurrences,
+  /// ascending by id.
+  std::vector<ValueCount> Count(const TermId* begin, const TermId* end) {
+    std::vector<TermId> distinct;
+    for (const TermId* it = begin; it != end; ++it) {
+      if (tally_[*it]++ == 0) distinct.push_back(*it);
+    }
+    std::sort(distinct.begin(), distinct.end());
+    std::vector<ValueCount> out;
+    out.reserve(distinct.size());
+    for (TermId id : distinct) {
+      out.push_back(ValueCount{id, tally_[id]});
+      tally_[id] = 0;
+    }
+    return out;
+  }
+  std::vector<ValueCount> Count(const std::vector<TermId>& ids) {
+    return Count(ids.data(), ids.data() + ids.size());
+  }
+
+ private:
+  std::vector<uint32_t> tally_;
+};
+
+/// Member edges as two parallel columns: edge i is (props[i], values[i]).
+struct Edges {
+  std::vector<TermId> props;
+  std::vector<TermId> values;
+};
+
+/// Appends one facet per property of `edges`, ascending by property, each
+/// listing its values ascending with how many edges carry them.
+void AppendPropertyFacets(const rdf::Graph& graph, const Edges& edges,
+                          bool inverse, IdTally* tally,
+                          std::vector<PropertyFacet>* out) {
+  // Group the values by property (a counting sort on the property column),
+  // then count each group.
+  std::vector<ValueCount> props = tally->Count(edges.props);
+  std::vector<size_t> group_end(props.size());
+  for (size_t i = 0, offset = 0; i < props.size(); ++i) {
+    group_end[i] = offset;  // start, until the scatter below advances it
+    offset += props[i].count;
+  }
+  std::vector<TermId> grouped(edges.values.size());
+  for (size_t i = 0; i < edges.props.size(); ++i) {
+    size_t g = std::lower_bound(props.begin(), props.end(), edges.props[i],
+                                [](const ValueCount& a, TermId p) {
+                                  return a.value < p;
+                                }) -
+               props.begin();
+    grouped[group_end[g]++] = edges.values[i];
+  }
+  for (size_t g = 0; g < props.size(); ++g) {
+    PropertyFacet facet;
+    facet.prop = PropRef{graph.terms().Get(props[g].value).lexical(), inverse};
+    const TermId* end = grouped.data() + group_end[g];
+    facet.values = tally->Count(end - props[g].count, end);
+    out->push_back(std::move(facet));
+  }
+}
+
+}  // namespace
+
+FacetComputer::FacetComputer(const rdf::Graph& graph,
+                             const rdf::SchemaView& schema,
+                             const rdf::Vocab& vocab)
+    : graph_(graph),
+      vocab_(vocab),
+      class_forest_(BuildClassForest(schema, schema.classes())) {}
+
 size_t FacetComputer::CountInstances(TermId cls, const Extension& ext) const {
+  // (?, type, cls) reads POS: instances arrive in ascending id order.
   size_t n = 0;
+  ExtensionProbe probe(ext);
   graph_.ForEachMatch(kNoTermId, vocab_.type, cls,
                       [&](const rdf::TripleId& t) {
-                        if (ext.count(t.s)) ++n;
+                        if (probe.Contains(t.s)) ++n;
                       });
   return n;
 }
@@ -34,20 +204,20 @@ void FacetComputer::FillClassFacet(const HierarchyNode& node,
 }
 
 std::vector<ClassFacet> FacetComputer::ClassFacets(const Extension& ext) const {
-  std::vector<HierarchyNode> forest =
-      BuildClassForest(schema_, schema_.classes());
   std::vector<ClassFacet> out;
-  for (const HierarchyNode& root : forest) FillClassFacet(root, ext, &out);
+  for (const HierarchyNode& root : class_forest_) {
+    FillClassFacet(root, ext, &out);
+  }
   return out;
 }
 
 std::vector<PropertyFacet> FacetComputer::PropertyFacets(
     const Extension& ext, bool include_inverse) const {
-  std::vector<PropertyFacet> out;
   // Applicable forward properties: predicates of triples whose subject is in
-  // ext.
-  std::map<TermId, std::map<TermId, size_t>> forward;  // p -> v -> count
-  std::map<TermId, std::map<TermId, size_t>> backward;
+  // ext. A member has each (p, v) edge once, so the number of edges with
+  // value v is the number of members with that value.
+  Edges forward;
+  Edges backward;
   for (TermId e : ext) {
     graph_.ForEachMatch(e, kNoTermId, kNoTermId, [&](const rdf::TripleId& t) {
       if (t.p == vocab_.type || t.p == vocab_.sub_class_of ||
@@ -55,29 +225,22 @@ std::vector<PropertyFacet> FacetComputer::PropertyFacets(
           t.p == vocab_.range) {
         return;
       }
-      forward[t.p][t.o] += 1;
+      forward.props.push_back(t.p);
+      forward.values.push_back(t.o);
     });
     if (include_inverse) {
       graph_.ForEachMatch(kNoTermId, kNoTermId, e,
                           [&](const rdf::TripleId& t) {
                             if (t.p == vocab_.type) return;
-                            backward[t.p][t.s] += 1;
+                            backward.props.push_back(t.p);
+                            backward.values.push_back(t.s);
                           });
     }
   }
-  auto emit = [&](const std::map<TermId, std::map<TermId, size_t>>& index,
-                  bool inverse) {
-    for (const auto& [p, values] : index) {
-      PropertyFacet facet;
-      facet.prop = PropRef{graph_.terms().Get(p).lexical(), inverse};
-      for (const auto& [v, count] : values) {
-        facet.values.push_back(ValueCount{v, count});
-      }
-      out.push_back(std::move(facet));
-    }
-  };
-  emit(forward, false);
-  if (include_inverse) emit(backward, true);
+  std::vector<PropertyFacet> out;
+  IdTally tally(graph_);
+  AppendPropertyFacets(graph_, forward, false, &tally, &out);
+  AppendPropertyFacets(graph_, backward, true, &tally, &out);
   return out;
 }
 
@@ -86,16 +249,15 @@ PropertyFacet FacetComputer::PathFacet(
   PropertyFacet facet;
   if (path.empty()) return facet;
   facet.prop = path.back();
-  // Forward marker sets M_1..M_k; count of value v = |RestrictByPath(ext,
-  // path, v)| — how many focus objects reach it.
-  Extension frontier = ext;
-  for (const PropRef& p : path) {
-    frontier = Joins(graph_, frontier, p);
+  PathWalker walker(graph_, path);
+  if (!walker.known()) return facet;
+  // Every member's distinct end values, then one count per value.
+  std::vector<TermId> ends;
+  for (TermId e : ext) {
+    const std::vector<TermId>& reached = walker.Walk(e);
+    ends.insert(ends.end(), reached.begin(), reached.end());
   }
-  for (TermId v : frontier) {
-    size_t n = RestrictByPath(ext, path, v).size();
-    if (n > 0) facet.values.push_back(ValueCount{v, n});
-  }
+  facet.values = IdTally(graph_).Count(ends);
   return facet;
 }
 
@@ -113,9 +275,8 @@ Extension FacetComputer::RestrictByPath(const Extension& ext,
     if (cur.empty()) return {};
   }
   Extension out;
-  for (TermId e : ext) {
-    if (cur.count(e)) out.insert(e);
-  }
+  std::set_intersection(ext.begin(), ext.end(), cur.begin(), cur.end(),
+                        std::back_inserter(out));
   return out;
 }
 
@@ -124,20 +285,16 @@ Extension FacetComputer::RestrictByRange(const Extension& ext,
                                          std::optional<double> min,
                                          std::optional<double> max) const {
   Extension out;
+  PathWalker walker(graph_, path);
+  if (!walker.known()) return out;
   for (TermId e : ext) {
     // Does e reach any in-range value through the path?
-    Extension frontier = {e};
-    for (const PropRef& p : path) {
-      frontier = Joins(graph_, frontier, p);
-      if (frontier.empty()) break;
-    }
-    for (TermId v : frontier) {
-      auto num =
-          sparql::Value::FromTerm(graph_.terms().Get(v)).AsNumeric();
+    for (TermId v : walker.Walk(e)) {
+      auto num = NumericValue(graph_.terms().Get(v));
       if (!num.has_value()) continue;
       if (min.has_value() && *num < *min) continue;
       if (max.has_value() && *num > *max) continue;
-      out.insert(e);
+      out.push_back(e);
       break;
     }
   }
@@ -150,7 +307,7 @@ std::vector<ValueBucket> BucketNumericFacet(const rdf::Graph& graph,
   if (n_buckets == 0) return {};
   std::vector<std::pair<double, size_t>> numeric;
   for (const ValueCount& vc : facet.values) {
-    auto n = sparql::Value::FromTerm(graph.terms().Get(vc.value)).AsNumeric();
+    auto n = NumericValue(graph.terms().Get(vc.value));
     if (n.has_value()) numeric.push_back({*n, vc.count});
   }
   if (numeric.empty()) return {};
@@ -176,24 +333,32 @@ std::vector<ValueBucket> BucketNumericFacet(const rdf::Graph& graph,
 
 void SortFacetValues(const rdf::Graph& graph, FacetOrder order,
                      PropertyFacet* facet) {
-  auto value_key = [&](const ValueCount& vc) {
-    return graph.terms().Get(vc.value);
+  // Decode every value's number once; the comparator only reads keys.
+  struct Keyed {
+    ValueCount vc;
+    std::optional<double> num;
+    const std::string* lexical;
   };
-  std::stable_sort(
-      facet->values.begin(), facet->values.end(),
-      [&](const ValueCount& a, const ValueCount& b) {
-        if (order == FacetOrder::kCountDescending) {
-          if (a.count != b.count) return a.count > b.count;
-        }
-        // Tie-break (and kValueAscending): numeric when both parse,
-        // otherwise lexical on the display form.
-        const rdf::Term& ta = value_key(a);
-        const rdf::Term& tb = value_key(b);
-        auto na = sparql::Value::FromTerm(ta).AsNumeric();
-        auto nb = sparql::Value::FromTerm(tb).AsNumeric();
-        if (na.has_value() && nb.has_value()) return *na < *nb;
-        return ta.lexical() < tb.lexical();
-      });
+  std::vector<Keyed> keyed;
+  keyed.reserve(facet->values.size());
+  for (const ValueCount& vc : facet->values) {
+    const rdf::Term& t = graph.terms().Get(vc.value);
+    keyed.push_back(Keyed{vc, NumericValue(t), &t.lexical()});
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [&](const Keyed& a, const Keyed& b) {
+                     if (order == FacetOrder::kCountDescending &&
+                         a.vc.count != b.vc.count) {
+                       return a.vc.count > b.vc.count;
+                     }
+                     // Tie-break (and kValueAscending): numeric when both
+                     // parse, otherwise lexical on the display form.
+                     if (a.num.has_value() && b.num.has_value()) {
+                       return *a.num < *b.num;
+                     }
+                     return *a.lexical < *b.lexical;
+                   });
+  for (size_t i = 0; i < keyed.size(); ++i) facet->values[i] = keyed[i].vc;
 }
 
 size_t TruncateFacetValues(const rdf::Graph& graph, FacetOrder order,

@@ -37,9 +37,10 @@ struct ClassFacet {
 /// Computes the transition markers of a state per the paper's Algorithm 5.
 class FacetComputer {
  public:
+  /// Builds the class forest of `schema` once; `graph` and `vocab` must
+  /// outlive the computer.
   FacetComputer(const rdf::Graph& graph, const rdf::SchemaView& schema,
-                const rdf::Vocab& vocab)
-      : graph_(graph), schema_(schema), vocab_(vocab) {}
+                const rdf::Vocab& vocab);
 
   /// Class-based markers over `ext`: the applicable classes arranged by the
   /// transitive reduction of <=cl, with instance counts inside `ext`.
@@ -54,7 +55,10 @@ class FacetComputer {
 
   /// Path expansion (Fig 5.5 b): the transition markers at the end of
   /// `path` starting from `ext` — M_k = Joins(...Joins(ext, p1)..., pk) —
-  /// with counts of how many members of `ext` reach each value.
+  /// with counts of how many members of `ext` reach each value, in
+  /// ascending id order. One forward pass: v is reachable from e iff
+  /// e is in RestrictByPath(ext, path, v), so counting each member's
+  /// distinct end values gives exactly |RestrictByPath(ext, path, v)|.
   PropertyFacet PathFacet(const Extension& ext,
                           const std::vector<PropRef>& path) const;
 
@@ -77,8 +81,8 @@ class FacetComputer {
                       std::vector<ClassFacet>* out) const;
 
   const rdf::Graph& graph_;
-  const rdf::SchemaView& schema_;
   const rdf::Vocab& vocab_;
+  std::vector<HierarchyNode> class_forest_;
 };
 
 /// One interval of a bucketed numeric facet (Fig 5.4 d, "grouping of

@@ -65,15 +65,24 @@ size_t ClearExtension(rdf::Graph* graph, const std::string& temp_class) {
   return graph->RemoveMatching(rdf::kNoTermId, type, temp);
 }
 
+Extension ExtensionOfColumn(const rdf::Graph& graph,
+                            const sparql::ResultTable& table) {
+  Extension out;
+  out.reserve(table.num_rows());
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    sparql::ResultTable::Cell cell = table.cell(r, 0);
+    rdf::TermId id = sparql::ResultTable::IsOverflow(cell)
+                         ? graph.terms().Find(table.term(cell))
+                         : cell;
+    if (id != rdf::kNoTermId) out.push_back(id);
+  }
+  return MakeExtension(std::move(out));
+}
+
 Result<Extension> EvalNotation(rdf::Graph* graph, const std::string& sparql) {
   RDFA_ASSIGN_OR_RETURN(sparql::ResultTable table,
                         sparql::ExecuteQueryString(graph, sparql));
-  Extension out;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    rdf::TermId id = graph->terms().Find(table.at(r, 0));
-    if (id != rdf::kNoTermId) out.insert(id);
-  }
-  return out;
+  return ExtensionOfColumn(*graph, table);
 }
 
 }  // namespace rdfa::fs

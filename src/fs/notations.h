@@ -5,6 +5,7 @@
 
 #include "common/status.h"
 #include "fs/state.h"
+#include "sparql/result_table.h"
 
 namespace rdfa::fs {
 
@@ -45,6 +46,13 @@ size_t MaterializeExtension(rdf::Graph* graph, const Extension& ext,
 /// Removes every temp-class triple (the cleanup step Table 5.1 assumes).
 size_t ClearExtension(rdf::Graph* graph,
                       const std::string& temp_class = kTempClass);
+
+/// The first column of `table` as an extension. `table` must come from
+/// evaluating a query over `graph`, so its id cells index `graph`'s
+/// dictionary and are read as they are; only computed (overflow) cells are
+/// looked up by value. Unbound cells and terms not in the graph are skipped.
+Extension ExtensionOfColumn(const rdf::Graph& graph,
+                            const sparql::ResultTable& table);
 
 /// Evaluates one of the generated queries and returns its first column as
 /// an extension (resources interned in `graph`).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fs/notations.h"
 #include "rdf/namespaces.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
@@ -24,16 +25,19 @@ Session::Session(rdf::Graph* graph, EvalMode mode)
 void Session::Start() {
   history_.clear();
   State s0;
-  for (const rdf::TripleId& t : graph_->triples()) {
-    if (t.p == vocab_.type || t.p == vocab_.sub_class_of ||
-        t.p == vocab_.sub_property_of || t.p == vocab_.domain ||
-        t.p == vocab_.range) {
-      // Schema triples: keep their subjects out of s0 unless they also
-      // carry data. (Data subjects re-enter through their data triples.)
-      if (t.p != vocab_.type) continue;
-    }
-    s0.ext.insert(t.s);
-  }
+  // SPO order hands out each subject's triples together, in ascending
+  // subject order, so s0 is built sorted without a set.
+  graph_->ForEachInPerm(
+      rdf::Graph::kPermSPO, kNoTermId, kNoTermId, kNoTermId,
+      [&](const rdf::TripleId& t) {
+        // Schema triples: keep their subjects out of s0 unless they also
+        // carry data. (Data subjects re-enter through their data triples.)
+        if (t.p == vocab_.sub_class_of || t.p == vocab_.sub_property_of ||
+            t.p == vocab_.domain || t.p == vocab_.range) {
+          return;
+        }
+        if (s0.ext.empty() || s0.ext.back() != t.s) s0.ext.push_back(t.s);
+      });
   history_.push_back(std::move(s0));
   InvalidateFacetMemos();
 }
@@ -41,7 +45,7 @@ void Session::Start() {
 void Session::StartFromResults(const Extension& results) {
   history_.clear();
   State s0;
-  s0.ext = results;
+  s0.ext = MakeExtension(results);
   history_.push_back(std::move(s0));
   InvalidateFacetMemos();
 }
@@ -70,12 +74,7 @@ Status Session::EvalIntentionSparql(State* state) {
   RDFA_ASSIGN_OR_RETURN(sparql::ParsedQuery q,
                         sparql::ParseQuery(state->intent.ToSparql()));
   RDFA_ASSIGN_OR_RETURN(sparql::ResultTable table, exec.Execute(q));
-  Extension ext;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    TermId id = graph_->terms().Find(table.at(r, 0));
-    if (id != kNoTermId) ext.insert(id);
-  }
-  state->ext = std::move(ext);
+  state->ext = ExtensionOfColumn(*graph_, table);
   return Status::OK();
 }
 

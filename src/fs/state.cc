@@ -1,5 +1,7 @@
 #include "fs/state.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 #include "rdf/namespaces.h"
 
@@ -8,18 +10,30 @@ namespace rdfa::fs {
 using rdf::kNoTermId;
 using rdf::TermId;
 
+Extension MakeExtension(std::vector<TermId> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+// The scans below enumerate their free position in ascending id order —
+// (?, p, v) reads POS, (v, p, ?) reads SPO — so the matches arrive sorted
+// and merge against the (sorted) extension. A kNoTermId value or class
+// names no term of the graph and matches nothing.
+
 Extension Restrict(const rdf::Graph& graph, const Extension& ext,
                    const PropRef& p, TermId v) {
   Extension out;
   TermId pid = graph.terms().FindIri(p.iri);
-  if (pid == kNoTermId) return out;
+  if (pid == kNoTermId || v == kNoTermId) return out;
+  ExtensionProbe probe(ext);
   if (!p.inverse) {
     graph.ForEachMatch(kNoTermId, pid, v, [&](const rdf::TripleId& t) {
-      if (ext.count(t.s)) out.insert(t.s);
+      if (probe.Contains(t.s)) out.push_back(t.s);
     });
   } else {
     graph.ForEachMatch(v, pid, kNoTermId, [&](const rdf::TripleId& t) {
-      if (ext.count(t.o)) out.insert(t.o);
+      if (probe.Contains(t.o)) out.push_back(t.o);
     });
   }
   return out;
@@ -30,18 +44,19 @@ Extension RestrictSet(const rdf::Graph& graph, const Extension& ext,
   Extension out;
   for (TermId v : vset) {
     Extension part = Restrict(graph, ext, p, v);
-    out.insert(part.begin(), part.end());
+    out.insert(out.end(), part.begin(), part.end());
   }
-  return out;
+  return MakeExtension(std::move(out));
 }
 
 Extension RestrictClass(const rdf::Graph& graph, const Extension& ext,
                         TermId cls) {
   Extension out;
   TermId type = graph.terms().FindIri(rdf::rdfns::kType);
-  if (type == kNoTermId) return out;
+  if (type == kNoTermId || cls == kNoTermId) return out;
+  ExtensionProbe probe(ext);
   graph.ForEachMatch(kNoTermId, type, cls, [&](const rdf::TripleId& t) {
-    if (ext.count(t.s)) out.insert(t.s);
+    if (probe.Contains(t.s)) out.push_back(t.s);
   });
   return out;
 }
@@ -54,13 +69,13 @@ Extension Joins(const rdf::Graph& graph, const Extension& ext,
   for (TermId e : ext) {
     if (!p.inverse) {
       graph.ForEachMatch(e, pid, kNoTermId,
-                         [&](const rdf::TripleId& t) { out.insert(t.o); });
+                         [&](const rdf::TripleId& t) { out.push_back(t.o); });
     } else {
       graph.ForEachMatch(kNoTermId, pid, e,
-                         [&](const rdf::TripleId& t) { out.insert(t.s); });
+                         [&](const rdf::TripleId& t) { out.push_back(t.s); });
     }
   }
-  return out;
+  return MakeExtension(std::move(out));
 }
 
 namespace {

@@ -1,8 +1,8 @@
 #ifndef RDFA_FS_STATE_H_
 #define RDFA_FS_STATE_H_
 
+#include <algorithm>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -22,8 +22,44 @@ struct PropRef {
 };
 
 /// The formal restriction/join operations of the FS model (§5.3.1).
-/// Extensions are sets of interned term ids.
-using Extension = std::set<rdf::TermId>;
+/// An extension is a set of interned term ids held as a sorted,
+/// duplicate-free vector: every operation below takes and returns that
+/// form, so membership is a merge or a binary search, never a tree probe.
+using Extension = std::vector<rdf::TermId>;
+
+/// Sorts and dedupes `ids` into an extension.
+Extension MakeExtension(std::vector<rdf::TermId> ids);
+
+/// Membership test (binary search).
+inline bool Contains(const Extension& ext, rdf::TermId id) {
+  return std::binary_search(ext.begin(), ext.end(), id);
+}
+
+/// Membership probe for ascending queries against an extension: each
+/// Contains() resumes where the previous one stopped (galloping forward), so
+/// probing a sorted id stream — a POS or SPO range scan — is a merge.
+class ExtensionProbe {
+ public:
+  explicit ExtensionProbe(const Extension& ext)
+      : it_(ext.begin()), end_(ext.end()) {}
+
+  /// Precondition: `id` is >= every id probed before.
+  bool Contains(rdf::TermId id) {
+    size_t step = 1;
+    auto hi = it_;
+    while (hi != end_ && *hi < id) {
+      it_ = hi + 1;
+      hi = static_cast<size_t>(end_ - hi) > step ? hi + step : end_;
+      step *= 2;
+    }
+    it_ = std::lower_bound(it_, hi, id);
+    return it_ != end_ && *it_ == id;
+  }
+
+ private:
+  Extension::const_iterator it_;
+  Extension::const_iterator end_;
+};
 
 /// Restrict(E, p : v) = { e in E | (e, p, v) in inst(p) }.
 Extension Restrict(const rdf::Graph& graph, const Extension& ext,

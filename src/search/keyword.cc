@@ -98,8 +98,8 @@ std::vector<Hit> KeywordIndex::Search(std::string_view query,
 fs::Extension KeywordIndex::SearchAsExtension(std::string_view query,
                                               size_t limit) const {
   fs::Extension out;
-  for (const Hit& h : Search(query, limit)) out.insert(h.subject);
-  return out;
+  for (const Hit& h : Search(query, limit)) out.push_back(h.subject);
+  return fs::MakeExtension(std::move(out));
 }
 
 }  // namespace rdfa::search

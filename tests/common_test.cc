@@ -132,6 +132,52 @@ TEST(FacetOrderTest, SortAndTruncate) {
   EXPECT_EQ(facet.values[1].count, 4u);
 }
 
+TEST(FacetOrderTest, CountTiesAndMixedValuesHaveAPinnedOrder) {
+  rdf::Graph g;
+  fs::PropertyFacet facet;
+  auto add = [&](const rdf::Term& term, size_t count) {
+    facet.values.push_back({g.terms().Intern(term), count});
+  };
+  add(rdf::Term::Integer(10), 3);
+  add(rdf::Term::Iri("http://e.org/b"), 3);
+  add(rdf::Term::Integer(9), 3);
+  add(rdf::Term::Literal("apple"), 5);
+  add(rdf::Term::Double(7.0), 1);  // numerically equal to 7 below
+  add(rdf::Term::Iri("http://e.org/a"), 1);
+  add(rdf::Term::Integer(7), 1);
+  add(rdf::Term::Double(2.5), 1);
+  auto order = [&] {
+    std::vector<std::string> out;
+    for (const fs::ValueCount& vc : facet.values) {
+      const rdf::Term& t = g.terms().Get(vc.value);
+      out.push_back(t.lexical() + (t.is_iri() ? "" : "^" + t.datatype()) +
+                    "/" + std::to_string(vc.count));
+    }
+    return out;
+  };
+  const std::string i = "^" + std::string(rdf::xsd::kInteger);
+  const std::string d = "^" + std::string(rdf::xsd::kDouble);
+  const std::string seven_d =
+      g.terms().Get(facet.values[4].value).lexical() + d;
+  const std::string apple =
+      "apple^" + g.terms().Get(facet.values[3].value).datatype();
+
+  // Count first; ties numeric when both parse, else lexical (digits sort
+  // before letters); equal keys keep their input order (stable).
+  fs::SortFacetValues(g, fs::FacetOrder::kCountDescending, &facet);
+  EXPECT_EQ(order(), (std::vector<std::string>{
+                         apple + "/5", "9" + i + "/3", "10" + i + "/3",
+                         "http://e.org/b/3", "2.5" + d + "/1",
+                         seven_d + "/1", "7" + i + "/1",
+                         "http://e.org/a/1"}));
+
+  fs::SortFacetValues(g, fs::FacetOrder::kValueAscending, &facet);
+  EXPECT_EQ(order(), (std::vector<std::string>{
+                         "2.5" + d + "/1", seven_d + "/1", "7" + i + "/1",
+                         "9" + i + "/3", "10" + i + "/3", apple + "/5",
+                         "http://e.org/a/1", "http://e.org/b/3"}));
+}
+
 // ---------------- transform button ----------------
 
 TEST(TransformButtonTest, RepairsMultiValuedAttribute) {

@@ -30,43 +30,48 @@ class FsModelTest : public ::testing::Test {
 };
 
 TEST_F(FsModelTest, RestrictByPropertyValue) {
-  Extension laptops = {Id("laptop1"), Id("laptop2"), Id("laptop3")};
+  Extension laptops =
+      MakeExtension({Id("laptop1"), Id("laptop2"), Id("laptop3")});
   Extension dell = Restrict(g_, laptops, P("manufacturer"), Id("DELL"));
   EXPECT_EQ(dell.size(), 2u);
-  EXPECT_TRUE(dell.count(Id("laptop1")));
-  EXPECT_TRUE(dell.count(Id("laptop2")));
+  EXPECT_TRUE(Contains(dell, Id("laptop1")));
+  EXPECT_TRUE(Contains(dell, Id("laptop2")));
 }
 
 TEST_F(FsModelTest, RestrictInverse) {
-  Extension companies = {Id("DELL"), Id("Lenovo"), Id("Maxtor")};
+  Extension companies =
+      MakeExtension({Id("DELL"), Id("Lenovo"), Id("Maxtor")});
   // Companies that manufacture laptop1: inverse of manufacturer.
   Extension made = Restrict(g_, companies, P("manufacturer", true),
                             Id("laptop1"));
   EXPECT_EQ(made.size(), 1u);
-  EXPECT_TRUE(made.count(Id("DELL")));
+  EXPECT_TRUE(Contains(made, Id("DELL")));
 }
 
 TEST_F(FsModelTest, RestrictSetUnions) {
-  Extension laptops = {Id("laptop1"), Id("laptop2"), Id("laptop3")};
-  Extension vset = {Id("DELL"), Id("Lenovo")};
+  Extension laptops =
+      MakeExtension({Id("laptop1"), Id("laptop2"), Id("laptop3")});
+  Extension vset = MakeExtension({Id("DELL"), Id("Lenovo")});
   Extension all = RestrictSet(g_, laptops, P("manufacturer"), vset);
   EXPECT_EQ(all.size(), 3u);
 }
 
 TEST_F(FsModelTest, RestrictClassUsesClosure) {
   Extension everything;
-  for (const rdf::TripleId& t : g_.triples()) everything.insert(t.s);
+  for (const rdf::TripleId& t : g_.triples()) everything.push_back(t.s);
+  everything = MakeExtension(everything);
   Extension products = RestrictClass(g_, everything, Id("Product"));
   // With the RDFS closure, laptops AND drives are Products: 3 + 3.
   EXPECT_EQ(products.size(), 6u);
 }
 
 TEST_F(FsModelTest, JoinsCollectsValues) {
-  Extension laptops = {Id("laptop1"), Id("laptop2"), Id("laptop3")};
+  Extension laptops =
+      MakeExtension({Id("laptop1"), Id("laptop2"), Id("laptop3")});
   Extension manufacturers = Joins(g_, laptops, P("manufacturer"));
   EXPECT_EQ(manufacturers.size(), 2u);
-  EXPECT_TRUE(manufacturers.count(Id("DELL")));
-  EXPECT_TRUE(manufacturers.count(Id("Lenovo")));
+  EXPECT_TRUE(Contains(manufacturers, Id("DELL")));
+  EXPECT_TRUE(Contains(manufacturers, Id("Lenovo")));
 }
 
 TEST_F(FsModelTest, JoinsInverse) {
@@ -78,8 +83,8 @@ TEST_F(FsModelTest, JoinsInverse) {
 TEST_F(FsModelTest, SessionStartsWithAllIndividuals) {
   Session s(&g_);
   EXPECT_GT(s.current().ext.size(), 10u);
-  EXPECT_TRUE(s.current().ext.count(Id("laptop1")));
-  EXPECT_TRUE(s.current().ext.count(Id("DELL")));
+  EXPECT_TRUE(Contains(s.current().ext, Id("laptop1")));
+  EXPECT_TRUE(Contains(s.current().ext, Id("DELL")));
 }
 
 TEST_F(FsModelTest, ClassFacetCountsMatchFig54a) {
@@ -173,8 +178,8 @@ TEST_F(FsModelTest, PathValueClickBackPropagates) {
                            rdf::Term::Iri(kEx + "USA"));
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(s.current().ext.size(), 2u);
-  EXPECT_TRUE(s.current().ext.count(Id("laptop1")));
-  EXPECT_TRUE(s.current().ext.count(Id("laptop2")));
+  EXPECT_TRUE(Contains(s.current().ext, Id("laptop1")));
+  EXPECT_TRUE(Contains(s.current().ext, Id("laptop2")));
 }
 
 TEST_F(FsModelTest, LongerPathExpansion) {

@@ -58,8 +58,9 @@ class NotationsTest : public ::testing::Test {
     workload::BuildRunningExample(&g_);
     rdf::MaterializeRdfsClosure(&g_);
     for (const char* l : {"laptop1", "laptop2", "laptop3"}) {
-      laptops_.insert(g_.terms().FindIri(kEx + l));
+      laptops_.push_back(g_.terms().FindIri(kEx + l));
     }
+    laptops_ = fs::MakeExtension(laptops_);
   }
   rdf::Graph g_;
   fs::Extension laptops_;
@@ -95,7 +96,8 @@ TEST_F(NotationsTest, RestrictValueNotationMatchesNative) {
 
 TEST_F(NotationsTest, RestrictClassNotationMatchesNative) {
   fs::Extension everything;
-  for (const rdf::TripleId& t : g_.triples()) everything.insert(t.s);
+  for (const rdf::TripleId& t : g_.triples()) everything.push_back(t.s);
+  everything = fs::MakeExtension(everything);
   fs::MaterializeExtension(&g_, everything);
   auto via_sparql =
       fs::EvalNotation(&g_, fs::RestrictClassSparql(kEx + "Product"));
