@@ -39,7 +39,8 @@ carrying its own inline python:
                               [--min-stages=6]
       the observability gates: the bench's profiling-on/off leg must be
       byte-identical with bounded overhead, the shell's EXPLAIN output must
-      match the plan-JSON schema, and every slow-query capture must parse
+      match the plan-JSON schema, its EXPLAIN ANALYZE profile must name a
+      filter stage, and every slow-query capture must parse
       and carry an operator profile naming at least min-stages distinct
       stages across the directory
 
@@ -313,6 +314,9 @@ def cmd_obs_gates(args):
             ops = set()
             _profile_ops(obj["profile"], ops)
             assert "execute" in ops, ops
+            # The shell script's range click puts a FILTER in the query;
+            # its time must show as its own stage.
+            assert "filter" in ops, ops
             analyzed += 1
         elif "form" in obj:
             _check_plan_json(obj)

@@ -19,7 +19,7 @@ namespace {
 class PathWalker {
  public:
   PathWalker(const rdf::Graph& graph, const std::vector<PropRef>& path)
-      : graph_(graph) {
+      : graph_(graph), first_hop_(graph) {
     for (const PropRef& p : path) {
       TermId pid = graph.terms().FindIri(p.iri);
       if (pid == kNoTermId) {
@@ -35,10 +35,11 @@ class PathWalker {
   bool known() const { return known_; }
 
   /// The distinct values at the end of the path from `e`, ascending.
+  /// Members walked in ascending order make the first hop's probes gallop.
   const std::vector<TermId>& Walk(TermId e) {
     out_.assign(1, e);
     if (steps_.empty()) return out_;
-    Hop(0, &out_);
+    Hop(0, &first_hop_, &out_);
     if (steps_.size() == 1) return out_;
     // The hops after the first depend only on the node the first one
     // reached, and members share those nodes (10k laptops, 200
@@ -54,17 +55,19 @@ class PathWalker {
   }
 
  private:
-  /// Replaces `cur` (ascending, distinct) by its neighbours over step `i`.
-  void Hop(size_t i, std::vector<TermId>* cur) {
+  /// Replaces `cur` (ascending, distinct) by its neighbours over step `i`,
+  /// probing through `cursor`.
+  void Hop(size_t i, rdf::Graph::ProbeCursor* cursor,
+           std::vector<TermId>* cur) {
     const auto [pid, inverse] = steps_[i];
     next_.clear();
     for (TermId x : *cur) {
       if (!inverse) {
-        graph_.ForEachMatch(x, pid, kNoTermId, [&](const rdf::TripleId& t) {
+        cursor->ForEachMatch(x, pid, kNoTermId, [&](const rdf::TripleId& t) {
           next_.push_back(t.o);
         });
       } else {
-        graph_.ForEachMatch(kNoTermId, pid, x, [&](const rdf::TripleId& t) {
+        cursor->ForEachMatch(kNoTermId, pid, x, [&](const rdf::TripleId& t) {
           next_.push_back(t.s);
         });
       }
@@ -82,13 +85,15 @@ class PathWalker {
       std::vector<TermId>& ends = it->second;
       ends.assign(1, x);
       for (size_t i = 1; i < steps_.size() && !ends.empty(); ++i) {
-        Hop(i, &ends);
+        rdf::Graph::ProbeCursor cursor(graph_);
+        Hop(i, &cursor, &ends);
       }
     }
     return it->second;
   }
 
   const rdf::Graph& graph_;
+  rdf::Graph::ProbeCursor first_hop_;
   std::vector<std::pair<TermId, bool>> steps_;  ///< (property, inverse)
   bool known_ = true;
   std::unordered_map<TermId, std::vector<TermId>> rest_;
@@ -218,23 +223,28 @@ std::vector<PropertyFacet> FacetComputer::PropertyFacets(
   // value v is the number of members with that value.
   Edges forward;
   Edges backward;
+  // ext is ascending, so both scans gallop from member to member.
+  rdf::Graph::ProbeCursor out_edges(graph_);
+  rdf::Graph::ProbeCursor in_edges(graph_);
   for (TermId e : ext) {
-    graph_.ForEachMatch(e, kNoTermId, kNoTermId, [&](const rdf::TripleId& t) {
-      if (t.p == vocab_.type || t.p == vocab_.sub_class_of ||
-          t.p == vocab_.sub_property_of || t.p == vocab_.domain ||
-          t.p == vocab_.range) {
-        return;
-      }
-      forward.props.push_back(t.p);
-      forward.values.push_back(t.o);
-    });
+    out_edges.ForEachMatch(e, kNoTermId, kNoTermId,
+                           [&](const rdf::TripleId& t) {
+                             if (t.p == vocab_.type ||
+                                 t.p == vocab_.sub_class_of ||
+                                 t.p == vocab_.sub_property_of ||
+                                 t.p == vocab_.domain || t.p == vocab_.range) {
+                               return;
+                             }
+                             forward.props.push_back(t.p);
+                             forward.values.push_back(t.o);
+                           });
     if (include_inverse) {
-      graph_.ForEachMatch(kNoTermId, kNoTermId, e,
-                          [&](const rdf::TripleId& t) {
-                            if (t.p == vocab_.type) return;
-                            backward.props.push_back(t.p);
-                            backward.values.push_back(t.s);
-                          });
+      in_edges.ForEachMatch(kNoTermId, kNoTermId, e,
+                            [&](const rdf::TripleId& t) {
+                              if (t.p == vocab_.type) return;
+                              backward.props.push_back(t.p);
+                              backward.values.push_back(t.s);
+                            });
     }
   }
   std::vector<PropertyFacet> out;

@@ -66,13 +66,14 @@ Extension Joins(const rdf::Graph& graph, const Extension& ext,
   Extension out;
   TermId pid = graph.terms().FindIri(p.iri);
   if (pid == kNoTermId) return out;
+  rdf::Graph::ProbeCursor cursor(graph);  // ext is ascending
   for (TermId e : ext) {
     if (!p.inverse) {
-      graph.ForEachMatch(e, pid, kNoTermId,
-                         [&](const rdf::TripleId& t) { out.push_back(t.o); });
+      cursor.ForEachMatch(e, pid, kNoTermId,
+                          [&](const rdf::TripleId& t) { out.push_back(t.o); });
     } else {
-      graph.ForEachMatch(kNoTermId, pid, e,
-                         [&](const rdf::TripleId& t) { out.push_back(t.s); });
+      cursor.ForEachMatch(kNoTermId, pid, e,
+                          [&](const rdf::TripleId& t) { out.push_back(t.s); });
     }
   }
   return MakeExtension(std::move(out));

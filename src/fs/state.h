@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/gallop.h"
 #include "rdf/graph.h"
 
 namespace rdfa::fs {
@@ -45,14 +46,7 @@ class ExtensionProbe {
 
   /// Precondition: `id` is >= every id probed before.
   bool Contains(rdf::TermId id) {
-    size_t step = 1;
-    auto hi = it_;
-    while (hi != end_ && *hi < id) {
-      it_ = hi + 1;
-      hi = static_cast<size_t>(end_ - hi) > step ? hi + step : end_;
-      step *= 2;
-    }
-    it_ = std::lower_bound(it_, hi, id);
+    it_ = GallopPartition(it_, end_, [id](rdf::TermId x) { return x < id; });
     return it_ != end_ && *it_ == id;
   }
 

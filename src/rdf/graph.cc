@@ -3,6 +3,8 @@
 #include <mutex>
 #include <tuple>
 
+#include "common/gallop.h"
+
 namespace rdfa::rdf {
 
 void Graph::AttachMapped(std::shared_ptr<const MappedGraphView> view) {
@@ -199,23 +201,16 @@ const std::vector<Graph::Key>& Graph::IndexFor(Perm perm) const {
 }
 
 std::pair<size_t, size_t> Graph::Range(const std::vector<Key>& index,
-                                       const Key& key) {
-  // Build lower/upper probe keys: bound prefix lanes stay, the first
-  // wildcard lane (and everything after) goes to 0 / MAX.
-  Key lo_key = key, hi_key = key;
-  bool wildcard = false;
-  TermId* lo_lanes[3] = {&lo_key.a, &lo_key.b, &lo_key.c};
-  TermId* hi_lanes[3] = {&hi_key.a, &hi_key.b, &hi_key.c};
-  const TermId lanes[3] = {key.a, key.b, key.c};
-  for (int i = 0; i < 3; ++i) {
-    if (wildcard || lanes[i] == kNoTermId) {
-      wildcard = true;
-      *lo_lanes[i] = 0;
-      *hi_lanes[i] = kNoTermId;  // MAX value; never a real id.
-    }
-  }
-  auto lo = std::lower_bound(index.begin(), index.end(), lo_key);
-  auto hi = std::upper_bound(index.begin(), index.end(), hi_key);
+                                       const Key& key, size_t from) {
+  const Key low = LowKey(key);
+  const Key high = HighKey(key);
+  auto below_low = [&low](const Key& k) { return k < low; };
+  const auto lo = from == 0 ? std::partition_point(index.begin(),
+                                                   index.end(), below_low)
+                            : GallopPartition(index.begin() + from,
+                                              index.end(), below_low);
+  const auto hi = GallopPartition(
+      lo, index.end(), [&high](const Key& k) { return !(high < k); });
   return {static_cast<size_t>(lo - index.begin()),
           static_cast<size_t>(hi - index.begin())};
 }

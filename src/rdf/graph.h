@@ -254,24 +254,14 @@ class Graph {
 
   /// Calls `fn(const TripleId&)` for every triple matching the pattern;
   /// kNoTermId positions are wildcards. Uses the longest-bound-prefix
-  /// permutation, so the narrowed range contains exactly the matches.
+  /// permutation, so the narrowed range contains exactly the matches. A
+  /// one-shot ProbeCursor: callers that probe many keys in ascending order
+  /// keep a cursor instead.
   template <typename Fn>
-  void ForEachMatch(TermId s, TermId p, TermId o, Fn&& fn) const {
-    if (s == kNoTermId && p == kNoTermId && o == kNoTermId) {
-      // A mapped graph enumerates its SPO permutation; a heap graph its
-      // insertion order. Heap loads of RDFA3 snapshots insert in SPO order,
-      // so the two backends agree byte-for-byte.
-      if (view_ != nullptr) {
-        view_->ForEachInPerm(kPermSPO, s, p, o, std::forward<Fn>(fn));
-        return;
-      }
-      EnsureIndexes();
-      for (const TripleId& t : triples_) fn(t);
-      return;
-    }
-    ForEachInPerm(ChoosePerm(s != kNoTermId, p != kNoTermId, o != kNoTermId),
-                  s, p, o, std::forward<Fn>(fn));
-  }
+  void ForEachMatch(TermId s, TermId p, TermId o, Fn&& fn) const;
+
+  /// Resumable ForEachMatch; see the class comment below.
+  class ProbeCursor;
 
   /// Like ForEachMatch but scans the *given* permutation, enumerating
   /// matches in that permutation's sort order. The order-preserving hash
@@ -411,16 +401,33 @@ class Graph {
     }
   };
 
+  // Lower / upper probe keys of `key`: the bound prefix lanes stay, the
+  // first wildcard lane and everything after it go to 0 / MAX.
+  static Key LowKey(const Key& key) {
+    if (key.a == kNoTermId) return {0, 0, 0};
+    if (key.b == kNoTermId) return {key.a, 0, 0};
+    return {key.a, key.b, key.c == kNoTermId ? 0 : key.c};
+  }
+  static Key HighKey(const Key& key) {
+    if (key.a == kNoTermId) return {kNoTermId, kNoTermId, kNoTermId};
+    if (key.b == kNoTermId) return {key.a, kNoTermId, kNoTermId};
+    return {key.a, key.b, key.c};  // a wildcard c already reads as MAX
+  }
+
   // [lo, hi) range of entries in `index` whose bound prefix lanes match
   // `key`. Lanes with kNoTermId in `key` are wildcards; only the leading run
-  // of bound lanes narrows the binary search.
+  // of bound lanes narrows the search. The lower end is a binary search
+  // when `from` is 0 and otherwise gallops from `from`, which requires every
+  // entry before `from` to sort below LowKey(key); the upper end always
+  // gallops from the lower one, so a narrow range costs O(log width).
   static std::pair<size_t, size_t> Range(const std::vector<Key>& index,
-                                         const Key& key);
+                                         const Key& key, size_t from = 0);
 
+  // Calls fn for every entry of [lo, hi) that matches `key`'s bound lanes
+  // past the prefix (the range only narrows on the leading bound run).
   template <typename Fn>
-  void ScanIndex(const std::vector<Key>& index, Key key, Perm perm,
-                 Fn&& fn) const {
-    auto [lo, hi] = Range(index, key);
+  static void ScanRange(const std::vector<Key>& index, size_t lo, size_t hi,
+                        const Key& key, Perm perm, Fn&& fn) {
     for (size_t i = lo; i < hi; ++i) {
       const Key& k = index[i];
       if ((key.b == kNoTermId || k.b == key.b) &&
@@ -428,6 +435,13 @@ class Graph {
         fn(Unpermute(k, perm));
       }
     }
+  }
+
+  template <typename Fn>
+  void ScanIndex(const std::vector<Key>& index, Key key, Perm perm,
+                 Fn&& fn) const {
+    auto [lo, hi] = Range(index, key);
+    ScanRange(index, lo, hi, key, perm, fn);
   }
 
   // Lazily (re)builds the three permutation indexes. Safe under concurrent
@@ -500,6 +514,66 @@ class Graph {
   mutable std::mutex materialize_mu_;
   mutable std::atomic<bool> triples_ready_{true};  ///< false once attached
 };
+
+/// A ForEachMatch that remembers where its last probe landed. When the next
+/// probe uses the same permutation and its lower probe key does not sort
+/// below the previous one, the range search gallops forward from the
+/// previous lower bound instead of binary searching the whole index;
+/// otherwise it falls back to a full search. Results are exactly
+/// ForEachMatch's whatever the key order; ascending keys (a sorted
+/// extension, or join input sorted on the probed lane) only make the probes
+/// cheaper. A mapped graph serves primaries straight off its view, as
+/// ForEachMatch always has. The cursor reads the index in place, so it must
+/// not outlive a mutation of the graph; one cursor is not thread-safe, so
+/// parallel callers keep one per morsel.
+class Graph::ProbeCursor {
+ public:
+  explicit ProbeCursor(const Graph& graph) : graph_(&graph) {}
+
+  template <typename Fn>
+  void ForEachMatch(TermId s, TermId p, TermId o, Fn&& fn) {
+    const Graph& g = *graph_;
+    if (s == kNoTermId && p == kNoTermId && o == kNoTermId) {
+      // A mapped graph enumerates its SPO permutation; a heap graph its
+      // insertion order. Heap loads of RDFA3 snapshots insert in SPO order,
+      // so the two backends agree byte-for-byte.
+      if (g.view_ != nullptr) {
+        g.view_->ForEachInPerm(kPermSPO, s, p, o, std::forward<Fn>(fn));
+        return;
+      }
+      g.EnsureIndexes();
+      for (const TripleId& t : g.triples_) fn(t);
+      return;
+    }
+    const Perm perm =
+        ChoosePerm(s != kNoTermId, p != kNoTermId, o != kNoTermId);
+    if (g.view_ != nullptr) {
+      g.view_->ForEachInPerm(static_cast<int>(perm), s, p, o,
+                             std::forward<Fn>(fn));
+      return;
+    }
+    const std::vector<Key>& index = g.IndexFor(perm);
+    const Key key = PermuteKey(perm, s, p, o);
+    const Key low = LowKey(key);
+    const bool resume = perm == perm_ && !(low < last_low_);
+    const auto [lo, hi] = Range(index, key, resume ? last_lo_ : 0);
+    perm_ = perm;
+    last_low_ = low;
+    last_lo_ = lo;
+    ScanRange(index, lo, hi, key, perm, fn);
+  }
+
+ private:
+  const Graph* graph_;
+  int perm_ = -1;      ///< permutation of the last probe; -1 before any
+  Key last_low_{};     ///< lower probe key of the last probe
+  size_t last_lo_ = 0;  ///< its lower bound in the index
+};
+
+template <typename Fn>
+void Graph::ForEachMatch(TermId s, TermId p, TermId o, Fn&& fn) const {
+  ProbeCursor(*this).ForEachMatch(s, p, o, std::forward<Fn>(fn));
+}
 
 class Graph::MergeCursor {
  public:

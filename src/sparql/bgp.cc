@@ -4,6 +4,7 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 #include "common/metrics.h"
@@ -124,43 +125,64 @@ std::vector<int> GreedyOrder(const rdf::Graph& graph,
   return order;
 }
 
-// Extends `row` with triple `t` under pattern `p` (re-checking
-// same-variable positions, e.g. ?x p ?x); appends to `*out` on success.
-// Returns false only on a conflict.
+// Binds the lanes of triple `t` into `*row` under pattern `p`, re-checking
+// same-variable positions (e.g. ?x p ?x). Returns false on a conflict,
+// leaving `*row` partly bound.
+inline bool BindTriple(const CompiledPattern& p, const rdf::TripleId& t,
+                       Binding* row) {
+  auto bind = [row](int var, TermId value) {
+    if (var < 0) return true;
+    TermId& slot = (*row)[var];
+    if (slot != kNoTermId && slot != value) return false;
+    slot = value;
+    return true;
+  };
+  return bind(p.s_var, t.s) && bind(p.p_var, t.p) && bind(p.o_var, t.o);
+}
+
+// Extends `row` with triple `t` under pattern `p`; appends to `*out` unless
+// the two conflict.
 inline void ExtendRow(const CompiledPattern& p, const Binding& row,
                       const rdf::TripleId& t, std::vector<Binding>* out) {
   Binding extended = row;
-  bool ok = true;
-  auto bind = [&](int var, TermId value) {
-    if (var < 0) return;
-    if (extended[var] != kNoTermId && extended[var] != value) {
-      ok = false;
-      return;
-    }
-    extended[var] = value;
-  };
-  bind(p.s_var, t.s);
-  if (ok) bind(p.p_var, t.p);
-  if (ok) bind(p.o_var, t.o);
-  if (ok) out->push_back(std::move(extended));
+  if (BindTriple(p, t, &extended)) out->push_back(std::move(extended));
 }
 
-// Extends every row in [begin, end) of `rows` through `p`, appending the
-// results (in row order) to `*out`. Returns the number of index rows
-// enumerated. When `ctx` is set, polls it every kCheckEveryRows enumerated
-// rows and abandons the remaining range once it trips (the caller turns the
-// trip into a typed Status; the partial output is discarded).
+// Appends `*row` extended by each of `matches`, in order, to `*out`. The
+// last extension takes over the row's storage instead of copying it, so
+// the row is left unspecified: callers pass input rows they discard after
+// the step.
+void ExtendRowBy(const CompiledPattern& p, Binding* row,
+                 std::span<const rdf::TripleId> matches,
+                 std::vector<Binding>* out) {
+  if (matches.empty()) return;
+  for (size_t i = 0; i + 1 < matches.size(); ++i) {
+    ExtendRow(p, *row, matches[i], out);
+  }
+  if (BindTriple(p, matches.back(), row)) out->push_back(std::move(*row));
+}
+
+// Extends every row in [begin, end) of `*rows` through `p`, appending the
+// results (in row order) to `*out` and leaving the input rows unspecified.
+// Returns the number of index rows enumerated. When `ctx` is set, polls it
+// every kCheckEveryRows enumerated rows and abandons the remaining range
+// once it trips (the caller turns the trip into a typed Status; the partial
+// output is discarded). One probe cursor serves the range: input sorted on
+// the probed lane (a seed scan's order) gallops from probe to probe.
 size_t ExtendRange(const rdf::Graph& graph, const CompiledPattern& p,
-                   const std::vector<Binding>& rows, size_t begin, size_t end,
+                   std::vector<Binding>* rows, size_t begin, size_t end,
                    const QueryContext* ctx, std::vector<Binding>* out) {
   size_t scanned = 0;
   bool stopped = false;
+  rdf::Graph::ProbeCursor cursor(graph);
+  std::vector<rdf::TripleId> matches;
   for (size_t r = begin; r < end && !stopped; ++r) {
-    const Binding& row = rows[r];
+    Binding& row = (*rows)[r];
     TermId s = p.s_var < 0 ? p.s_id : row[p.s_var];
     TermId pp = p.p_var < 0 ? p.p_id : row[p.p_var];
     TermId o = p.o_var < 0 ? p.o_id : row[p.o_var];
-    graph.ForEachMatch(s, pp, o, [&](const rdf::TripleId& t) {
+    matches.clear();
+    cursor.ForEachMatch(s, pp, o, [&](const rdf::TripleId& t) {
       if (stopped) return;  // drain the scan without extending
       ++scanned;
       if (ctx != nullptr && scanned % kCheckEveryRows == 0 &&
@@ -168,8 +190,9 @@ size_t ExtendRange(const rdf::Graph& graph, const CompiledPattern& p,
         stopped = true;
         return;
       }
-      ExtendRow(p, row, t, out);
+      matches.push_back(t);
     });
+    ExtendRowBy(p, &row, matches, out);
   }
   return scanned;
 }
@@ -288,18 +311,21 @@ Status BuildHashTable(const rdf::Graph& graph, const CompiledPattern& p,
 // Probes rows [begin, end) against `table`, appending extensions in row
 // order. Rows whose boundness deviates from the planned key lanes (possible
 // after OPTIONAL / UNION upstream) fall back to a per-row index scan, which
-// enumerates that row's matches in the identical order. Returns the number
-// of index rows enumerated by fallbacks; bucket entries probed are counted
+// enumerates that row's matches in the identical order; the fallbacks share
+// one probe cursor per call (so one per morsel). Returns the number of
+// index rows enumerated by fallbacks; bucket entries probed are counted
 // into *probe_hits.
 size_t ProbeHashRange(const rdf::Graph& graph, const CompiledPattern& p,
                       const HashPlan& plan, const HashTable& table,
-                      const std::vector<Binding>& rows, size_t begin,
-                      size_t end, const QueryContext* ctx,
-                      std::vector<Binding>* out, size_t* probe_hits) {
+                      std::vector<Binding>* rows, size_t begin, size_t end,
+                      const QueryContext* ctx, std::vector<Binding>* out,
+                      size_t* probe_hits) {
   size_t fallback_scanned = 0;
   bool stopped = false;
+  rdf::Graph::ProbeCursor cursor(graph);
+  std::vector<rdf::TripleId> matches;
   for (size_t r = begin; r < end && !stopped; ++r) {
-    const Binding& row = rows[r];
+    Binding& row = (*rows)[r];
     const bool s_bound = p.s_var >= 0 && row[p.s_var] != kNoTermId;
     const bool p_bound = p.p_var >= 0 && row[p.p_var] != kNoTermId;
     const bool o_bound = p.o_var >= 0 && row[p.o_var] != kNoTermId;
@@ -310,20 +336,23 @@ size_t ProbeHashRange(const rdf::Graph& graph, const CompiledPattern& p,
                    plan.key_o ? row[p.o_var] : kNoTermId}};
       auto it = table.find(key);
       if (it == table.end()) continue;
-      for (const rdf::TripleId& t : it->second) {
+      const std::vector<rdf::TripleId>& bucket = it->second;
+      size_t hits = 0;
+      for (; hits < bucket.size(); ++hits) {
         ++*probe_hits;
         if (ctx != nullptr && *probe_hits % kCheckEveryRows == 0 &&
             ctx->ShouldStop()) {
           stopped = true;
           break;
         }
-        ExtendRow(p, row, t, out);
       }
+      ExtendRowBy(p, &row, {bucket.data(), hits}, out);
     } else {
       TermId s = p.s_var < 0 ? p.s_id : row[p.s_var];
       TermId pp = p.p_var < 0 ? p.p_id : row[p.p_var];
       TermId o = p.o_var < 0 ? p.o_id : row[p.o_var];
-      graph.ForEachMatch(s, pp, o, [&](const rdf::TripleId& t) {
+      matches.clear();
+      cursor.ForEachMatch(s, pp, o, [&](const rdf::TripleId& t) {
         if (stopped) return;
         ++fallback_scanned;
         if (ctx != nullptr && fallback_scanned % kCheckEveryRows == 0 &&
@@ -331,8 +360,9 @@ size_t ProbeHashRange(const rdf::Graph& graph, const CompiledPattern& p,
           stopped = true;
           return;
         }
-        ExtendRow(p, row, t, out);
+        matches.push_back(t);
       });
+      ExtendRowBy(p, &row, matches, out);
     }
   }
   return fallback_scanned;
@@ -389,7 +419,7 @@ Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
           if (opts.ctx != nullptr && opts.ctx->ShouldStop()) return;
           auto [lo, hi] = morsels[m];
           part_scanned[m] =
-              ProbeHashRange(graph, p, plan, table, *rows, lo, hi, opts.ctx,
+              ProbeHashRange(graph, p, plan, table, rows, lo, hi, opts.ctx,
                              &parts[m], &part_hits[m]);
         });
         for (size_t m = 0; m < morsels.size(); ++m) {
@@ -401,7 +431,7 @@ Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
           opts.stats->morsel_count += morsels.size();
         }
       } else {
-        scanned += ProbeHashRange(graph, p, plan, table, *rows, 0,
+        scanned += ProbeHashRange(graph, p, plan, table, rows, 0,
                                   rows->size(), opts.ctx, &next, &probe_hits);
       }
       if (opts.stats != nullptr) opts.stats->hash_probe_hits += probe_hits;
@@ -457,7 +487,7 @@ Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
       if (opts.ctx != nullptr && opts.ctx->ShouldStop()) return;
       auto [lo, hi] = morsels[m];
       part_scanned[m] =
-          ExtendRange(graph, p, *rows, lo, hi, opts.ctx, &parts[m]);
+          ExtendRange(graph, p, rows, lo, hi, opts.ctx, &parts[m]);
     });
     for (size_t m = 0; m < morsels.size(); ++m) {
       scanned += part_scanned[m];
@@ -465,7 +495,7 @@ Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
     }
     if (opts.stats != nullptr) opts.stats->morsel_count += morsels.size();
   } else {
-    scanned = ExtendRange(graph, p, *rows, 0, rows->size(), opts.ctx, &next);
+    scanned = ExtendRange(graph, p, rows, 0, rows->size(), opts.ctx, &next);
   }
 
   if (opts.stats != nullptr) {

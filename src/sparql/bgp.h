@@ -44,8 +44,8 @@ enum class JoinStrategy {
   /// index range scan per input row otherwise. With JoinOptions::use_dp,
   /// planner-v2 runs also take the merge steps the plan marks qualified.
   kAdaptive,
-  /// One binary-search index range scan per input row, everywhere — the
-  /// test oracle. Planner-v2 merge steps demote to it in place.
+  /// One index range scan per input row, everywhere — the test oracle.
+  /// Planner-v2 merge steps demote to it in place.
   kNestedLoop,
 };
 

@@ -17,6 +17,9 @@ struct ExecStats {
   int threads = 1;             ///< thread budget the query ran with
   double index_build_ms = 0;   ///< Graph::Freeze (non-zero on first touch)
   double bgp_ms = 0;           ///< total BGP join time across pattern runs
+  /// FILTER evaluation across pattern runs (a filter's EXISTS probes are
+  /// charged here and, for their joins, to bgp_ms as well)
+  double filter_ms = 0;
   double group_agg_ms = 0;     ///< grouping + aggregate computation
   double projection_ms = 0;    ///< SELECT-list projection into result cells
   double total_ms = 0;         ///< whole Execute call
@@ -58,6 +61,7 @@ struct ExecStats {
                     " total=" + FormatMs(total_ms) +
                     " index_build=" + FormatMs(index_build_ms) +
                     " bgp=" + FormatMs(bgp_ms) +
+                    " filter=" + FormatMs(filter_ms) +
                     " group_agg=" + FormatMs(group_agg_ms) +
                     " projection=" + FormatMs(projection_ms) +
                     " morsels=" + std::to_string(morsel_count) +
@@ -112,6 +116,7 @@ struct ExecStats {
     s += ",\"total_ms\":" + JsonNum(total_ms);
     s += ",\"index_build_ms\":" + JsonNum(index_build_ms);
     s += ",\"bgp_ms\":" + JsonNum(bgp_ms);
+    s += ",\"filter_ms\":" + JsonNum(filter_ms);
     s += ",\"group_agg_ms\":" + JsonNum(group_agg_ms);
     s += ",\"projection_ms\":" + JsonNum(projection_ms);
     s += ",\"morsel_count\":" + std::to_string(morsel_count);

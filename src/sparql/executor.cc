@@ -5,8 +5,11 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
+#include <span>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/metrics.h"
@@ -51,82 +54,240 @@ void CollectAggregates(const Expr& e, std::vector<const Expr*>* out) {
   }
 }
 
-/// Computes one aggregate over the rows of a group.
-Value ComputeAggregate(const Expr& agg, const std::vector<Binding>& rows,
-                       const EvalContext& ctx) {
+/// Computes one aggregate over a group: `members` indexes its rows in
+/// `rows`, in input order. `arg` is the aggregate's lowered argument (null
+/// for COUNT(*)); `scope` lists the slots of the query's in-scope
+/// variables, over which COUNT(DISTINCT *) tells solutions apart.
+Value ComputeAggregate(const Expr& agg, const CompiledExpr* arg,
+                       const std::vector<Binding>& rows,
+                       std::span<const uint32_t> members,
+                       const std::vector<int>& scope, const EvalContext& ctx) {
   if (agg.agg_star) {
-    // COUNT(*), possibly DISTINCT (over whole rows; DISTINCT * is rare).
-    return Value::Int(static_cast<int64_t>(rows.size()));
-  }
-  const Expr& arg = *agg.args[0];
-  std::vector<Value> values;
-  values.reserve(rows.size());
-  std::set<std::string> seen;
-  for (const Binding& row : rows) {
-    Value v = EvalExpr(arg, row, ctx);
-    if (v.is_unbound()) continue;
-    if (agg.agg_distinct) {
-      std::string key = v.ToTerm().ToNTriples();
-      if (!seen.insert(key).second) continue;
+    if (!agg.agg_distinct) {
+      return Value::Int(static_cast<int64_t>(members.size()));
     }
-    values.push_back(std::move(v));
+    std::set<std::vector<TermId>> solutions;
+    for (uint32_t r : members) {
+      std::vector<TermId> solution;
+      solution.reserve(scope.size());
+      for (int slot : scope) solution.push_back(rows[r][slot]);
+      solutions.insert(std::move(solution));
+    }
+    return Value::Int(static_cast<int64_t>(solutions.size()));
   }
-  switch (agg.agg) {
-    case AggFunc::kCount:
-      return Value::Int(static_cast<int64_t>(values.size()));
-    case AggFunc::kSum: {
-      bool all_int = true;
-      double sum = 0;
-      int64_t isum = 0;
-      for (const Value& v : values) {
+  const std::optional<int> slot = arg->VariableSlot();
+  if (agg.agg == AggFunc::kCount && !agg.agg_distinct && slot.has_value()) {
+    // A bound variable never evaluates to an error, so COUNT(?v) counts
+    // bound slots without reading their terms.
+    size_t bound = 0;
+    for (uint32_t r : members) {
+      const Binding& row = rows[r];
+      bound += *slot >= 0 && static_cast<size_t>(*slot) < row.size() &&
+               row[*slot] != kNoTermId;
+    }
+    return Value::Int(static_cast<int64_t>(bound));
+  }
+  // One pass over the group's values in row order: each aggregate is a left
+  // fold, so this gives what folding a collected list would.
+  std::set<std::string> seen;
+  size_t count = 0;
+  bool all_int = true;
+  double sum = 0;
+  int64_t isum = 0;
+  Value best;  // MIN / MAX / SAMPLE
+  std::string concat;
+  for (uint32_t r : members) {
+    Value v = arg->Eval(rows[r], ctx);
+    if (v.is_unbound()) continue;
+    if (agg.agg_distinct && !seen.insert(v.ToTerm().ToNTriples()).second) {
+      continue;
+    }
+    ++count;
+    switch (agg.agg) {
+      case AggFunc::kCount:
+        break;
+      case AggFunc::kSum:
+      case AggFunc::kAvg: {
         auto n = v.AsNumeric();
         if (!n.has_value()) return Value::Unbound();
         sum += *n;
+        if (agg.agg == AggFunc::kAvg) break;
         if (v.kind() == Value::Kind::kInt) {
           isum += v.int_value();
         } else {
           all_int = false;
         }
+        break;
       }
-      return all_int ? Value::Int(isum) : Value::Double(sum);
-    }
-    case AggFunc::kAvg: {
-      if (values.empty()) return Value::Unbound();
-      double sum = 0;
-      for (const Value& v : values) {
-        auto n = v.AsNumeric();
-        if (!n.has_value()) return Value::Unbound();
-        sum += *n;
-      }
-      return Value::Double(sum / static_cast<double>(values.size()));
-    }
-    case AggFunc::kMin:
-    case AggFunc::kMax: {
-      if (values.empty()) return Value::Unbound();
-      const Value* best = &values[0];
-      for (size_t i = 1; i < values.size(); ++i) {
-        auto c = Value::Compare(values[i], *best);
-        if (!c.has_value()) continue;
-        if ((agg.agg == AggFunc::kMin && *c < 0) ||
-            (agg.agg == AggFunc::kMax && *c > 0)) {
-          best = &values[i];
+      case AggFunc::kMin:
+      case AggFunc::kMax: {
+        if (count == 1) {
+          best = std::move(v);
+          break;
         }
+        auto c = Value::Compare(v, best);
+        if (c.has_value() && ((agg.agg == AggFunc::kMin && *c < 0) ||
+                              (agg.agg == AggFunc::kMax && *c > 0))) {
+          best = std::move(v);
+        }
+        break;
       }
-      return *best;
+      case AggFunc::kGroupConcat:
+        if (count > 1) concat += agg.agg_separator;
+        concat += v.AsString();
+        break;
+      case AggFunc::kSample:
+        if (count == 1) best = std::move(v);
+        break;
     }
-    case AggFunc::kGroupConcat: {
-      std::string out;
-      for (size_t i = 0; i < values.size(); ++i) {
-        if (i > 0) out += agg.agg_separator;
-        out += values[i].AsString();
-      }
-      return Value::String(std::move(out));
-    }
+  }
+  switch (agg.agg) {
+    case AggFunc::kCount:
+      return Value::Int(static_cast<int64_t>(count));
+    case AggFunc::kSum:
+      return all_int ? Value::Int(isum) : Value::Double(sum);
+    case AggFunc::kAvg:
+      if (count == 0) return Value::Unbound();
+      return Value::Double(sum / static_cast<double>(count));
+    case AggFunc::kMin:
+    case AggFunc::kMax:
     case AggFunc::kSample:
-      return values.empty() ? Value::Unbound() : values[0];
+      return best;  // unbound over no values
+    case AggFunc::kGroupConcat:
+      return Value::String(std::move(concat));
   }
   return Value::Unbound();
 }
+
+// ---- GROUP BY on id tuples ------------------------------------------------
+//
+// A group is a tuple of rendered key values: the N-Triples form of each
+// GROUP BY value, "\x01unbound" when unbound. Those strings decide which
+// rows share a group, and groups come out in std::map order of the string
+// tuples. Each distinct string gets one integer code, rows hash on their
+// tuple of codes, and only the finished groups are sorted, by their codes'
+// strings. Two ids can render alike (FromTerm/ToTerm canonicalises
+// "05"^^xsd:int and "5"^^xsd:integer alike), so codes come from the
+// strings, not the ids.
+
+/// Maps rows to key codes, one per GROUP BY expression. A key that reads a
+/// single variable, e.g. ?m or YEAR(?d), is evaluated and rendered once per
+/// distinct id of that variable; keys reading several variables (or an
+/// EXISTS) once per row.
+class GroupKeyCoder {
+ public:
+  GroupKeyCoder(const std::vector<ExprPtr>& group_by, const VarTable& vars) {
+    for (const ExprPtr& g : group_by) {
+      std::set<std::string> names;
+      g->CollectVars(&names);
+      int dep = kNoDep;  // reads no variable: one value for every row
+      if (g->ContainsExists() || names.size() > 1) {
+        dep = kPerRow;
+      } else if (names.size() == 1) {
+        dep = vars.Find(*names.begin());  // -1 (kNoDep): never bound
+      }
+      keys_.push_back(Key{CompiledExpr(*g, vars), dep, {}});
+    }
+  }
+
+  size_t width() const { return keys_.size(); }
+
+  /// Writes the key codes of `row` to code[0 .. width()).
+  void Encode(const Binding& row, const EvalContext& ctx, uint32_t* code) {
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      Key& key = keys_[k];
+      if (key.dep == kPerRow) {
+        code[k] = CodeOf(key.expr.Eval(row, ctx));
+        continue;
+      }
+      const TermId id =
+          key.dep >= 0 && static_cast<size_t>(key.dep) < row.size()
+              ? row[key.dep]
+              : kNoTermId;
+      auto [it, fresh] = key.memo.try_emplace(id, 0);
+      if (fresh) it->second = CodeOf(key.expr.Eval(row, ctx));
+      code[k] = it->second;
+    }
+  }
+
+  /// The rendered key value a code stands for.
+  const std::string& Rendered(uint32_t code) const { return *rendered_[code]; }
+
+ private:
+  static constexpr int kNoDep = -1;
+  static constexpr int kPerRow = -2;
+  struct Key {
+    CompiledExpr expr;
+    int dep;  ///< slot the key reads, kNoDep or kPerRow
+    std::unordered_map<TermId, uint32_t> memo;  ///< by id of `dep`
+  };
+
+  uint32_t CodeOf(const Value& v) {
+    std::string text =
+        v.is_unbound() ? std::string("\x01unbound") : v.ToTerm().ToNTriples();
+    auto [it, fresh] = codes_.try_emplace(
+        std::move(text), static_cast<uint32_t>(rendered_.size()));
+    if (fresh) rendered_.push_back(&it->first);
+    return it->second;
+  }
+
+  std::vector<Key> keys_;
+  std::unordered_map<std::string, uint32_t> codes_;
+  std::vector<const std::string*> rendered_;  ///< by code; keys of codes_
+};
+
+/// Open-addressing table from key-code tuples (`width` codes each) to dense
+/// group indexes, assigned in order of first appearance.
+class GroupTable {
+ public:
+  explicit GroupTable(size_t width) : width_(width), slots_(16, kEmpty) {}
+
+  uint32_t FindOrAdd(const uint32_t* key) {
+    if (2 * (size() + 1) > slots_.size()) Grow();
+    size_t h = Hash(key) & (slots_.size() - 1);
+    while (true) {
+      const uint32_t g = slots_[h];
+      if (g == kEmpty) {
+        slots_[h] = static_cast<uint32_t>(count_++);
+        keys_.insert(keys_.end(), key, key + width_);
+        return slots_[h];
+      }
+      if (std::equal(key, key + width_, keys_.data() + g * width_)) return g;
+      h = (h + 1) & (slots_.size() - 1);
+    }
+  }
+
+  size_t size() const { return count_; }
+  const uint32_t* key(size_t g) const { return keys_.data() + g * width_; }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  size_t Hash(const uint32_t* key) const {
+    uint64_t h = 0x9E3779B97F4A7C15ull;
+    for (size_t i = 0; i < width_; ++i) {
+      h = (h ^ key[i]) * 0xBF58476D1CE4E5B9ull;
+      h ^= h >> 31;
+    }
+    return static_cast<size_t>(h);
+  }
+
+  void Grow() {
+    std::vector<uint32_t> old = std::move(slots_);
+    slots_.assign(old.size() * 2, kEmpty);
+    for (uint32_t g : old) {
+      if (g == kEmpty) continue;
+      size_t h = Hash(key(g)) & (slots_.size() - 1);
+      while (slots_[h] != kEmpty) h = (h + 1) & (slots_.size() - 1);
+      slots_[h] = g;
+    }
+  }
+
+  size_t width_;
+  size_t count_ = 0;
+  std::vector<uint32_t> keys_;
+  std::vector<uint32_t> slots_;
+};
 
 /// Engine-level per-query metrics, ticked exactly once per Execute() call
 /// (the endpoint layer keeps its own admission/cache metrics — recording
@@ -230,12 +391,16 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
         auto res = EvalPattern(probe, &local, {row});
         return res.ok() && !res.value().empty();
       };
-  EvalContext ctx{&graph_->terms(), vars, nullptr, &exists_fn};
+  EvalContext ctx{.terms = &graph_->terms(), .vars = vars,
+                  .exists_eval = &exists_fn};
 
   // Applies every not-yet-run filter whose variables are all certainly
   // bound. EXISTS filters always wait for the end (their subpattern scope
-  // may mention anything).
+  // may mention anything). Each filter is lowered when it runs, against the
+  // slots allocated by then.
   auto apply_ready_filters = [&](bool at_end) {
+    std::optional<TraceSpan> span;
+    std::chrono::steady_clock::time_point start;
     for (PendingFilter& f : filters) {
       if (f.done) continue;
       if (!at_end) {
@@ -249,14 +414,25 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
         }
         if (!ready) continue;
       }
-      std::vector<Binding> next;
-      next.reserve(rows.size());
-      for (Binding& row : rows) {
-        auto b = EvalExpr(*f.el->filter, row, ctx).EffectiveBool();
-        if (b.has_value() && *b) next.push_back(std::move(row));
+      if (!span.has_value()) {
+        start = std::chrono::steady_clock::now();
+        span.emplace(ctx_.tracer(), "filter");
+        span->Arg("input_rows", static_cast<uint64_t>(rows.size()));
       }
-      rows = std::move(next);
+      const CompiledExpr filter(*f.el->filter, *vars);
+      size_t kept = 0;
+      for (size_t r = 0; r < rows.size(); ++r) {
+        auto b = filter.Eval(rows[r], ctx).EffectiveBool();
+        if (!b.has_value() || !*b) continue;
+        if (kept != r) rows[kept] = std::move(rows[r]);
+        ++kept;
+      }
+      rows.resize(kept);
       f.done = true;
+    }
+    if (span.has_value()) {
+      span->Arg("output_rows", static_cast<uint64_t>(rows.size()));
+      stats_.filter_ms += MsSince(start);
     }
   };
 
@@ -342,8 +518,9 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
       case PatternElement::Kind::kBind: {
         int slot = vars->IdOf(el.bind_var);
         grow_rows();
+        const CompiledExpr bind(*el.bind_expr, *vars);
         for (Binding& row : rows) {
-          Value v = EvalExpr(*el.bind_expr, row, ctx);
+          Value v = bind.Eval(row, ctx);
           if (!v.is_unbound()) {
             row[slot] = graph_->terms().Intern(v.ToTerm());
           }
@@ -533,7 +710,7 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
   RDFA_ASSIGN_OR_RETURN(std::vector<Binding> rows,
                         EvalPattern(query.where, &vars, {}));
 
-  EvalContext ctx{&graph_->terms(), &vars, nullptr};
+  EvalContext ctx{.terms = &graph_->terms(), .vars = &vars};
 
   // Resolve the projection list.
   std::vector<Projection> projections = query.projections;
@@ -561,6 +738,19 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
       }(),
       graph_->shared_terms());
 
+  // All aggregate nodes used anywhere downstream; a group's values are held
+  // parallel to this list.
+  std::vector<const Expr*> agg_nodes;
+  if (has_aggregate) {
+    for (const Projection& p : projections) {
+      if (p.expr != nullptr) CollectAggregates(*p.expr, &agg_nodes);
+    }
+    for (const ExprPtr& h : query.having) CollectAggregates(*h, &agg_nodes);
+    for (const OrderKey& k : query.order_by) {
+      CollectAggregates(*k.expr, &agg_nodes);
+    }
+  }
+
   // Rows that survive to ordering: output cells + context for ORDER BY.
   // Cells stay dictionary ids (or kUnboundCell); a computed value lives in
   // the row's own `computed` list, named by kOverflowBit | its index there,
@@ -571,10 +761,16 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
     std::vector<Cell> cells;
     std::vector<Term> computed;
     Binding binding;
-    std::map<const Expr*, Value> agg_values;
+    std::vector<Value> agg_values;  ///< parallel to agg_nodes
   };
   std::vector<OutRow> out_rows;
   const rdf::TermTable& dict = graph_->terms();
+  auto row_ctx = [&](const OutRow& r) {
+    EvalContext rctx = ctx;
+    rctx.agg_nodes = &agg_nodes;
+    rctx.agg_values = r.agg_values.data();
+    return rctx;
+  };
   auto push_computed = [](OutRow* r, Term t) {
     r->computed.push_back(std::move(t));
     r->cells.push_back(ResultTable::kOverflowBit |
@@ -588,15 +784,19 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
     return dict.Get(c);
   };
   std::vector<int> proj_slots;
+  std::vector<std::optional<CompiledExpr>> proj_exprs;
   proj_slots.reserve(projections.size());
+  proj_exprs.reserve(projections.size());
   for (const Projection& p : projections) {
     proj_slots.push_back(p.expr == nullptr ? vars.Find(p.var) : -1);
+    proj_exprs.emplace_back();
+    if (p.expr != nullptr) proj_exprs.back().emplace(*p.expr, vars);
   }
   auto project = [&](const Binding& b, const EvalContext& ectx, OutRow* r) {
     r->cells.reserve(projections.size());
     for (size_t i = 0; i < projections.size(); ++i) {
-      if (projections[i].expr != nullptr) {
-        Value v = EvalExpr(*projections[i].expr, b, ectx);
+      if (proj_exprs[i].has_value()) {
+        Value v = proj_exprs[i]->Eval(b, ectx);
         if (v.is_unbound()) {
           r->cells.push_back(ResultTable::kUnboundCell);
         } else {
@@ -622,89 +822,93 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
     auto agg_start = std::chrono::steady_clock::now();
     TraceSpan agg_span(ctx_.tracer(), "group-aggregate");
     agg_span.Arg("input_rows", static_cast<uint64_t>(rows.size()));
-    // Group rows by the GROUP BY key. With a thread budget, morsels of rows
-    // build per-morsel partial hash tables that are merged in morsel order,
-    // so every group's row list matches the serial order exactly (this is
-    // what keeps non-commutative-looking aggregates like GROUP_CONCAT and
-    // floating-point SUM byte-identical to the serial path).
-    using GroupMap = std::map<std::vector<std::string>, std::vector<Binding>>;
-    GroupMap groups;
-    if (rows.empty() && query.group_by.empty()) {
-      groups[{}] = {};  // aggregates over the empty solution: one group
+    // Assign every row its group (see GroupKeyCoder); without GROUP BY all
+    // rows, or none, form the one group.
+    GroupKeyCoder coder(query.group_by, vars);
+    GroupTable table(coder.width());
+    std::vector<uint32_t> key(coder.width());
+    std::vector<uint32_t> row_group(rows.size());
+    if (query.group_by.empty()) table.FindOrAdd(key.data());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      if ((r + 1) % kParallelRowThreshold == 0 && ctx_.ShouldStop()) {
+        return ctx_.Check("group-aggregate");
+      }
+      coder.Encode(rows[r], ctx, key.data());
+      row_group[r] = table.FindOrAdd(key.data());
     }
-    auto key_of = [&](const Binding& row) {
-      std::vector<std::string> key;
-      key.reserve(query.group_by.size());
-      for (const ExprPtr& g : query.group_by) {
-        Value v = EvalExpr(*g, row, ctx);
-        key.push_back(v.is_unbound() ? std::string("\x01unbound")
-                                     : v.ToTerm().ToNTriples());
-      }
-      return key;
-    };
-    if (threads_ > 1 && rows.size() >= kParallelRowThreshold) {
-      auto morsels =
-          Morsels(rows.size(), static_cast<size_t>(threads_) * kMorselsPerThread,
-                  kMinMorselRows);
-      std::vector<GroupMap> parts(morsels.size());
-      ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-        if (ctx_.ShouldStop()) return;  // abandon; trip reported below
-        auto [lo, hi] = morsels[m];
-        for (size_t r = lo; r < hi; ++r) {
-          parts[m][key_of(rows[r])].push_back(std::move(rows[r]));
-        }
-      });
-      RDFA_RETURN_NOT_OK(ctx_.Check("group-aggregate"));
-      for (GroupMap& part : parts) {
-        for (auto& [key, part_rows] : part) {
-          std::vector<Binding>& dst = groups[key];
-          for (Binding& b : part_rows) dst.push_back(std::move(b));
-        }
-      }
-      stats_.morsel_count += morsels.size();
-    } else {
-      size_t r = 0;
-      for (Binding& row : rows) {
-        if (++r % kParallelRowThreshold == 0 && ctx_.ShouldStop()) {
-          return ctx_.Check("group-aggregate");
-        }
-        groups[key_of(row)].push_back(std::move(row));
+    // Each group's rows, in input order, as one slice of `members`.
+    const size_t n_groups = table.size();
+    std::vector<uint32_t> group_begin(n_groups + 1, 0);
+    for (uint32_t g : row_group) ++group_begin[g + 1];
+    for (size_t g = 0; g < n_groups; ++g) {
+      group_begin[g + 1] += group_begin[g];
+    }
+    std::vector<uint32_t> members(rows.size());
+    {
+      std::vector<uint32_t> fill(group_begin.begin(), group_begin.end() - 1);
+      for (size_t r = 0; r < rows.size(); ++r) {
+        members[fill[row_group[r]]++] = static_cast<uint32_t>(r);
       }
     }
+    // Output order: the finished groups sorted by their rendered keys.
+    std::vector<uint32_t> group_order(n_groups);
+    std::iota(group_order.begin(), group_order.end(), 0);
+    std::sort(group_order.begin(), group_order.end(),
+              [&](uint32_t a, uint32_t b) {
+                const uint32_t* ka = table.key(a);
+                const uint32_t* kb = table.key(b);
+                for (size_t i = 0; i < coder.width(); ++i) {
+                  if (ka[i] == kb[i]) continue;
+                  return coder.Rendered(ka[i]) < coder.Rendered(kb[i]);
+                }
+                return false;
+              });
 
-    // All aggregate nodes used anywhere downstream.
-    std::vector<const Expr*> agg_nodes;
-    for (const Projection& p : projections) {
-      if (p.expr != nullptr) CollectAggregates(*p.expr, &agg_nodes);
+    std::vector<std::optional<CompiledExpr>> agg_args;
+    agg_args.reserve(agg_nodes.size());
+    for (const Expr* node : agg_nodes) {
+      agg_args.emplace_back();
+      if (!node->agg_star) agg_args.back().emplace(*node->args[0], vars);
     }
-    for (const ExprPtr& h : query.having) CollectAggregates(*h, &agg_nodes);
-    for (const OrderKey& k : query.order_by) {
-      CollectAggregates(*k.expr, &agg_nodes);
+    std::vector<CompiledExpr> having;
+    having.reserve(query.having.size());
+    for (const ExprPtr& h : query.having) having.emplace_back(*h, vars);
+    // COUNT(DISTINCT *) tells solutions apart by the in-scope variables.
+    std::vector<int> scope;
+    for (size_t i = 0; i < vars.size(); ++i) {
+      if (!IsInternalVarName(vars.names()[i])) {
+        scope.push_back(static_cast<int>(i));
+      }
     }
 
     // Aggregate + HAVING per group. Groups are independent, so morsels of
     // groups run in parallel; results land in pre-sized slots and survivors
-    // are appended in group (map) order — deterministic.
-    std::vector<std::vector<Binding>*> group_rows_list;
-    group_rows_list.reserve(groups.size());
-    for (auto& [key, group_rows] : groups) group_rows_list.push_back(&group_rows);
+    // are appended in output order — deterministic. Each group's rows are
+    // read in input order, which keeps order-sensitive aggregates
+    // (floating-point SUM, GROUP_CONCAT) byte-identical to a serial pass.
     struct GroupOut {
       OutRow row;
       bool keep = false;
     };
-    std::vector<GroupOut> gout(group_rows_list.size());
+    std::vector<GroupOut> gout(n_groups);
     auto compute_group = [&](size_t gi) {
-      std::vector<Binding>& group_rows = *group_rows_list[gi];
+      const uint32_t g = group_order[gi];
+      const std::span<const uint32_t> group_rows(
+          members.data() + group_begin[g], group_begin[g + 1] - group_begin[g]);
       Binding rep = group_rows.empty() ? Binding(vars.size(), kNoTermId)
-                                       : group_rows.front();
-      std::map<const Expr*, Value> agg_values;
-      for (const Expr* node : agg_nodes) {
-        agg_values[node] = ComputeAggregate(*node, group_rows, ctx);
+                                       : rows[group_rows.front()];
+      std::vector<Value> agg_values;
+      agg_values.reserve(agg_nodes.size());
+      for (size_t a = 0; a < agg_nodes.size(); ++a) {
+        agg_values.push_back(ComputeAggregate(
+            *agg_nodes[a], agg_args[a].has_value() ? &*agg_args[a] : nullptr,
+            rows, group_rows, scope, ctx));
       }
-      EvalContext gctx{&graph_->terms(), &vars, &agg_values};
-      // HAVING.
-      for (const ExprPtr& h : query.having) {
-        auto b = EvalExpr(*h, rep, gctx).EffectiveBool();
+      EvalContext gctx = ctx;
+      gctx.agg_nodes = &agg_nodes;
+      gctx.agg_values = agg_values.data();
+      for (const CompiledExpr& h : having) {
+        auto b = h.Eval(rep, gctx).EffectiveBool();
         if (!b.has_value() || !*b) return;
       }
       GroupOut& go = gout[gi];
@@ -712,8 +916,8 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
       go.row.binding = std::move(rep);
       go.row.agg_values = std::move(agg_values);
     };
-    if (threads_ > 1 && group_rows_list.size() >= 2) {
-      auto morsels = Morsels(group_rows_list.size(),
+    if (threads_ > 1 && n_groups >= 2) {
+      auto morsels = Morsels(n_groups,
                              static_cast<size_t>(threads_) * kMorselsPerThread,
                              /*min_grain=*/1);
       ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
@@ -729,7 +933,7 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
       RDFA_RETURN_NOT_OK(ctx_.Check("group-aggregate"));
       stats_.morsel_count += morsels.size();
     } else {
-      for (size_t gi = 0; gi < group_rows_list.size(); ++gi) {
+      for (size_t gi = 0; gi < n_groups; ++gi) {
         RDFA_RETURN_NOT_OK(ctx_.Check("group-aggregate"));
         compute_group(gi);
       }
@@ -737,6 +941,7 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
     for (GroupOut& go : gout) {
       if (go.keep) out_rows.push_back(std::move(go.row));
     }
+    std::vector<Binding>().swap(rows);  // the groups kept what they need
     stats_.group_agg_ms += MsSince(agg_start);
     agg_span.Arg("output_rows", static_cast<uint64_t>(out_rows.size()));
   }
@@ -751,10 +956,7 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
                                     has_aggregate ? out_rows.size()
                                                   : rows.size()));
     if (has_aggregate) {
-      for (OutRow& r : out_rows) {
-        EvalContext rctx{&graph_->terms(), &vars, &r.agg_values};
-        project(r.binding, rctx, &r);
-      }
+      for (OutRow& r : out_rows) project(r.binding, row_ctx(r), &r);
     } else {
       out_rows.resize(rows.size());
       auto project_row = [&](size_t r) {
@@ -787,7 +989,13 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
 
   // ORDER BY.
   if (!query.order_by.empty()) {
-    auto key_value = [&](const OutRow& r, const OrderKey& k) -> Value {
+    std::vector<CompiledExpr> order_exprs;
+    order_exprs.reserve(query.order_by.size());
+    for (const OrderKey& k : query.order_by) {
+      order_exprs.emplace_back(*k.expr, vars);
+    }
+    auto key_value = [&](const OutRow& r, size_t i) -> Value {
+      const OrderKey& k = query.order_by[i];
       // An alias referring to an output column takes precedence.
       if (k.expr->kind == Expr::Kind::kVar) {
         int col = out.ColumnIndex(k.expr->var);
@@ -797,20 +1005,20 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
                                            : Value::FromTerm(t);
         }
       }
-      EvalContext octx{&graph_->terms(), &vars, &r.agg_values};
-      return EvalExpr(*k.expr, r.binding, octx);
+      return order_exprs[i].Eval(r.binding, row_ctx(r));
     };
     std::stable_sort(out_rows.begin(), out_rows.end(),
                      [&](const OutRow& a, const OutRow& b) {
-                       for (const OrderKey& k : query.order_by) {
-                         Value va = key_value(a, k);
-                         Value vb = key_value(b, k);
+                       for (size_t i = 0; i < query.order_by.size(); ++i) {
+                         const bool ascending = query.order_by[i].ascending;
+                         Value va = key_value(a, i);
+                         Value vb = key_value(b, i);
                          if (va.is_unbound() && vb.is_unbound()) continue;
-                         if (va.is_unbound()) return k.ascending;
-                         if (vb.is_unbound()) return !k.ascending;
+                         if (va.is_unbound()) return ascending;
+                         if (vb.is_unbound()) return !ascending;
                          auto c = Value::Compare(va, vb);
                          if (!c.has_value() || *c == 0) continue;
-                         return k.ascending ? *c < 0 : *c > 0;
+                         return ascending ? *c < 0 : *c > 0;
                        }
                        return false;
                      });

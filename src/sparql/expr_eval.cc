@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <regex>
+#include <span>
 
 #include "common/string_util.h"
 #include "rdf/namespaces.h"
@@ -26,19 +27,33 @@ int VarTable::Find(const std::string& name) const {
 
 namespace {
 
-Value EvalVar(const Expr& e, const Binding& binding, const EvalContext& ctx) {
-  int slot = ctx.vars->Find(e.var);
-  if (slot < 0 || static_cast<size_t>(slot) >= binding.size() ||
-      binding[slot] == rdf::kNoTermId) {
-    return Value::Unbound();
+// Operators, parsed once per node by the lowering and per evaluation by the
+// interpreter; the Apply* functions below are the one implementation of
+// each operator that both evaluators call.
+enum class Op : uint8_t {
+  kNot, kNeg,                              // unary
+  kOr, kAnd,                               // three-valued logic
+  kEq, kNe, kLt, kLe, kGt, kGe,            // comparison
+  kAdd, kSub, kMul, kDiv,                  // arithmetic
+  kUnknown,                                // evaluates to an error
+};
+
+// Anything but "!" is unary minus (the parser only produces the two).
+Op UnaryOp(const std::string& op) { return op == "!" ? Op::kNot : Op::kNeg; }
+
+Op BinaryOp(const std::string& op) {
+  static const std::pair<const char*, Op> kOps[] = {
+      {"||", Op::kOr}, {"&&", Op::kAnd}, {"=", Op::kEq},  {"!=", Op::kNe},
+      {"<", Op::kLt},  {"<=", Op::kLe},  {">", Op::kGt},  {">=", Op::kGe},
+      {"+", Op::kAdd}, {"-", Op::kSub},  {"*", Op::kMul}, {"/", Op::kDiv}};
+  for (const auto& [name, code] : kOps) {
+    if (op == name) return code;
   }
-  return Value::FromTerm(ctx.terms->Get(binding[slot]));
+  return Op::kUnknown;
 }
 
-Value EvalUnary(const Expr& e, const Binding& binding,
-                const EvalContext& ctx) {
-  Value a = EvalExpr(*e.args[0], binding, ctx);
-  if (e.op == "!") {
+Value ApplyUnary(Op op, const Value& a) {
+  if (op == Op::kNot) {
     auto b = a.EffectiveBool();
     if (!b.has_value()) return Value::Unbound();
     return Value::Bool(!*b);
@@ -50,67 +65,86 @@ Value EvalUnary(const Expr& e, const Binding& binding,
   return Value::Double(-*n);
 }
 
-Value NumericBinary(const std::string& op, const Value& a, const Value& b) {
+// || and && over effective boolean values, errors (nullopt) included: an
+// error operand only decides the result when the other cannot.
+Value ApplyLogic(Op op, std::optional<bool> a, std::optional<bool> b) {
+  if (op == Op::kOr) {
+    if ((a.has_value() && *a) || (b.has_value() && *b)) {
+      return Value::Bool(true);
+    }
+    if (a.has_value() && b.has_value()) return Value::Bool(false);
+    return Value::Unbound();
+  }
+  if ((a.has_value() && !*a) || (b.has_value() && !*b)) {
+    return Value::Bool(false);
+  }
+  if (a.has_value() && b.has_value()) return Value::Bool(true);
+  return Value::Unbound();
+}
+
+// Comparison and arithmetic (every binary operator but || and &&).
+Value ApplyBinary(Op op, const Value& a, const Value& b) {
+  switch (op) {
+    case Op::kEq:
+    case Op::kNe: {
+      auto eq = Value::Equals(a, b);
+      if (!eq.has_value()) return Value::Unbound();
+      return Value::Bool(op == Op::kEq ? *eq : !*eq);
+    }
+    case Op::kLt:
+    case Op::kLe:
+    case Op::kGt:
+    case Op::kGe: {
+      auto c = Value::Compare(a, b);
+      if (!c.has_value()) return Value::Unbound();
+      if (op == Op::kLt) return Value::Bool(*c < 0);
+      if (op == Op::kLe) return Value::Bool(*c <= 0);
+      if (op == Op::kGt) return Value::Bool(*c > 0);
+      return Value::Bool(*c >= 0);
+    }
+    default:
+      break;
+  }
   auto na = a.AsNumeric();
   auto nb = b.AsNumeric();
   if (!na.has_value() || !nb.has_value()) return Value::Unbound();
   bool both_int =
       a.kind() == Value::Kind::kInt && b.kind() == Value::Kind::kInt;
-  if (op == "+") {
-    return both_int ? Value::Int(a.int_value() + b.int_value())
-                    : Value::Double(*na + *nb);
+  switch (op) {
+    case Op::kAdd:
+      return both_int ? Value::Int(a.int_value() + b.int_value())
+                      : Value::Double(*na + *nb);
+    case Op::kSub:
+      return both_int ? Value::Int(a.int_value() - b.int_value())
+                      : Value::Double(*na - *nb);
+    case Op::kMul:
+      return both_int ? Value::Int(a.int_value() * b.int_value())
+                      : Value::Double(*na * *nb);
+    case Op::kDiv:
+      if (*nb == 0) return Value::Unbound();
+      return Value::Double(*na / *nb);
+    default:
+      return Value::Unbound();
   }
-  if (op == "-") {
-    return both_int ? Value::Int(a.int_value() - b.int_value())
-                    : Value::Double(*na - *nb);
-  }
-  if (op == "*") {
-    return both_int ? Value::Int(a.int_value() * b.int_value())
-                    : Value::Double(*na * *nb);
-  }
-  if (op == "/") {
-    if (*nb == 0) return Value::Unbound();
-    return Value::Double(*na / *nb);
-  }
-  return Value::Unbound();
 }
 
-Value EvalBinary(const Expr& e, const Binding& binding,
-                 const EvalContext& ctx) {
-  const std::string& op = e.op;
-  if (op == "||" || op == "&&") {
-    auto a = EvalExpr(*e.args[0], binding, ctx).EffectiveBool();
-    auto b = EvalExpr(*e.args[1], binding, ctx).EffectiveBool();
-    if (op == "||") {
-      if ((a.has_value() && *a) || (b.has_value() && *b)) {
-        return Value::Bool(true);
-      }
-      if (a.has_value() && b.has_value()) return Value::Bool(false);
-      return Value::Unbound();
-    }
-    if ((a.has_value() && !*a) || (b.has_value() && !*b)) {
-      return Value::Bool(false);
-    }
-    if (a.has_value() && b.has_value()) return Value::Bool(true);
-    return Value::Unbound();
+// [NOT] IN: `candidate(i)` evaluates the i-th of `n` candidates, lazily —
+// the first equal one decides.
+template <typename Candidate>
+Value ApplyIn(bool negated, const Value& probe, size_t n,
+              Candidate&& candidate) {
+  if (probe.is_unbound()) return Value::Unbound();
+  for (size_t i = 0; i < n; ++i) {
+    auto eq = Value::Equals(probe, candidate(i));
+    if (eq.has_value() && *eq) return Value::Bool(!negated);
   }
+  return Value::Bool(negated);
+}
 
-  Value a = EvalExpr(*e.args[0], binding, ctx);
-  Value b = EvalExpr(*e.args[1], binding, ctx);
-  if (op == "=" || op == "!=") {
-    auto eq = Value::Equals(a, b);
-    if (!eq.has_value()) return Value::Unbound();
-    return Value::Bool(op == "=" ? *eq : !*eq);
-  }
-  if (op == "<" || op == "<=" || op == ">" || op == ">=") {
-    auto c = Value::Compare(a, b);
-    if (!c.has_value()) return Value::Unbound();
-    if (op == "<") return Value::Bool(*c < 0);
-    if (op == "<=") return Value::Bool(*c <= 0);
-    if (op == ">") return Value::Bool(*c > 0);
-    return Value::Bool(*c >= 0);
-  }
-  return NumericBinary(op, a, b);
+// Calls that evaluate their arguments lazily (or not at all); they are not
+// lowered, so EvalCall is their only implementation.
+bool IsLazyCall(const std::string& name) {
+  return name == "BOUND" || name == "COALESCE" || name == "IF";
 }
 
 /// Translates SPARQL regex flags (17.4.3.14) to std::regex flags. Honored:
@@ -205,36 +239,18 @@ Value EvalDateComponent(const Value& v, int component) {
   return Value::Int(*c);
 }
 
-Value EvalCall(const Expr& e, const Binding& binding, const EvalContext& ctx) {
-  const std::string& name = e.call_name;
-
-  if (name == "BOUND") {
-    if (e.args.size() != 1 || e.args[0]->kind != Expr::Kind::kVar) {
-      return Value::Unbound();
-    }
-    int slot = ctx.vars->Find(e.args[0]->var);
-    bool bound = slot >= 0 && static_cast<size_t>(slot) < binding.size() &&
-                 binding[slot] != rdf::kNoTermId;
-    return Value::Bool(bound);
-  }
-  if (name == "COALESCE") {
-    for (const ExprPtr& a : e.args) {
-      Value v = EvalExpr(*a, binding, ctx);
-      if (!v.is_unbound()) return v;
-    }
+// `d` truncated to an integer value. NaN, the infinities and values outside
+// the int64 range are errors: converting them is undefined behaviour.
+Value TruncateToInt(double d) {
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
     return Value::Unbound();
   }
-  if (name == "IF") {
-    if (e.args.size() != 3) return Value::Unbound();
-    auto cond = EvalExpr(*e.args[0], binding, ctx).EffectiveBool();
-    if (!cond.has_value()) return Value::Unbound();
-    return EvalExpr(*e.args[*cond ? 1 : 2], binding, ctx);
-  }
+  return Value::Int(static_cast<int64_t>(d));
+}
 
-  // Remaining calls evaluate all arguments eagerly.
-  std::vector<Value> args;
-  args.reserve(e.args.size());
-  for (const ExprPtr& a : e.args) args.push_back(EvalExpr(*a, binding, ctx));
+// Every call but the lazy ones, over its already evaluated arguments.
+Value ApplyCall(const Expr& e, std::span<const Value> args) {
+  const std::string& name = e.call_name;
   for (const Value& v : args) {
     if (v.is_unbound() && name != "CONCAT") return Value::Unbound();
   }
@@ -276,7 +292,7 @@ Value EvalCall(const Expr& e, const Binding& binding, const EvalContext& ctx) {
     double r = name == "CEIL" ? std::ceil(*n)
                : name == "FLOOR" ? std::floor(*n)
                                  : std::round(*n);
-    return Value::Int(static_cast<int64_t>(r));
+    return TruncateToInt(r);
   }
   if (name == "CONCAT") {
     std::string out;
@@ -380,7 +396,7 @@ Value EvalCall(const Expr& e, const Binding& binding, const EvalContext& ctx) {
     namespace xsd = rdf::xsd;
     if (dt == xsd::kInteger || dt == xsd::kInt || dt == xsd::kLong) {
       auto n = args[0].AsNumeric();
-      if (n.has_value()) return Value::Int(static_cast<int64_t>(*n));
+      if (n.has_value()) return TruncateToInt(*n);
       char* end = nullptr;
       std::string s = args[0].AsString();
       long long parsed = std::strtoll(s.c_str(), &end, 10);
@@ -415,25 +431,76 @@ Value EvalCall(const Expr& e, const Binding& binding, const EvalContext& ctx) {
   return Value::Unbound();
 }
 
+Value EvalCall(const Expr& e, const Binding& binding, const EvalContext& ctx) {
+  const std::string& name = e.call_name;
+
+  if (name == "BOUND") {
+    if (e.args.size() != 1 || e.args[0]->kind != Expr::Kind::kVar) {
+      return Value::Unbound();
+    }
+    int slot = ctx.vars->Find(e.args[0]->var);
+    bool bound = slot >= 0 && static_cast<size_t>(slot) < binding.size() &&
+                 binding[slot] != rdf::kNoTermId;
+    return Value::Bool(bound);
+  }
+  if (name == "COALESCE") {
+    for (const ExprPtr& a : e.args) {
+      Value v = EvalExpr(*a, binding, ctx);
+      if (!v.is_unbound()) return v;
+    }
+    return Value::Unbound();
+  }
+  if (name == "IF") {
+    if (e.args.size() != 3) return Value::Unbound();
+    auto cond = EvalExpr(*e.args[0], binding, ctx).EffectiveBool();
+    if (!cond.has_value()) return Value::Unbound();
+    return EvalExpr(*e.args[*cond ? 1 : 2], binding, ctx);
+  }
+
+  std::vector<Value> args;
+  args.reserve(e.args.size());
+  for (const ExprPtr& a : e.args) args.push_back(EvalExpr(*a, binding, ctx));
+  return ApplyCall(e, args);
+}
+
+// The value of a bound slot: the dictionary term by reference, numerics
+// decoded in place.
+Value SlotValue(int slot, const Binding& binding, const EvalContext& ctx) {
+  if (slot < 0 || static_cast<size_t>(slot) >= binding.size() ||
+      binding[slot] == rdf::kNoTermId) {
+    return Value::Unbound();
+  }
+  return Value::Ref(ctx.terms->Get(binding[slot]));
+}
+
 }  // namespace
 
 Value EvalExpr(const Expr& expr, const Binding& binding,
                const EvalContext& ctx) {
   switch (expr.kind) {
     case Expr::Kind::kVar:
-      return EvalVar(expr, binding, ctx);
+      return SlotValue(ctx.vars->Find(expr.var), binding, ctx);
     case Expr::Kind::kTerm:
-      return Value::FromTerm(expr.term);
+      return Value::Ref(expr.term);
     case Expr::Kind::kUnary:
-      return EvalUnary(expr, binding, ctx);
-    case Expr::Kind::kBinary:
-      return EvalBinary(expr, binding, ctx);
+      return ApplyUnary(UnaryOp(expr.op),
+                        EvalExpr(*expr.args[0], binding, ctx));
+    case Expr::Kind::kBinary: {
+      const Op op = BinaryOp(expr.op);
+      Value a = EvalExpr(*expr.args[0], binding, ctx);
+      Value b = EvalExpr(*expr.args[1], binding, ctx);
+      if (op == Op::kOr || op == Op::kAnd) {
+        return ApplyLogic(op, a.EffectiveBool(), b.EffectiveBool());
+      }
+      return ApplyBinary(op, a, b);
+    }
     case Expr::Kind::kCall:
       return EvalCall(expr, binding, ctx);
     case Expr::Kind::kAggregate: {
-      if (ctx.agg_values != nullptr) {
-        auto it = ctx.agg_values->find(&expr);
-        if (it != ctx.agg_values->end()) return it->second;
+      if (ctx.agg_nodes != nullptr && ctx.agg_values != nullptr) {
+        for (size_t i = 0; i < ctx.agg_nodes->size(); ++i) {
+          if ((*ctx.agg_nodes)[i] == &expr) return ctx.agg_values[i];
+        }
       }
       return Value::Unbound();
     }
@@ -446,19 +513,115 @@ Value EvalExpr(const Expr& expr, const Binding& binding,
     }
     case Expr::Kind::kIn: {
       if (expr.args.empty()) return Value::Unbound();
-      Value probe = EvalExpr(*expr.args[0], binding, ctx);
-      if (probe.is_unbound()) return Value::Unbound();
-      for (size_t i = 1; i < expr.args.size(); ++i) {
-        Value cand = EvalExpr(*expr.args[i], binding, ctx);
-        auto eq = Value::Equals(probe, cand);
-        if (eq.has_value() && *eq) {
-          return Value::Bool(!expr.negated);
-        }
-      }
-      return Value::Bool(expr.negated);
+      return ApplyIn(expr.negated, EvalExpr(*expr.args[0], binding, ctx),
+                     expr.args.size() - 1, [&](size_t i) {
+                       return EvalExpr(*expr.args[i + 1], binding, ctx);
+                     });
     }
   }
   return Value::Unbound();
+}
+
+CompiledExpr::CompiledExpr(const Expr& expr, const VarTable& vars) {
+  root_ = Lower(expr, vars);
+}
+
+int CompiledExpr::Lower(const Expr& e, const VarTable& vars) {
+  Node node;
+  node.expr = &e;
+  auto lower_args = [&](size_t from) {
+    for (size_t i = from; i < e.args.size(); ++i) {
+      node.args.push_back(Lower(*e.args[i], vars));
+    }
+  };
+  switch (e.kind) {
+    case Expr::Kind::kVar:
+      node.kind = Kind::kSlot;
+      node.slot = vars.Find(e.var);
+      break;
+    case Expr::Kind::kTerm:
+      node.kind = Kind::kConst;
+      node.constant = Value::Ref(e.term);
+      break;
+    case Expr::Kind::kUnary:
+      node.kind = Kind::kUnary;
+      node.op = static_cast<uint8_t>(UnaryOp(e.op));
+      lower_args(0);
+      break;
+    case Expr::Kind::kBinary: {
+      const Op op = BinaryOp(e.op);
+      node.kind = op == Op::kOr || op == Op::kAnd ? Kind::kLogic
+                                                  : Kind::kBinary;
+      node.op = static_cast<uint8_t>(op);
+      lower_args(0);
+      break;
+    }
+    case Expr::Kind::kCall:
+      if (!IsLazyCall(e.call_name)) {
+        node.kind = Kind::kCall;
+        lower_args(0);
+      }
+      break;
+    case Expr::Kind::kIn:
+      if (!e.args.empty()) {
+        node.kind = Kind::kIn;
+        lower_args(0);
+      }
+      break;
+    case Expr::Kind::kAggregate:
+    case Expr::Kind::kExists:
+      break;  // kInterp
+  }
+  nodes_.push_back(std::move(node));
+  return static_cast<int>(nodes_.size()) - 1;
+}
+
+const Value& CompiledExpr::Operand(int n, const Binding& row,
+                                   const EvalContext& ctx,
+                                   Value* scratch) const {
+  if (nodes_[n].kind == Kind::kConst) return nodes_[n].constant;
+  *scratch = EvalNode(n, row, ctx);
+  return *scratch;
+}
+
+Value CompiledExpr::EvalNode(int n, const Binding& row,
+                             const EvalContext& ctx) const {
+  const Node& node = nodes_[n];
+  switch (node.kind) {
+    case Kind::kSlot:
+      return SlotValue(node.slot, row, ctx);
+    case Kind::kConst:
+      return node.constant;
+    case Kind::kUnary:
+      return ApplyUnary(static_cast<Op>(node.op),
+                        EvalNode(node.args[0], row, ctx));
+    case Kind::kLogic:
+      return ApplyLogic(static_cast<Op>(node.op),
+                        EvalNode(node.args[0], row, ctx).EffectiveBool(),
+                        EvalNode(node.args[1], row, ctx).EffectiveBool());
+    case Kind::kBinary: {
+      Value a_scratch, b_scratch;
+      const Value& a = Operand(node.args[0], row, ctx, &a_scratch);
+      const Value& b = Operand(node.args[1], row, ctx, &b_scratch);
+      return ApplyBinary(static_cast<Op>(node.op), a, b);
+    }
+    case Kind::kIn: {
+      Value scratch;
+      return ApplyIn(node.expr->negated, EvalNode(node.args[0], row, ctx),
+                     node.args.size() - 1, [&](size_t i) -> const Value& {
+                       return Operand(node.args[i + 1], row, ctx, &scratch);
+                     });
+    }
+    case Kind::kCall: {
+      std::vector<Value> args;
+      args.reserve(node.args.size());
+      for (int a : node.args) args.push_back(EvalNode(a, row, ctx));
+      return ApplyCall(*node.expr, args);
+    }
+    case Kind::kInterp:
+      break;
+  }
+  return EvalExpr(*node.expr, row, ctx);
 }
 
 }  // namespace rdfa::sparql

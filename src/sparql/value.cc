@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <string_view>
 
 #include "common/string_util.h"
 #include "rdf/namespaces.h"
@@ -40,9 +41,20 @@ Value Value::String(std::string s) {
 }
 
 Value Value::FromTerm(const Term& term) {
+  Value v = Ref(term);
+  if (v.term_ref_ != nullptr) {
+    v.term_ = term;
+    v.term_ref_ = nullptr;
+  }
+  return v;
+}
+
+Value Value::Ref(const Term& term) {
   namespace xsd = rdf::xsd;
   if (term.is_literal()) {
-    const std::string& dt = term.datatype();
+    // A view compares lengths before characters: most datatype IRIs differ
+    // from most of these in length, and all share a 33-character prefix.
+    const std::string_view dt = term.datatype();
     if (dt == xsd::kInteger || dt == xsd::kInt || dt == xsd::kLong) {
       char* end = nullptr;
       long long parsed = std::strtoll(term.lexical().c_str(), &end, 10);
@@ -58,7 +70,7 @@ Value Value::FromTerm(const Term& term) {
   }
   Value v;
   v.kind_ = Kind::kTerm;
-  v.term_ = term;
+  v.term_ref_ = &term;
   return v;
 }
 
@@ -73,7 +85,7 @@ Term Value::ToTerm() const {
     case Kind::kString:
       return Term::Literal(string_);
     case Kind::kTerm:
-      return term_;
+      return term();
     case Kind::kUnbound:
       break;
   }
@@ -91,8 +103,8 @@ std::optional<bool> Value::EffectiveBool() const {
     case Kind::kString:
       return !string_.empty();
     case Kind::kTerm:
-      if (term_.is_literal() && term_.datatype().empty()) {
-        return !term_.lexical().empty();
+      if (term().is_literal() && term().datatype().empty()) {
+        return !term().lexical().empty();
       }
       return std::nullopt;
     case Kind::kUnbound:
@@ -108,9 +120,9 @@ std::optional<double> Value::AsNumeric() const {
     case Kind::kDouble:
       return double_;
     case Kind::kTerm:
-      if (term_.IsNumericLiteral()) {
+      if (term().IsNumericLiteral()) {
         char* end = nullptr;
-        double parsed = std::strtod(term_.lexical().c_str(), &end);
+        double parsed = std::strtod(term().lexical().c_str(), &end);
         if (end != nullptr && *end == '\0') return parsed;
       }
       return std::nullopt;
@@ -130,7 +142,7 @@ std::string Value::AsString() const {
     case Kind::kString:
       return string_;
     case Kind::kTerm:
-      return term_.lexical();
+      return term().lexical();
     case Kind::kUnbound:
       return "";
   }

@@ -25,7 +25,12 @@ class Value {
   static Value Int(int64_t i);
   static Value Double(double d);
   static Value String(std::string s);
+  /// Decodes `term`: numeric and boolean literals become scalars, anything
+  /// else (including a malformed numeric lexical form) stays a term.
   static Value FromTerm(const rdf::Term& term);
+  /// FromTerm without the copy: a term value refers to `term`, which must
+  /// outlive the value (a dictionary entry or an AST constant).
+  static Value Ref(const rdf::Term& term);
 
   Kind kind() const { return kind_; }
   bool is_unbound() const { return kind_ == Kind::kUnbound; }
@@ -39,7 +44,9 @@ class Value {
     return kind_ == Kind::kInt ? static_cast<double>(int_) : double_;
   }
   const std::string& string_value() const { return string_; }
-  const rdf::Term& term() const { return term_; }
+  const rdf::Term& term() const {
+    return term_ref_ != nullptr ? *term_ref_ : term_;
+  }
 
   /// Materializes the value as an RDF term (typed literals for scalars).
   /// Precondition: not unbound.
@@ -69,7 +76,8 @@ class Value {
   int64_t int_ = 0;
   double double_ = 0;
   std::string string_;
-  rdf::Term term_;
+  rdf::Term term_;                       ///< owned term (FromTerm)
+  const rdf::Term* term_ref_ = nullptr;  ///< referenced term (Ref)
 };
 
 /// True when `term` is a literal typed xsd:dateTime or xsd:date.
