@@ -166,27 +166,28 @@ bool QueryRegistry::Kill(int64_t id) {
 }
 
 void QueryRegistry::UpdateStageGauges() {
-  std::vector<InflightQuery> inflight = Snapshot();
+  // Runs on every request, so it reads only what the gauges need: under
+  // mu_, which Register/Unregister hold to flip `occupied`, each occupied
+  // slot's stage; gauges are looked up by name once per stage ever seen.
   std::lock_guard<std::mutex> lock(mu_);
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  static const char* const kStageHelp =
-      "In-flight queries currently in this execution stage";
-  for (const InflightQuery& q : inflight) {
-    if (q.stage != nullptr &&
-        std::find(known_stages_.begin(), known_stages_.end(), q.stage) ==
-            known_stages_.end()) {
-      known_stages_.push_back(q.stage);
+  std::vector<size_t> counts(stage_gauges_.size(), 0);
+  for (const Slot& slot : slots_) {
+    if (!slot.occupied.load(std::memory_order_relaxed)) continue;
+    const char* stage = slot.progress.stage.load(std::memory_order_relaxed);
+    if (stage == nullptr) continue;
+    size_t i = 0;
+    while (i < stage_gauges_.size() && stage_gauges_[i].first != stage) ++i;
+    if (i == stage_gauges_.size()) {
+      stage_gauges_.emplace_back(
+          stage, &MetricsRegistry::Global().GetGaugeLabeled(
+                     "rdfa_inflight_queries_by_stage", "stage", stage,
+                     "In-flight queries currently in this execution stage"));
+      counts.push_back(0);
     }
+    ++counts[i];
   }
-  for (const char* stage : known_stages_) {
-    size_t n = 0;
-    for (const InflightQuery& q : inflight) {
-      if (q.stage == stage) ++n;
-    }
-    metrics
-        .GetGaugeLabeled("rdfa_inflight_queries_by_stage", "stage", stage,
-                         kStageHelp)
-        .Set(static_cast<double>(n));
+  for (size_t i = 0; i < stage_gauges_.size(); ++i) {
+    stage_gauges_[i].second->Set(static_cast<double>(counts[i]));
   }
 }
 

@@ -5,11 +5,14 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/query_context.h"
 
 namespace rdfa {
+
+class Gauge;
 
 /// One sampled in-flight query, as returned by QueryRegistry::Snapshot().
 struct InflightQuery {
@@ -94,10 +97,10 @@ class QueryRegistry {
   /// Status::Cancelled). Returns false when no such query is in flight.
   bool Kill(int64_t id);
 
-  /// Refreshes `rdfa_inflight_queries_by_stage{stage="..."}` gauges from a
-  /// fresh snapshot. Called by metrics exposition sites just before
-  /// rendering; stages ever seen keep their gauge (dropping to 0), so
-  /// scrapes see consistent series.
+  /// Refreshes `rdfa_inflight_queries_by_stage{stage="..."}` gauges from
+  /// the slots' current stages. Called on every endpoint request and by
+  /// metrics exposition sites just before rendering; stages ever seen keep
+  /// their gauge (dropping to 0), so scrapes see consistent series.
   void UpdateStageGauges();
 
  private:
@@ -130,9 +133,9 @@ class QueryRegistry {
   mutable std::mutex mu_;
   std::atomic<int64_t> next_id_{1};
   Slot slots_[kSlots];
-  /// Stage names ever observed by UpdateStageGauges, so series that empty
-  /// out are reset to 0 instead of going stale.
-  std::vector<const char*> known_stages_;
+  /// Stage names ever observed by UpdateStageGauges with their gauges, so
+  /// series that empty out are reset to 0 instead of going stale.
+  std::vector<std::pair<const char*, Gauge*>> stage_gauges_;
 };
 
 }  // namespace rdfa

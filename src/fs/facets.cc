@@ -5,7 +5,7 @@
 #include <map>
 #include <unordered_map>
 
-#include "sparql/value.h"
+#include "rdf/decoded_value.h"
 
 namespace rdfa::fs {
 
@@ -102,8 +102,12 @@ class PathWalker {
   std::vector<TermId> next_;
 };
 
-std::optional<double> NumericValue(const rdf::Term& term) {
-  return sparql::Value::FromTerm(term).AsNumeric();
+// The numeric interpretation of term `id`, from the dictionary's decoded
+// values.
+std::optional<double> NumericValue(const rdf::Graph& graph, TermId id) {
+  const rdf::DecodedValue& d = graph.terms().Decoded(id);
+  if (!d.is_number()) return std::nullopt;
+  return d.number();
 }
 
 /// Counts term ids on a dense tally indexed by id, so that only the
@@ -300,7 +304,7 @@ Extension FacetComputer::RestrictByRange(const Extension& ext,
   for (TermId e : ext) {
     // Does e reach any in-range value through the path?
     for (TermId v : walker.Walk(e)) {
-      auto num = NumericValue(graph_.terms().Get(v));
+      auto num = NumericValue(graph_, v);
       if (!num.has_value()) continue;
       if (min.has_value() && *num < *min) continue;
       if (max.has_value() && *num > *max) continue;
@@ -317,7 +321,7 @@ std::vector<ValueBucket> BucketNumericFacet(const rdf::Graph& graph,
   if (n_buckets == 0) return {};
   std::vector<std::pair<double, size_t>> numeric;
   for (const ValueCount& vc : facet.values) {
-    auto n = NumericValue(graph.terms().Get(vc.value));
+    auto n = NumericValue(graph, vc.value);
     if (n.has_value()) numeric.push_back({*n, vc.count});
   }
   if (numeric.empty()) return {};
@@ -353,7 +357,7 @@ void SortFacetValues(const rdf::Graph& graph, FacetOrder order,
   keyed.reserve(facet->values.size());
   for (const ValueCount& vc : facet->values) {
     const rdf::Term& t = graph.terms().Get(vc.value);
-    keyed.push_back(Keyed{vc, NumericValue(t), &t.lexical()});
+    keyed.push_back(Keyed{vc, NumericValue(graph, vc.value), &t.lexical()});
   }
   std::stable_sort(keyed.begin(), keyed.end(),
                    [&](const Keyed& a, const Keyed& b) {
@@ -386,7 +390,7 @@ std::map<int, size_t> BucketDateFacetByYear(const rdf::Graph& graph,
   for (const ValueCount& vc : facet.values) {
     const rdf::Term& t = graph.terms().Get(vc.value);
     if (!t.is_literal()) continue;
-    auto year = sparql::DateTimeComponent(t.lexical(), 0);
+    auto year = rdf::DateTimeComponent(t.lexical(), 0);
     if (year.has_value()) out[*year] += vc.count;
   }
   return out;

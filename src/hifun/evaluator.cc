@@ -60,7 +60,7 @@ Term ApplyDerived(const std::string& function, const Term& input,
   else if (function == "DAY") component = 2;
   else if (function == "HOURS") component = 3;
   if (component >= 0) {
-    auto c = sparql::DateTimeComponent(input.lexical(), component);
+    auto c = rdf::DateTimeComponent(input.lexical(), component);
     if (!c.has_value()) {
       *ok = false;
       return Term();

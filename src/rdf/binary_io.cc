@@ -1,6 +1,12 @@
 #include "rdf/binary_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <unordered_map>
@@ -405,11 +411,49 @@ Status LoadBinary(std::string_view data, Graph* graph) {
 
 Status SaveBinaryFile(const Graph& graph, const std::string& path,
                       int version) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) return Status::InvalidArgument("cannot open " + path);
-  std::string data = SaveBinary(graph, version);
-  file.write(data.data(), static_cast<std::streamsize>(data.size()));
-  if (!file.good()) return Status::Internal("write failed for " + path);
+  // Never rewrite the target in place: a reader may have it mapped. The
+  // snapshot goes to a fresh file beside it, is made durable, and is renamed
+  // over the target, so the path always names a whole snapshot and a
+  // mapping of the old file keeps reading the old inode.
+  const std::string data = SaveBinary(graph, version);
+  std::string tmp = path + ".XXXXXX";
+  const int fd = ::mkstemp(tmp.data());
+  if (fd < 0) {
+    return Status::InvalidArgument("cannot create a file beside " + path);
+  }
+  auto fail = [&](const std::string& what) {
+    const std::string reason = std::strerror(errno);
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return Status::Internal(what + " failed for " + path + ": " + reason);
+  };
+  for (size_t done = 0; done < data.size();) {
+    const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return fail("write");
+    done += static_cast<size_t>(n);
+  }
+  if (::fchmod(fd, 0644) != 0) return fail("chmod");
+  if (::fsync(fd) != 0) return fail("fsync");
+  if (::close(fd) != 0) {
+    ::unlink(tmp.c_str());
+    return Status::Internal("close failed for " + path);
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    const std::string reason = std::strerror(errno);
+    ::unlink(tmp.c_str());
+    return Status::Internal("rename failed for " + path + ": " + reason);
+  }
+  // Make the rename itself durable.
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd >= 0) {
+    ::fsync(dir_fd);
+    ::close(dir_fd);
+  }
   return Status::OK();
 }
 

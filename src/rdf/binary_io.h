@@ -68,7 +68,10 @@ std::string SaveBinary(const Graph& graph, int version = kSnapshotVersionV3);
 /// fully decoded onto the heap. Term ids are preserved exactly as saved.
 Status LoadBinary(std::string_view data, Graph* graph);
 
-/// File convenience wrappers.
+/// File convenience wrappers. SaveBinaryFile replaces `path` atomically: it
+/// writes and fsyncs a temporary file in the same directory, renames it over
+/// `path` and fsyncs the directory. A failed save leaves `path` as it was,
+/// and a graph mapped from the old file keeps reading it.
 Status SaveBinaryFile(const Graph& graph, const std::string& path,
                       int version = kSnapshotVersionV3);
 Status LoadBinaryFile(const std::string& path, Graph* graph);

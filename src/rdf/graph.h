@@ -363,6 +363,19 @@ class Graph {
   /// the sorted in-memory index.
   MergeCursor OpenMergeCursor(Perm perm, TermId s, TermId p, TermId o) const;
 
+  /// Lazily builds the three secondary permutations (PSO, SOP, OPS) from
+  /// the triple list. Not persisted in snapshots: the planner pays this
+  /// build on first use of a sort order the primaries cannot provide, and
+  /// calls this up front so the build is timed as its own stage. Same
+  /// publication discipline as the primaries (atomic fast path + mutex
+  /// double-check), behind its own flag so primary-only workloads never
+  /// pay.
+  void EnsureSecondaryIndexes() const;
+  /// True once the secondary permutations are built and current.
+  bool secondary_indexes_built() const {
+    return !sec_dirty_.load(std::memory_order_acquire);
+  }
+
  private:
   // A permuted triple used as an index entry; lexicographic order.
   struct Key {
@@ -449,13 +462,6 @@ class Graph {
   // exactly once behind `index_mu_` (double-checked), and the release store
   // of `dirty_` publishes the built indexes to later lock-free readers.
   void EnsureIndexes() const;
-
-  // Lazily builds the three secondary permutations (PSO, SOP, OPS) from the
-  // triple list. Not persisted in snapshots — the planner pays this build
-  // on first use of a sort order the primaries cannot provide. Same
-  // publication discipline as EnsureIndexes (atomic fast path + mutex
-  // double-check), behind its own flag so primary-only workloads never pay.
-  void EnsureSecondaryIndexes() const;
 
   // The sorted index vector for `perm`, built on demand. Callers on a
   // mapped graph should prefer the view for primaries; this is the heap /

@@ -2,8 +2,20 @@
 
 #include <algorithm>
 #include <mutex>
+#include <new>
 
 namespace rdfa::rdf {
+
+namespace {
+
+// Uninitialized storage for a decoded chunk: pages are touched only as
+// slots are written. DecodedValue is trivially copyable, so assigning a
+// slot starts its lifetime.
+DecodedValue* NewDecodedChunk(size_t n) {
+  return static_cast<DecodedValue*>(::operator new(n * sizeof(DecodedValue)));
+}
+
+}  // namespace
 
 TermTable& TermTable::operator=(TermTable&& other) noexcept {
   if (this != &other) {
@@ -12,6 +24,9 @@ TermTable& TermTable::operator=(TermTable&& other) noexcept {
       chunks_[c].store(other.chunks_[c].load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
       other.chunks_[c].store(nullptr, std::memory_order_relaxed);
+      decoded_[c].store(other.decoded_[c].load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+      other.decoded_[c].store(nullptr, std::memory_order_relaxed);
     }
     size_.store(other.size_.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
@@ -36,6 +51,10 @@ void TermTable::DestroyChunks() {
     delete[] slot.load(std::memory_order_relaxed);
     slot.store(nullptr, std::memory_order_relaxed);
   }
+  for (auto& slot : decoded_) {
+    ::operator delete(slot.load(std::memory_order_relaxed));
+    slot.store(nullptr, std::memory_order_relaxed);
+  }
 }
 
 void TermTable::AttachDict(std::shared_ptr<const TermDictSource> dict) {
@@ -50,23 +69,28 @@ Term* TermTable::MaterializeChunkLocked(size_t c) const {
   Term* chunk = chunks_[c].load(std::memory_order_relaxed);
   if (chunk != nullptr) return chunk;
   chunk = new Term[ChunkSize(c)];
+  DecodedValue* decoded = NewDecodedChunk(ChunkSize(c));
   if (dict_ != nullptr) {
     const size_t base = ChunkBase(c);
     const size_t end = std::min(base + ChunkSize(c), dict_->term_count());
     if (base < end) {
       dict_->DecodeRange(static_cast<TermId>(base), static_cast<TermId>(end),
                          chunk);
+      for (size_t i = 0; i < end - base; ++i) {
+        decoded[i] = DecodeValue(chunk[i]);
+      }
     }
   }
-  // Release so lock-free Get readers that see the pointer also see the
-  // decoded slots.
+  // Release so lock-free readers that see a pointer also see the decoded
+  // slots; the decoded chunk first, so a reader of the term chunk finds it.
+  decoded_[c].store(decoded, std::memory_order_release);
   chunks_[c].store(chunk, std::memory_order_release);
   return chunk;
 }
 
-const Term* TermTable::MaterializeChunk(size_t c) const {
+void TermTable::MaterializeChunk(size_t c) const {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  return MaterializeChunkLocked(c);
+  MaterializeChunkLocked(c);
 }
 
 void TermTable::HydrateIndex() const {
@@ -84,19 +108,15 @@ void TermTable::HydrateIndex() const {
 TermId TermTable::AppendLocked(const Term& term) {
   const size_t id = size_.load(std::memory_order_relaxed);
   const size_t c = ChunkOf(static_cast<TermId>(id));
-  Term* chunk = chunks_[c].load(std::memory_order_relaxed);
-  if (chunk == nullptr) {
-    // With a dictionary attached the index hydration pass has already
-    // materialized every dict-covered chunk, so a fresh chunk here only
-    // ever holds appended terms.
-    chunk = new Term[ChunkSize(c)];
-    // Release so a lock-free Get that learned the id through any
-    // synchronizing channel also sees the chunk pointer.
-    chunks_[c].store(chunk, std::memory_order_release);
-  }
+  // With a dictionary attached the index hydration pass has already
+  // materialized every dict-covered chunk, so a fresh chunk here only ever
+  // holds appended terms.
+  Term* chunk = MaterializeChunkLocked(c);
   chunk[id - ChunkBase(c)] = term;
+  decoded_[c].load(std::memory_order_relaxed)[id - ChunkBase(c)] =
+      DecodeValue(term);
   index_.emplace(term, static_cast<TermId>(id));
-  // The slot is fully written before the id becomes visible via size().
+  // The slots are fully written before the id becomes visible via size().
   size_.store(id + 1, std::memory_order_release);
   return static_cast<TermId>(id);
 }

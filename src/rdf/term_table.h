@@ -11,6 +11,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "rdf/decoded_value.h"
 #include "rdf/term.h"
 
 namespace rdfa::rdf {
@@ -33,7 +34,8 @@ class TermDictSource {
 
 /// Interns terms to dense 32-bit ids. All engine data structures (graph
 /// indexes, bindings, extensions) operate on TermIds; the table is the only
-/// place term strings live.
+/// place term strings live. Beside each term it keeps the term's
+/// DecodedValue, so readers of numbers, booleans and dates never parse.
 ///
 /// Thread-safety: fully concurrent. `Get` is lock-free — terms live in
 /// pointer-stable chunks of geometrically growing size whose slots are
@@ -68,7 +70,23 @@ class TermTable {
   const Term& Get(TermId id) const {
     const size_t c = ChunkOf(id);
     const Term* chunk = chunks_[c].load(std::memory_order_acquire);
-    if (chunk == nullptr) chunk = MaterializeChunk(c);
+    if (chunk == nullptr) {
+      MaterializeChunk(c);
+      chunk = chunks_[c].load(std::memory_order_acquire);
+    }
+    return chunk[id - ChunkBase(c)];
+  }
+
+  /// DecodeValue(Get(id)), decoded when the term was interned (or its
+  /// dictionary chunk first touched). Same precondition and lock-freedom
+  /// as Get.
+  const DecodedValue& Decoded(TermId id) const {
+    const size_t c = ChunkOf(id);
+    const DecodedValue* chunk = decoded_[c].load(std::memory_order_acquire);
+    if (chunk == nullptr) {
+      MaterializeChunk(c);
+      chunk = decoded_[c].load(std::memory_order_acquire);
+    }
     return chunk[id - ChunkBase(c)];
   }
 
@@ -93,7 +111,10 @@ class TermTable {
  private:
   // Chunk c holds 64 << c terms; chunk bases are 64 * (2^c - 1). 28 chunks
   // cover the whole 32-bit id space. Slots are default-constructed Terms
-  // assigned under the intern lock before the id is published.
+  // assigned under the intern lock before the id is published. Decoded
+  // chunk c is the same range of DecodedValues, allocated uninitialized
+  // (only written slots are ever touched) and published before term chunk
+  // c, so a reader that sees a term chunk sees its decoded chunk.
   static constexpr size_t kFirstChunkBits = 6;
   static constexpr size_t kNumChunks = 28;
 
@@ -110,11 +131,11 @@ class TermTable {
   TermId AppendLocked(const Term& term);
   void DestroyChunks();
 
-  // Decodes every term of chunk `c` covered by dict_ into a freshly
-  // allocated chunk and publishes it (no-op if already present). Returns
-  // the chunk pointer. Takes mu_ exclusively.
-  const Term* MaterializeChunk(size_t c) const;
-  // Same, for a caller already holding mu_ exclusively.
+  // Allocates and publishes chunk `c` and its decoded chunk, first
+  // decoding every term of it covered by dict_ (no-op if already present).
+  // MaterializeChunk takes mu_ exclusively; MaterializeChunkLocked is for a
+  // caller already holding it, and returns the term chunk.
+  void MaterializeChunk(size_t c) const;
   Term* MaterializeChunkLocked(size_t c) const;
   // Materializes every dict chunk and builds index_ over the dictionary.
   // Must run before any append so partially-filled chunks never exist.
@@ -126,6 +147,7 @@ class TermTable {
 
   mutable std::shared_mutex mu_;  ///< guards index_, blank_counter_, growth
   mutable std::array<std::atomic<Term*>, kNumChunks> chunks_ = {};
+  mutable std::array<std::atomic<DecodedValue*>, kNumChunks> decoded_ = {};
   std::atomic<size_t> size_{0};
   // Mutable because lazy hydration off dict_ is logically const: it changes
   // the representation, never the observable contents.

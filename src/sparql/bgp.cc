@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <span>
@@ -791,13 +792,40 @@ Status ExecuteBgpV2(const rdf::Graph& graph,
     opts.stats->plan_shapes.push_back(plan.ToJson(source_index));
     if (dp_ordered) ++opts.stats->dp_plans;
   }
-  RDFA_RETURN_NOT_OK(ExecuteSeedStep(graph, patterns[0], source_index[0],
-                                     plan.steps[0], opts, threads, tracer,
-                                     rows));
-  if (rows->empty()) return Status::OK();
   // kNestedLoop demotes qualified merge steps to the NLJ oracle —
   // byte-identical by the order argument in MergeRuns.
   const bool merge_enabled = opts.strategy == JoinStrategy::kAdaptive;
+  // A plan that streams a secondary permutation builds the secondaries
+  // first, in their own stage, so the build is not charged to the join.
+  bool needs_secondary = plan.steps[0].perm >= rdf::Graph::kPermPSO;
+  for (size_t pi = 1; pi < patterns.size(); ++pi) {
+    needs_secondary = needs_secondary ||
+                      (merge_enabled && plan.steps[pi].strategy == 'M' &&
+                       plan.steps[pi].perm >= rdf::Graph::kPermPSO);
+  }
+  if (needs_secondary && !graph.secondary_indexes_built()) {
+    const auto start = std::chrono::steady_clock::now();
+    {
+      TraceSpan build_span(tracer, "index-build-secondary");
+      graph.EnsureSecondaryIndexes();
+    }
+    if (opts.stats != nullptr) {
+      opts.stats->index_build_ms +=
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+    }
+  }
+  std::set<int> bound;
+  auto after_step = [&](size_t pi) {
+    MarkBound(patterns[pi], &bound);
+    if (opts.after_step && pi + 1 < patterns.size()) opts.after_step(bound);
+  };
+  RDFA_RETURN_NOT_OK(ExecuteSeedStep(graph, patterns[0], source_index[0],
+                                     plan.steps[0], opts, threads, tracer,
+                                     rows));
+  after_step(0);
+  if (rows->empty()) return Status::OK();
   for (size_t pi = 1; pi < patterns.size(); ++pi) {
     const PlannedStep& step = plan.steps[pi];
     if (step.strategy == 'M' && merge_enabled) {
@@ -810,6 +838,7 @@ Status ExecuteBgpV2(const rdf::Graph& graph,
                                              source_index[pi], opts, threads,
                                              tracer, rows));
     }
+    after_step(pi);
     if (rows->empty()) return Status::OK();
   }
   return Status::OK();

@@ -1,6 +1,8 @@
 #ifndef RDFA_SPARQL_BGP_H_
 #define RDFA_SPARQL_BGP_H_
 
+#include <functional>
+#include <set>
 #include <vector>
 
 #include "common/query_context.h"
@@ -84,6 +86,12 @@ struct JoinOptions {
   /// Plan-cache capture: when set, receives the order actually executed
   /// (whether replayed, greedily chosen, or source order).
   std::vector<int>* capture_order = nullptr;
+  /// A planner-v2 pipeline calls this between steps with the slots the
+  /// steps so far bind, so the caller can run the FILTERs those slots make
+  /// ready on `*rows` before later steps extend them. Filtering a row early
+  /// drops exactly the extensions that filtering after the join would, and
+  /// keeps the order of the rest. Other joins never call it.
+  std::function<void(const std::set<int>& bound)> after_step;
 };
 
 /// Extends every binding in `*rows` through all `patterns` by index

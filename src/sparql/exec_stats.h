@@ -15,7 +15,8 @@ namespace rdfa::sparql {
 /// rather than asserted. All times are wall-clock milliseconds.
 struct ExecStats {
   int threads = 1;             ///< thread budget the query ran with
-  double index_build_ms = 0;   ///< Graph::Freeze (non-zero on first touch)
+  double index_build_ms = 0;   ///< Graph::Freeze and secondary permutation
+                               ///< builds (non-zero on first touch)
   double bgp_ms = 0;           ///< total BGP join time across pattern runs
   /// FILTER evaluation across pattern runs (a filter's EXISTS probes are
   /// charged here and, for their joins, to bgp_ms as well)

@@ -54,6 +54,61 @@ void CollectAggregates(const Expr& e, std::vector<const Expr*>* out) {
   }
 }
 
+/// SUM, AVG, MIN or MAX of the bare variable in `slot` over a group, folded
+/// from the dictionary's decoded values; nullopt when MIN or MAX meets a
+/// bound value that is not a number (they then order mixed kinds as
+/// Value::Compare does). Gives what ComputeAggregate's per-row fold gives:
+/// a SUM of integers stays an integer until it leaves int64, numbers
+/// compare as doubles, and MIN/MAX keep the first of equal values.
+std::optional<Value> FoldNumericSlot(AggFunc func, int slot,
+                                     const std::vector<Binding>& rows,
+                                     std::span<const uint32_t> members,
+                                     const EvalContext& ctx) {
+  const rdf::TermTable& terms = *ctx.terms;
+  size_t count = 0;
+  double sum = 0;
+  int64_t isum = 0;
+  bool all_int = true;
+  TermId best = kNoTermId;
+  double best_number = 0;
+  for (uint32_t r : members) {
+    const Binding& row = rows[r];
+    const TermId id = slot >= 0 && static_cast<size_t>(slot) < row.size()
+                          ? row[slot]
+                          : kNoTermId;
+    if (id == kNoTermId) continue;
+    const rdf::DecodedValue& d = terms.Decoded(id);
+    if (!d.is_number()) {
+      if (func == AggFunc::kSum || func == AggFunc::kAvg) {
+        return Value::Unbound();
+      }
+      return std::nullopt;
+    }
+    const double x = d.number();
+    ++count;
+    if (func == AggFunc::kSum || func == AggFunc::kAvg) {
+      sum += x;
+      if (d.kind != rdf::DecodedValue::Kind::kInt ||
+          __builtin_add_overflow(isum, d.i, &isum)) {
+        all_int = false;
+      }
+    } else if (count == 1 || (func == AggFunc::kMin ? x < best_number
+                                                    : x > best_number)) {
+      best = id;
+      best_number = x;
+    }
+  }
+  switch (func) {
+    case AggFunc::kSum:
+      return all_int ? Value::Int(isum) : Value::Double(sum);
+    case AggFunc::kAvg:
+      if (count == 0) return Value::Unbound();
+      return Value::Double(sum / static_cast<double>(count));
+    default:
+      return best == kNoTermId ? Value::Unbound() : Value::OfId(terms, best);
+  }
+}
+
 /// Computes one aggregate over a group: `members` indexes its rows in
 /// `rows`, in input order. `arg` is the aggregate's lowered argument (null
 /// for COUNT(*)); `scope` lists the slots of the query's in-scope
@@ -87,6 +142,13 @@ Value ComputeAggregate(const Expr& agg, const CompiledExpr* arg,
     }
     return Value::Int(static_cast<int64_t>(bound));
   }
+  if (slot.has_value() && !agg.agg_distinct &&
+      (agg.agg == AggFunc::kSum || agg.agg == AggFunc::kAvg ||
+       agg.agg == AggFunc::kMin || agg.agg == AggFunc::kMax)) {
+    std::optional<Value> folded =
+        FoldNumericSlot(agg.agg, *slot, rows, members, ctx);
+    if (folded.has_value()) return std::move(*folded);
+  }
   // One pass over the group's values in row order: each aggregate is a left
   // fold, so this gives what folding a collected list would.
   std::set<std::string> seen;
@@ -112,9 +174,9 @@ Value ComputeAggregate(const Expr& agg, const CompiledExpr* arg,
         if (!n.has_value()) return Value::Unbound();
         sum += *n;
         if (agg.agg == AggFunc::kAvg) break;
-        if (v.kind() == Value::Kind::kInt) {
-          isum += v.int_value();
-        } else {
+        // An integer SUM that leaves int64 is the double sum instead.
+        if (v.kind() != Value::Kind::kInt ||
+            __builtin_add_overflow(isum, v.int_value(), &isum)) {
           all_int = false;
         }
         break;
@@ -422,7 +484,7 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
       const CompiledExpr filter(*f.el->filter, *vars);
       size_t kept = 0;
       for (size_t r = 0; r < rows.size(); ++r) {
-        auto b = filter.Eval(rows[r], ctx).EffectiveBool();
+        auto b = filter.Test(rows[r], ctx);
         if (!b.has_value() || !*b) continue;
         if (kept != r) rows[kept] = std::move(rows[r]);
         ++kept;
@@ -444,11 +506,12 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
       case PatternElement::Kind::kTriple: {
         // Gather the contiguous run of triples and join them together.
         std::vector<CompiledPattern> compiled;
+        std::set<std::string> run_vars;
         while (i < body.size() &&
                body[i]->kind == PatternElement::Kind::kTriple) {
           const TriplePattern& tp = body[i]->triple;
           for (const NodePattern* n : {&tp.s, &tp.p, &tp.o}) {
-            if (n->is_var) certainly_bound.insert(n->var);
+            if (n->is_var) run_vars.insert(n->var);
           }
           compiled.push_back(CompileTriple(tp, vars, *graph_));
           ++i;
@@ -462,6 +525,14 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
           jopts.ctx = &ctx_;
           jopts.strategy = join_strategy_;
           jopts.use_dp = use_dp_;
+          // A filter runs between pipeline steps once the steps so far
+          // bind its variables, so later steps extend fewer rows.
+          if (push_filters_) {
+            jopts.after_step = [&](const std::set<int>& bound) {
+              for (int s : bound) certainly_bound.insert(vars->names()[s]);
+              apply_ready_filters(false);
+            };
+          }
           // Plan-cache hookup: BGP join runs are numbered in evaluation
           // order (deterministic for a fixed AST + graph), so a replayed
           // query consumes the cached order recorded at the same position.
@@ -475,6 +546,10 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
           if (capture_orders_ != nullptr && seq < kMaxCachedBgpOrders) {
             jopts.capture_order = &chosen;
           }
+          // Secondary-index builds and filters inside the join are
+          // charged to index_build_ms and filter_ms, not to bgp_ms.
+          const double build_before = stats_.index_build_ms;
+          const double filter_before = stats_.filter_ms;
           Status join_status =
               JoinBgp(*graph_, std::move(compiled), vars->size(),
                       reorder_joins_, jopts, &rows);
@@ -484,9 +559,12 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
             }
             (*capture_orders_)[seq] = std::move(chosen);
           }
-          stats_.bgp_ms += MsSince(start);
+          stats_.bgp_ms += MsSince(start) -
+                           (stats_.index_build_ms - build_before) -
+                           (stats_.filter_ms - filter_before);
           RDFA_RETURN_NOT_OK(join_status);
         }
+        certainly_bound.insert(run_vars.begin(), run_vars.end());
         apply_ready_filters(false);
         continue;
       }
@@ -908,7 +986,7 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
       gctx.agg_nodes = &agg_nodes;
       gctx.agg_values = agg_values.data();
       for (const CompiledExpr& h : having) {
-        auto b = h.Eval(rep, gctx).EffectiveBool();
+        auto b = h.Test(rep, gctx);
         if (!b.has_value() || !*b) return;
       }
       GroupOut& go = gout[gi];
@@ -1179,7 +1257,7 @@ Result<ResultTable> Executor::Execute(const ParsedQuery& query) {
     TraceSpan freeze_span(ctx_.tracer(), "index-build");
     graph_->Freeze();
   }
-  stats_.index_build_ms = MsSince(freeze_start);
+  stats_.index_build_ms += MsSince(freeze_start);
 
   // Mapped-backend decode accounting: snapshot the view's relaxed counters
   // around the dispatch so the per-query deltas land in the trace and the

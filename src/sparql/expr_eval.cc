@@ -58,28 +58,59 @@ Value ApplyUnary(Op op, const Value& a) {
     if (!b.has_value()) return Value::Unbound();
     return Value::Bool(!*b);
   }
-  // unary minus
+  // unary minus; -INT64_MIN is out of range and falls back to a double
   auto n = a.AsNumeric();
   if (!n.has_value()) return Value::Unbound();
-  if (a.kind() == Value::Kind::kInt) return Value::Int(-a.int_value());
+  if (a.kind() == Value::Kind::kInt && a.int_value() != INT64_MIN) {
+    return Value::Int(-a.int_value());
+  }
   return Value::Double(-*n);
 }
 
 // || and && over effective boolean values, errors (nullopt) included: an
 // error operand only decides the result when the other cannot.
-Value ApplyLogic(Op op, std::optional<bool> a, std::optional<bool> b) {
+std::optional<bool> LogicTruth(Op op, std::optional<bool> a,
+                               std::optional<bool> b) {
   if (op == Op::kOr) {
-    if ((a.has_value() && *a) || (b.has_value() && *b)) {
-      return Value::Bool(true);
-    }
-    if (a.has_value() && b.has_value()) return Value::Bool(false);
-    return Value::Unbound();
+    if ((a.has_value() && *a) || (b.has_value() && *b)) return true;
+    if (a.has_value() && b.has_value()) return false;
+    return std::nullopt;
   }
-  if ((a.has_value() && !*a) || (b.has_value() && !*b)) {
-    return Value::Bool(false);
+  if ((a.has_value() && !*a) || (b.has_value() && !*b)) return false;
+  if (a.has_value() && b.has_value()) return true;
+  return std::nullopt;
+}
+
+Value ApplyLogic(Op op, std::optional<bool> a, std::optional<bool> b) {
+  const std::optional<bool> t = LogicTruth(op, a, b);
+  return t.has_value() ? Value::Bool(*t) : Value::Unbound();
+}
+
+bool IsComparison(Op op) { return op >= Op::kEq && op <= Op::kGe; }
+
+// A comparison of two numbers, as Value::Equals (= and !=) and
+// Value::Compare (the orderings) decide it: NaN is unequal to everything
+// yet orders as equal.
+bool CompareNumbers(Op op, double a, double b) {
+  const int c = a < b ? -1 : (a > b ? 1 : 0);
+  switch (op) {
+    case Op::kEq: return a == b;
+    case Op::kNe: return !(a == b);
+    case Op::kLt: return c < 0;
+    case Op::kLe: return c <= 0;
+    case Op::kGt: return c > 0;
+    default: return c >= 0;
   }
-  if (a.has_value() && b.has_value()) return Value::Bool(true);
-  return Value::Unbound();
+}
+
+// Integer + - *, or nullopt when the result is outside int64.
+std::optional<int64_t> CheckedIntOp(Op op, int64_t a, int64_t b) {
+  int64_t out = 0;
+  const bool overflow = op == Op::kAdd   ? __builtin_add_overflow(a, b, &out)
+                        : op == Op::kSub ? __builtin_sub_overflow(a, b, &out)
+                                         : __builtin_mul_overflow(a, b, &out);
+  if (overflow) return std::nullopt;
+  return out;
 }
 
 // Comparison and arithmetic (every binary operator but || and &&).
@@ -108,18 +139,21 @@ Value ApplyBinary(Op op, const Value& a, const Value& b) {
   auto na = a.AsNumeric();
   auto nb = b.AsNumeric();
   if (!na.has_value() || !nb.has_value()) return Value::Unbound();
-  bool both_int =
-      a.kind() == Value::Kind::kInt && b.kind() == Value::Kind::kInt;
+  // Integer + - * stay integers unless the result leaves int64; then they
+  // are computed as doubles, like any other numeric operands.
+  if (op == Op::kAdd || op == Op::kSub || op == Op::kMul) {
+    if (a.kind() == Value::Kind::kInt && b.kind() == Value::Kind::kInt) {
+      const auto i = CheckedIntOp(op, a.int_value(), b.int_value());
+      if (i.has_value()) return Value::Int(*i);
+    }
+  }
   switch (op) {
     case Op::kAdd:
-      return both_int ? Value::Int(a.int_value() + b.int_value())
-                      : Value::Double(*na + *nb);
+      return Value::Double(*na + *nb);
     case Op::kSub:
-      return both_int ? Value::Int(a.int_value() - b.int_value())
-                      : Value::Double(*na - *nb);
+      return Value::Double(*na - *nb);
     case Op::kMul:
-      return both_int ? Value::Int(a.int_value() * b.int_value())
-                      : Value::Double(*na * *nb);
+      return Value::Double(*na * *nb);
     case Op::kDiv:
       if (*nb == 0) return Value::Unbound();
       return Value::Double(*na / *nb);
@@ -226,15 +260,18 @@ const std::regex* CachedRegex(const std::string& pattern,
 }
 
 Value EvalDateComponent(const Value& v, int component) {
-  std::string lexical;
+  std::string_view lexical;
   if (v.kind() == Value::Kind::kTerm && v.term().is_literal()) {
+    if (v.decoded().kind == rdf::DecodedValue::Kind::kDate && component < 3) {
+      return Value::Int(v.decoded().DatePart(component));
+    }
     lexical = v.term().lexical();
   } else if (v.kind() == Value::Kind::kString) {
     lexical = v.string_value();
   } else {
     return Value::Unbound();
   }
-  auto c = DateTimeComponent(lexical, component);
+  auto c = rdf::DateTimeComponent(lexical, component);
   if (!c.has_value()) return Value::Unbound();
   return Value::Int(*c);
 }
@@ -285,7 +322,9 @@ Value ApplyCall(const Expr& e, std::span<const Value> args) {
     auto n = args[0].AsNumeric();
     if (!n.has_value()) return Value::Unbound();
     if (name == "ABS") {
-      return args[0].kind() == Value::Kind::kInt
+      // |INT64_MIN| is out of range and falls back to a double.
+      return args[0].kind() == Value::Kind::kInt &&
+                     args[0].int_value() != INT64_MIN
                  ? Value::Int(std::llabs(args[0].int_value()))
                  : Value::Double(std::fabs(*n));
     }
@@ -391,35 +430,33 @@ Value ApplyCall(const Expr& e, std::span<const Value> args) {
     return Value::Bool(args[0].AsNumeric().has_value());
   }
   if (name == "CAST") {
-    // Datatype IRI carried on e.term.
+    // Datatype IRI carried on e.term. A non-numeric argument's string is
+    // read by the decode rule, as a literal of the target type; the empty
+    // string is an error, and so is an integer form outside int64.
     const std::string& dt = e.term.lexical();
     namespace xsd = rdf::xsd;
+    auto decode_as = [&](const char* type) {
+      std::string s = args[0].AsString();
+      if (s.empty()) return rdf::DecodedValue();
+      return rdf::DecodeValue(Term::TypedLiteral(std::move(s), type));
+    };
     if (dt == xsd::kInteger || dt == xsd::kInt || dt == xsd::kLong) {
       auto n = args[0].AsNumeric();
       if (n.has_value()) return TruncateToInt(*n);
-      char* end = nullptr;
-      std::string s = args[0].AsString();
-      long long parsed = std::strtoll(s.c_str(), &end, 10);
-      if (end != nullptr && *end == '\0' && !s.empty()) {
-        return Value::Int(parsed);
-      }
+      const rdf::DecodedValue d = decode_as(xsd::kInteger);
+      if (d.kind == rdf::DecodedValue::Kind::kInt) return Value::Int(d.i);
       return Value::Unbound();
     }
     if (dt == xsd::kDouble || dt == xsd::kDecimal || dt == xsd::kFloat) {
       auto n = args[0].AsNumeric();
       if (n.has_value()) return Value::Double(*n);
-      char* end = nullptr;
-      std::string s = args[0].AsString();
-      double parsed = std::strtod(s.c_str(), &end);
-      if (end != nullptr && *end == '\0' && !s.empty()) {
-        return Value::Double(parsed);
-      }
+      const rdf::DecodedValue d = decode_as(xsd::kDouble);
+      if (d.kind == rdf::DecodedValue::Kind::kDouble) return Value::Double(d.d);
       return Value::Unbound();
     }
     if (dt == xsd::kBoolean) {
-      std::string s = args[0].AsString();
-      if (s == "true" || s == "1") return Value::Bool(true);
-      if (s == "false" || s == "0") return Value::Bool(false);
+      const rdf::DecodedValue d = decode_as(xsd::kBoolean);
+      if (d.kind == rdf::DecodedValue::Kind::kBool) return Value::Bool(d.b);
       return Value::Unbound();
     }
     if (dt == xsd::kString) return Value::String(args[0].AsString());
@@ -463,14 +500,19 @@ Value EvalCall(const Expr& e, const Binding& binding, const EvalContext& ctx) {
   return ApplyCall(e, args);
 }
 
-// The value of a bound slot: the dictionary term by reference, numerics
-// decoded in place.
+// The id in `slot`; kNoTermId when unbound or never bound.
+rdf::TermId SlotId(int slot, const Binding& binding) {
+  return slot >= 0 && static_cast<size_t>(slot) < binding.size()
+             ? binding[slot]
+             : rdf::kNoTermId;
+}
+
+// The value of a bound slot: its decoded value from the dictionary, terms
+// by reference.
 Value SlotValue(int slot, const Binding& binding, const EvalContext& ctx) {
-  if (slot < 0 || static_cast<size_t>(slot) >= binding.size() ||
-      binding[slot] == rdf::kNoTermId) {
-    return Value::Unbound();
-  }
-  return Value::Ref(ctx.terms->Get(binding[slot]));
+  const rdf::TermId id = SlotId(slot, binding);
+  if (id == rdf::kNoTermId) return Value::Unbound();
+  return Value::OfId(*ctx.terms, id);
 }
 
 }  // namespace
@@ -622,6 +664,53 @@ Value CompiledExpr::EvalNode(int n, const Binding& row,
       break;
   }
   return EvalExpr(*node.expr, row, ctx);
+}
+
+bool CompiledExpr::LeafNumber(int n, const Binding& row,
+                              const EvalContext& ctx, double* out) const {
+  const Node& node = nodes_[n];
+  if (node.kind == Kind::kConst) {
+    const std::optional<double> number = node.constant.AsNumeric();
+    if (number.has_value()) *out = *number;
+    return number.has_value();
+  }
+  if (node.kind != Kind::kSlot) return false;
+  const rdf::TermId id = SlotId(node.slot, row);
+  if (id == rdf::kNoTermId) return false;
+  const rdf::DecodedValue& d = ctx.terms->Decoded(id);
+  if (!d.is_number()) return false;
+  *out = d.number();
+  return true;
+}
+
+std::optional<bool> CompiledExpr::TestNode(int n, const Binding& row,
+                                           const EvalContext& ctx) const {
+  const Node& node = nodes_[n];
+  switch (node.kind) {
+    case Kind::kLogic:
+      return LogicTruth(static_cast<Op>(node.op),
+                        TestNode(node.args[0], row, ctx),
+                        TestNode(node.args[1], row, ctx));
+    case Kind::kUnary:
+      if (static_cast<Op>(node.op) == Op::kNot) {
+        const std::optional<bool> b = TestNode(node.args[0], row, ctx);
+        if (!b.has_value()) return std::nullopt;
+        return !*b;
+      }
+      break;
+    case Kind::kBinary: {
+      const Op op = static_cast<Op>(node.op);
+      double a = 0, b = 0;
+      if (IsComparison(op) && LeafNumber(node.args[0], row, ctx, &a) &&
+          LeafNumber(node.args[1], row, ctx, &b)) {
+        return CompareNumbers(op, a, b);
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  return EvalNode(n, row, ctx).EffectiveBool();
 }
 
 }  // namespace rdfa::sparql

@@ -71,6 +71,14 @@ class CompiledExpr {
     return EvalNode(root_, row, ctx);
   }
 
+  /// Eval(row, ctx).EffectiveBool(), the verdict of a FILTER or HAVING.
+  /// A comparison of two slots or constants that are numbers is answered
+  /// from the dictionary's decoded values, and !, && and || combine such
+  /// answers, with no Value built; every other node falls back to Eval.
+  std::optional<bool> Test(const Binding& row, const EvalContext& ctx) const {
+    return TestNode(root_, row, ctx);
+  }
+
   /// The binding slot read when the expression is a bare variable (-1 when
   /// the variable was never bound); nullopt for any other expression.
   std::optional<int> VariableSlot() const {
@@ -94,6 +102,12 @@ class CompiledExpr {
 
   int Lower(const Expr& e, const VarTable& vars);
   Value EvalNode(int n, const Binding& row, const EvalContext& ctx) const;
+  std::optional<bool> TestNode(int n, const Binding& row,
+                               const EvalContext& ctx) const;
+  // A kSlot or kConst node's number: false for other nodes, unbound slots
+  // and values that are not numbers.
+  bool LeafNumber(int n, const Binding& row, const EvalContext& ctx,
+                  double* out) const;
   // A child's value: constants by reference, anything else into *scratch.
   const Value& Operand(int n, const Binding& row, const EvalContext& ctx,
                        Value* scratch) const;

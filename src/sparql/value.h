@@ -2,35 +2,50 @@
 #define RDFA_SPARQL_VALUE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
-#include "common/status.h"
+#include "rdf/decoded_value.h"
 #include "rdf/term.h"
+#include "rdf/term_table.h"
 
 namespace rdfa::sparql {
 
 /// A runtime value during SPARQL expression evaluation: unbound, a decoded
 /// scalar (boolean / integer / double / string), or a full RDF term. BGP
 /// matching works purely on interned TermIds; Values only appear inside
-/// FILTER/BIND/aggregate/projection evaluation.
+/// FILTER/BIND/aggregate/projection evaluation. A term value refers to a
+/// term it does not own (a dictionary entry or an AST constant) or to a
+/// shared copy held out of line, and carries the term's DecodedValue, so
+/// reading it as a number or a date never parses its lexical form.
 class Value {
  public:
   enum class Kind { kUnbound, kBool, kInt, kDouble, kString, kTerm };
 
-  Value() : kind_(Kind::kUnbound) {}
+  Value() = default;
 
   static Value Unbound() { return Value(); }
   static Value Bool(bool b);
   static Value Int(int64_t i);
   static Value Double(double d);
   static Value String(std::string s);
-  /// Decodes `term`: numeric and boolean literals become scalars, anything
-  /// else (including a malformed numeric lexical form) stays a term.
+  /// Decodes `term` (rdf::DecodeValue): numeric and boolean literals become
+  /// scalars, anything else (including a malformed numeric lexical form)
+  /// stays a term.
   static Value FromTerm(const rdf::Term& term);
   /// FromTerm without the copy: a term value refers to `term`, which must
   /// outlive the value (a dictionary entry or an AST constant).
   static Value Ref(const rdf::Term& term);
+  /// Ref with `term`'s decode already in hand. `term` is read only when
+  /// `decoded` is not a scalar, and may be null when it is.
+  static Value Ref(const rdf::Term* term, const rdf::DecodedValue& decoded);
+  /// The value of dictionary entry `id`: one load of its decoded value, and
+  /// for terms a reference to the entry.
+  static Value OfId(const rdf::TermTable& terms, rdf::TermId id) {
+    const rdf::DecodedValue& d = terms.Decoded(id);
+    return Ref(d.is_scalar() ? nullptr : &terms.Get(id), d);
+  }
 
   Kind kind() const { return kind_; }
   bool is_unbound() const { return kind_ == Kind::kUnbound; }
@@ -38,15 +53,13 @@ class Value {
     return kind_ == Kind::kInt || kind_ == Kind::kDouble;
   }
 
-  bool bool_value() const { return bool_; }
-  int64_t int_value() const { return int_; }
-  double double_value() const {
-    return kind_ == Kind::kInt ? static_cast<double>(int_) : double_;
-  }
+  bool bool_value() const { return decoded_.b; }
+  int64_t int_value() const { return decoded_.i; }
   const std::string& string_value() const { return string_; }
-  const rdf::Term& term() const {
-    return term_ref_ != nullptr ? *term_ref_ : term_;
-  }
+  const rdf::Term& term() const { return *term_; }
+  /// The term's decode for kTerm values; the scalar itself for kBool, kInt
+  /// and kDouble.
+  const rdf::DecodedValue& decoded() const { return decoded_; }
 
   /// Materializes the value as an RDF term (typed literals for scalars).
   /// Precondition: not unbound.
@@ -56,7 +69,12 @@ class Value {
   std::optional<bool> EffectiveBool() const;
 
   /// Numeric interpretation if the value is a number or a numeric literal.
-  std::optional<double> AsNumeric() const;
+  std::optional<double> AsNumeric() const {
+    if (is_numeric() || (kind_ == Kind::kTerm && decoded_.is_number())) {
+      return decoded_.number();
+    }
+    return std::nullopt;
+  }
   /// String interpretation (lexical form for terms).
   std::string AsString() const;
 
@@ -71,23 +89,12 @@ class Value {
   static std::optional<bool> Equals(const Value& a, const Value& b);
 
  private:
-  Kind kind_;
-  bool bool_ = false;
-  int64_t int_ = 0;
-  double double_ = 0;
-  std::string string_;
-  rdf::Term term_;                       ///< owned term (FromTerm)
-  const rdf::Term* term_ref_ = nullptr;  ///< referenced term (Ref)
+  Kind kind_ = Kind::kUnbound;
+  rdf::DecodedValue decoded_;          ///< scalar, or the term's decode
+  const rdf::Term* term_ = nullptr;    ///< kTerm: referenced or owned_
+  std::shared_ptr<const rdf::Term> owned_;  ///< FromTerm's copy
+  std::string string_;                 ///< kString
 };
-
-/// True when `term` is a literal typed xsd:dateTime or xsd:date.
-bool IsDateTimeLiteral(const rdf::Term& term);
-
-/// Extracts a date component (1-based month/day; full year) from an ISO
-/// 8601 lexical form; nullopt on malformed input. `component`: 0=year,
-/// 1=month, 2=day, 3=hours, 4=minutes, 5=seconds.
-std::optional<int> DateTimeComponent(const std::string& lexical,
-                                     int component);
 
 }  // namespace rdfa::sparql
 

@@ -11,7 +11,9 @@
 #include <thread>
 #include <vector>
 
+#include "rdf/decoded_value.h"
 #include "rdf/graph.h"
+#include "rdf/namespaces.h"
 #include "workload/products.h"
 
 namespace rdfa::rdf {
@@ -119,6 +121,64 @@ TEST_F(GraphStressTest, FreezeIsIdempotentAndConcurrent) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(g_.index_generation(), 1u);
+}
+
+TEST_F(GraphStressTest, DecodedColumnReadsRaceInterning) {
+  // One thread interns numbers and dates (growing new chunks) while readers
+  // read the term and the decoded value of every id published so far. A
+  // published id's slots are written before size() covers it, so readers
+  // never see a torn or default entry.
+  constexpr int kReaders = 3;
+  constexpr int kFresh = 20000;
+  TermTable& terms = g_.terms();
+  const size_t base = terms.size();
+  std::atomic<bool> done{false};
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      size_t probe = static_cast<size_t>(r);
+      while (!done.load(std::memory_order_acquire)) {
+        const size_t n = terms.size();
+        for (size_t k = 0; k < 64; ++k) {
+          // The newest ids, and a stride over all of them.
+          const auto id = static_cast<TermId>(
+              k % 2 == 0 ? n - 1 - (k / 2) % n : (probe += 7919) % n);
+          const Term& t = terms.Get(id);
+          const DecodedValue d = terms.Decoded(id);
+          const DecodedValue want = DecodeValue(t);
+          if (d.kind != want.kind ||
+              (d.is_number() && d.number() != want.number()) ||
+              (d.kind == DecodedValue::Kind::kDate && d.date != want.date)) {
+            mismatches.fetch_add(1);
+          }
+          if (id >= base && t.datatype() == xsd::kInteger &&
+              d.kind != DecodedValue::Kind::kInt) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (int i = 0; i < kFresh; ++i) {
+    if (i % 3 == 2) {
+      terms.Intern(Term::TypedLiteral(
+          std::to_string(1000 + i % 9000) + "-0" + std::to_string(1 + i % 9) +
+              "-1" + std::to_string(i % 10),
+          xsd::kDate));
+    } else {
+      terms.Intern(i % 3 == 0 ? Term::Integer(-i) : Term::Double(i + 0.25));
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GE(terms.size(), base + kFresh / 2);
+  for (size_t id = base; id < terms.size(); ++id) {
+    const TermId t = static_cast<TermId>(id);
+    EXPECT_NE(terms.Decoded(t).kind, DecodedValue::Kind::kTerm)
+        << terms.Get(t).ToNTriples();
+  }
 }
 
 }  // namespace

@@ -299,6 +299,51 @@ TEST(TraceCoverageTest, TracedQueryCoversThePipelineStages) {
   EXPECT_TRUE(JsonChecker::Valid(tracer->ToChromeJson()));
 }
 
+// The first merge-join query on a fresh graph builds the secondary
+// permutations in their own span, charged to index_build_ms rather than to
+// the join; later queries find them built.
+TEST(TraceCoverageTest, SecondaryIndexBuildHasItsOwnSpan) {
+  rdf::Graph g;
+  workload::ProductKgOptions opt;
+  opt.laptops = 2000;
+  workload::GenerateProductKg(&g, opt);
+  auto parsed = sparql::ParseQuery(
+      "PREFIX ex: <http://www.ics.forth.gr/example#>\n"
+      "SELECT ?l ?m ?c WHERE { ?l ex:manufacturer ?m . ?m ex:origin ?c . }");
+  ASSERT_TRUE(parsed.ok());
+  auto run = [&](const std::shared_ptr<Tracer>& tracer) {
+    sparql::Executor exec(&g);
+    exec.set_use_dp(true);  // planner v2, whose merge steps stream PSO
+    QueryContext ctx;
+    ctx.set_tracer(tracer);
+    exec.set_query_context(ctx);
+    auto r = exec.Execute(parsed.value());
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return exec.stats();
+  };
+  ASSERT_FALSE(g.secondary_indexes_built());
+  auto first = std::make_shared<Tracer>();
+  const sparql::ExecStats stats = run(first);
+  EXPECT_TRUE(g.secondary_indexes_built());
+  ASSERT_GT(stats.merge_joins, 0u);
+  ASSERT_TRUE(first->HasSpan("index-build-secondary"));
+  const auto spans = first->FinishedSpans();
+  for (const auto& span : spans) {
+    if (span.name != "index-build-secondary") continue;
+    // Inside the timed index build, outside every join span.
+    EXPECT_GE(stats.index_build_ms + 0.01, span.dur_us / 1000.0);
+    for (const auto& parent : spans) {
+      if (parent.id == span.parent) EXPECT_NE(parent.name, "bgp-join");
+    }
+  }
+  EXPECT_GT(stats.index_build_ms, 0.0);
+
+  auto second = std::make_shared<Tracer>();
+  run(second);
+  EXPECT_TRUE(second->HasSpan("bgp-join"));
+  EXPECT_FALSE(second->HasSpan("index-build-secondary"));
+}
+
 TEST(TraceCoverageTest, ResultsByteIdenticalWithTracingOnAndOff) {
   rdf::Graph g;
   workload::ProductKgOptions opt;

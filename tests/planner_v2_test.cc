@@ -61,6 +61,7 @@ struct RunOpts {
   sparql::JoinStrategy strategy = sparql::JoinStrategy::kAdaptive;
   bool use_dp = false;
   bool reorder = true;
+  bool push_filters = true;
 };
 
 std::string RunTsv(Graph* g, const std::string& q, const RunOpts& o,
@@ -68,7 +69,7 @@ std::string RunTsv(Graph* g, const std::string& q, const RunOpts& o,
   auto parsed = sparql::ParseQuery(q);
   EXPECT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << q;
   if (!parsed.ok()) return "";
-  sparql::Executor exec(g, o.reorder);
+  sparql::Executor exec(g, o.reorder, o.push_filters);
   exec.set_thread_count(o.threads);
   exec.set_join_strategy(o.strategy);
   exec.set_use_dp(o.use_dp);
@@ -297,16 +298,24 @@ TEST(PlannerV2Test, MergeIsByteIdenticalAcrossSeedsThreadsAndBackends) {
       "?m ex:origin ?c . }",
       "SELECT ?l ?h ?c WHERE { ?l ex:hardDrive ?h . ?h ex:manufacturer ?hm . "
       "?hm ex:origin ?c . }",
+      // FILTERs run between pipeline steps once their variables are bound.
+      "SELECT ?l ?p ?d ?m WHERE { ?l ex:price ?p . ?l ex:releaseDate ?d . "
+      "?l ex:manufacturer ?m . FILTER(?p >= 800 && ?p < 1800) }",
+      "SELECT ?l ?m ?c WHERE { ?l ex:manufacturer ?m . ?m ex:origin ?c . "
+      "?l ex:price ?p . FILTER(?p > 1000 || ?m = ?c) FILTER(YEAR(?d) > 0 "
+      "|| !BOUND(?d)) FILTER(?c != ?l) }",
   };
   for (unsigned seed : {7u, 19u, 42u}) {
     auto heap = BuildKg(seed, 400);
     auto mapped = OpenMapped(*heap, "diff_" + std::to_string(seed));
     for (const char* body : kQueries) {
       const std::string q = std::string(kPfx) + body;
-      // Reference: serial NLJ under the same (DP) order on the heap.
+      // Reference: serial NLJ under the same (DP) order on the heap, with
+      // every FILTER run after the join.
       RunOpts ref_opts;
       ref_opts.strategy = sparql::JoinStrategy::kNestedLoop;
       ref_opts.use_dp = true;
+      ref_opts.push_filters = false;
       const std::string reference = RunTsv(heap.get(), q, ref_opts);
       // Same order, both strategies, both thread counts, both backends:
       // byte-identical (NLJ demotes merge steps in place).
@@ -335,6 +344,30 @@ TEST(PlannerV2Test, MergeIsByteIdenticalAcrossSeedsThreadsAndBackends) {
           << "seed=" << seed << "\n" << q;
     }
   }
+}
+
+// A FILTER whose variables the first steps bind runs before the later
+// steps, which then extend only the rows it keeps; without filter pushdown
+// it runs after the join. Same answer either way.
+TEST(PlannerV2Test, FiltersRunBetweenPipelineSteps) {
+  auto g = BuildKg(7, 600);
+  const std::string q =
+      std::string(kPfx) +
+      "SELECT ?l ?p ?d ?m WHERE { ?l ex:price ?p . ?l ex:releaseDate ?d . "
+      "?l ex:manufacturer ?m . FILTER(?p >= 800 && ?p < 1800) }";
+  RunOpts pushed;
+  pushed.use_dp = true;
+  RunOpts after = pushed;
+  after.push_filters = false;
+  sparql::ExecStats pushed_stats, after_stats;
+  const std::string want = RunTsv(g.get(), q, after, &after_stats);
+  EXPECT_EQ(RunTsv(g.get(), q, pushed, &pushed_stats), want);
+  ASSERT_EQ(pushed_stats.rows_scanned.size(), 3u);
+  ASSERT_EQ(after_stats.rows_scanned.size(), 3u);
+  EXPECT_EQ(pushed_stats.rows_scanned[0], after_stats.rows_scanned[0]);
+  EXPECT_LT(pushed_stats.rows_scanned[1] + pushed_stats.rows_scanned[2],
+            after_stats.rows_scanned[1] + after_stats.rows_scanned[2]);
+  EXPECT_GT(pushed_stats.filter_ms, 0.0);
 }
 
 TEST(PlannerV2Test, MergeStepsEngageAndSurfaceStats) {

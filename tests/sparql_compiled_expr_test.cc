@@ -1,9 +1,12 @@
 // Differential coverage for compiled expressions: over a seeded corpus of
 // random expression trees and rows, CompiledExpr::Eval must return exactly
 // what the interpreter (EvalExpr) returns — same kind, same rendered term,
-// same effective boolean value.
+// same effective boolean value — and CompiledExpr::Test, which answers
+// numeric comparisons from the dictionary's decoded values, must return
+// that effective boolean value.
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <random>
 #include <string>
@@ -27,6 +30,10 @@ std::vector<Term> TermPool() {
   return {
       Term::TypedLiteral("5", xsd::kInteger),
       Term::TypedLiteral("05", xsd::kInt),
+      Term::Integer(INT64_MAX),
+      Term::Integer(INT64_MIN),
+      Term::TypedLiteral("12345678901234567890", xsd::kInteger),
+      Term::TypedLiteral("-99999999999999999999", xsd::kLong),
       Term::TypedLiteral("-3", xsd::kLong),
       Term::TypedLiteral("12abc", xsd::kInteger),
       Term::TypedLiteral("", xsd::kInteger),
@@ -59,9 +66,9 @@ std::vector<Term> TermPool() {
 
 // Random expression trees over the pool, the variables ?a..?d (plus ?zz,
 // which no row binds), and every operator and call kind the evaluators
-// implement. Integer leaves stay small and arithmetic does not nest: int64
-// overflow in + - * is undefined behaviour in both evaluators (an open
-// item on the ROADMAP), not a difference between them.
+// implement. The pool's INT64_MIN/MAX and 20-digit integers make + - *,
+// unary minus, ABS and SUM leave int64; both evaluators then compute in
+// doubles.
 class ExprGen {
  public:
   explicit ExprGen(uint64_t seed) : rng_(seed), pool_(TermPool()) {}
@@ -81,10 +88,9 @@ class ExprGen {
                                 Gen(depth - 1));
       }
       case 4: {
-        // Operands one level deep at most: products stay far from overflow.
         static const char* kArith[] = {"+", "-", "*", "/"};
-        const int d = std::min(depth - 1, 1);
-        return Expr::MakeBinary(kArith[Pick(4)], Gen(d), Gen(d));
+        return Expr::MakeBinary(kArith[Pick(4)], Gen(depth - 1),
+                                Gen(depth - 1));
       }
       case 5: {
         auto in = std::make_shared<Expr>();
@@ -200,6 +206,8 @@ TEST(CompiledExprTest, MatchesTheInterpreterOnASeededCorpus) {
       ASSERT_EQ(Render(got), Render(want)) << "expression #" << i;
       ASSERT_EQ(got.EffectiveBool(), want.EffectiveBool())
           << "expression #" << i;
+      ASSERT_EQ(compiled.Test(row, ctx), want.EffectiveBool())
+          << "expression #" << i;
       if (!want.is_unbound()) ++bound_results;
     }
   }
@@ -262,6 +270,121 @@ TEST(CompiledExprTest, IntegerConversionsOfNonFiniteValuesAreErrors) {
       EXPECT_TRUE(CompiledExpr(*call, vars).Eval({}, ctx).is_unbound());
     }
   }
+}
+
+TEST(CompiledExprTest, TestOfLeafComparisonsMatchesTheInterpreter) {
+  // Every comparison operator over every pair of pool terms, as slots and
+  // as constants, with unbound slots, alone and under !, && and ||: the
+  // shapes Test answers from the decoded values without a Value.
+  rdf::Graph g;
+  VarTable vars;
+  vars.IdOf("a");
+  vars.IdOf("b");
+  vars.IdOf("c");
+  EvalContext ctx{.terms = &g.terms(), .vars = &vars};
+  std::vector<Term> pool = TermPool();
+  pool.push_back(Term::TypedLiteral("1e400", xsd::kDouble));
+  pool.push_back(Term::TypedLiteral("5.0", xsd::kDouble));
+  static const char* kCompare[] = {"=", "!=", "<", "<=", ">", ">="};
+  const rdf::TermId seven = g.terms().Intern(Term::Integer(7));
+  size_t answered = 0;
+  for (size_t i = 0; i <= pool.size(); ++i) {
+    for (size_t j = 0; j <= pool.size(); ++j) {
+      // i or j == pool.size(): that slot is unbound.
+      const Binding row = {
+          i < pool.size() ? g.terms().Intern(pool[i]) : rdf::kNoTermId,
+          j < pool.size() ? g.terms().Intern(pool[j]) : rdf::kNoTermId,
+          seven};
+      for (const char* op : kCompare) {
+        std::vector<ExprPtr> shapes = {
+            Expr::MakeBinary(op, Expr::MakeVar("a"), Expr::MakeVar("b"))};
+        if (j < pool.size()) {
+          shapes.push_back(Expr::MakeBinary(op, Expr::MakeVar("a"),
+                                            Expr::MakeTerm(pool[j])));
+        }
+        if (i < pool.size()) {
+          shapes.push_back(Expr::MakeBinary(op, Expr::MakeTerm(pool[i]),
+                                            Expr::MakeVar("b")));
+        }
+        const size_t leaves = shapes.size();
+        for (size_t k = 0; k < leaves; ++k) {
+          shapes.push_back(Expr::MakeUnary("!", shapes[k]));
+          shapes.push_back(Expr::MakeBinary(
+              "&&", shapes[k],
+              Expr::MakeBinary("<", Expr::MakeVar("c"),
+                               Expr::MakeTerm(Term::Integer(9)))));
+          shapes.push_back(Expr::MakeBinary("||", Expr::MakeVar("zz"),
+                                            shapes[k]));
+        }
+        for (const ExprPtr& e : shapes) {
+          const std::optional<bool> want =
+              EvalExpr(*e, row, ctx).EffectiveBool();
+          ASSERT_EQ(CompiledExpr(*e, vars).Test(row, ctx), want)
+              << "i=" << i << " j=" << j << " op=" << op;
+          answered += want.has_value();
+        }
+      }
+    }
+  }
+  EXPECT_GT(answered, 1000u);
+}
+
+TEST(CompiledExprTest, IntegerOverflowFallsBackToDoubles) {
+  rdf::Graph g;
+  VarTable vars;
+  EvalContext ctx{.terms = &g.terms(), .vars = &vars};
+  auto num = [](const char* lexical) {
+    return Expr::MakeTerm(Term::TypedLiteral(lexical, xsd::kInteger));
+  };
+  auto render = [&](const ExprPtr& e) {
+    const Value want = EvalExpr(*e, {}, ctx);
+    EXPECT_EQ(Render(CompiledExpr(*e, vars).Eval({}, ctx)), Render(want));
+    return want.is_unbound() ? std::string("unbound")
+                             : want.ToTerm().ToNTriples();
+  };
+  const std::string kMax = "9223372036854775807";
+  const std::string kMin = "-9223372036854775808";
+  auto dbl = [](const char* lexical) {
+    return "\"" + std::string(lexical) + "\"^^<" + xsd::kDouble + ">";
+  };
+  auto integer = [](const std::string& lexical) {
+    return "\"" + lexical + "\"^^<" + xsd::kInteger + ">";
+  };
+  // In range: still integers.
+  EXPECT_EQ(render(Expr::MakeBinary("+", num("9223372036854775806"),
+                                    num("1"))),
+            integer(kMax));
+  EXPECT_EQ(render(Expr::MakeBinary("-", num(kMin.c_str()), num("0"))),
+            integer(kMin));
+  // Out of range: the double of the exact result.
+  EXPECT_EQ(render(Expr::MakeBinary("+", num(kMax.c_str()), num("1"))),
+            dbl("9.2233720368547758e+18"));
+  EXPECT_EQ(render(Expr::MakeBinary("-", num(kMin.c_str()), num("1"))),
+            dbl("-9.2233720368547758e+18"));
+  EXPECT_EQ(render(Expr::MakeBinary("*", num(kMax.c_str()), num("2"))),
+            dbl("1.8446744073709552e+19"));
+  EXPECT_EQ(render(Expr::MakeUnary("-", num(kMin.c_str()))),
+            dbl("9.2233720368547758e+18"));
+  EXPECT_EQ(render(Expr::MakeCall("ABS", {num(kMin.c_str())})),
+            dbl("9.2233720368547758e+18"));
+  EXPECT_EQ(render(Expr::MakeUnary("-", num(kMax.c_str()))),
+            integer("-9223372036854775807"));
+  // A 20-digit integer form is a double, not INT64_MAX.
+  EXPECT_EQ(render(num("12345678901234567890")),
+            dbl("1.2345678901234567e+19"));
+  EXPECT_EQ(render(Expr::MakeBinary("=", num("12345678901234567890"),
+                                    num(kMax.c_str()))),
+            "\"false\"^^<" + std::string(xsd::kBoolean) + ">");
+  // CAST of a string reads it by the same rule: out of int64 is an error.
+  ExprPtr cast = Expr::MakeCall(
+      "CAST", {Expr::MakeTerm(
+                  Term::TypedLiteral("99999999999999999999", xsd::kString))});
+  cast->term = Term::Iri(xsd::kInteger);
+  EXPECT_EQ(render(cast), "unbound");
+  ExprPtr cast_ok =
+      Expr::MakeCall("CAST", {Expr::MakeTerm(Term::Literal(" 12"))});
+  cast_ok->term = Term::Iri(xsd::kInteger);
+  EXPECT_EQ(render(cast_ok), integer("12"));
 }
 
 }  // namespace

@@ -3,9 +3,15 @@
 // must produce byte-identical results whether the graph was fully decoded
 // onto the heap or is being served lazily off a compressed mapped snapshot.
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -100,6 +106,86 @@ BackendPair SaveAndReopen(const Graph& g, const std::string& tag) {
   pair.mapped = std::move(mapped).value();
   std::remove(path.c_str());  // the mapping outlives the directory entry
   return pair;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// Files beside `path` whose names extend its name: a save's leftovers.
+std::vector<std::string> Leftovers(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".";
+  std::vector<std::string> out;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) out.push_back(name);
+  }
+  return out;
+}
+
+// A save renames a complete new snapshot over the old one, so a graph
+// mapped from the old file keeps answering from the old inode (an in-place
+// rewrite would change its bytes under it, or SIGBUS it), and a reopen
+// sees the new snapshot.
+TEST(AtomicSnapshotTest, MappedGraphSurvivesAReplacingSave) {
+  auto old_kg = BuildKg(42);
+  auto new_kg = BuildKg(7);
+  const std::string path = TempPath("replaced");
+  ASSERT_TRUE(rdf::SaveBinaryFile(*old_kg, path).ok());
+  auto mapped = rdf::OpenMappedSnapshot(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().message();
+  ASSERT_TRUE(rdf::SaveBinaryFile(*new_kg, path).ok());
+  EXPECT_TRUE(Leftovers(path).empty());
+  // Nothing was decoded off the mapping before the replacement.
+  for (const char* q : kQueries) {
+    EXPECT_EQ(RunQuery(mapped.value().get(), q, 1),
+              RunQuery(old_kg.get(), q, 1))
+        << q;
+  }
+  auto reopened = rdf::OpenMappedSnapshot(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  for (const char* q : kQueries) {
+    EXPECT_EQ(RunQuery(reopened.value().get(), q, 1),
+              RunQuery(new_kg.get(), q, 1))
+        << q;
+  }
+  std::remove(path.c_str());
+}
+
+// A save that fails part way (here: the file-size limit stops the write)
+// leaves the old snapshot byte-for-byte intact and no temporary file.
+TEST(AtomicSnapshotTest, FailedSaveLeavesTheOldFileIntact) {
+  auto old_kg = BuildKg(42);
+  auto new_kg = BuildKg(7);
+  const std::string path = TempPath("failed");
+  ASSERT_TRUE(rdf::SaveBinaryFile(*old_kg, path).ok());
+  const std::string before = ReadFile(path);
+  ASSERT_FALSE(before.empty());
+  constexpr rlim_t kLimit = 4096;
+  ASSERT_GT(rdf::SaveBinary(*new_kg).size(), kLimit);
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit limited = saved;
+  limited.rlim_cur = kLimit;
+  auto* old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &limited), 0);
+  const Status st = rdf::SaveBinaryFile(*new_kg, path);
+  ::setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(ReadFile(path), before);
+  EXPECT_TRUE(Leftovers(path).empty());
+  auto mapped = rdf::OpenMappedSnapshot(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().message();
+  EXPECT_EQ(RunQuery(mapped.value().get(), kQueries[2], 1),
+            RunQuery(old_kg.get(), kQueries[2], 1));
+  std::remove(path.c_str());
 }
 
 TEST(StorageBackendTest, MappedViewStructureMatchesHeap) {
