@@ -138,9 +138,9 @@ const QuerySpec kSuite[] = {
      "(eps, price, AVG+MIN+MAX) over Laptop"},
 };
 
-int RunProfile(rdfa::rdf::Graph* graph, const LatencyProfile& profile,
+int RunProfile(rdfa::rdf::MvccGraph* store, const LatencyProfile& profile,
                const char* table_name, size_t n_triples, int iters) {
-  SimulatedEndpoint endpoint(graph, profile);
+  SimulatedEndpoint endpoint(store, profile);
   if (g_cache_mb > 0) {
     rdfa::CacheOptions copts;
     copts.max_bytes = g_cache_mb << 20;
@@ -351,7 +351,7 @@ int RunMixedReadWrite(size_t laptops, int rounds, bool predicate_inval,
 
 /// Deterministic admission/timeout demonstration: a held slot forces a
 /// shed; a sub-millisecond budget forces a deadline trip.
-int RunAdmissionDemo(rdfa::rdf::Graph* graph) {
+int RunAdmissionDemo(rdfa::rdf::MvccGraph* store) {
   std::printf("\n== admission control & deadlines ==\n");
   int failures = 0;
   rdfa::rdf::PrefixMap prefixes;
@@ -363,7 +363,7 @@ int RunAdmissionDemo(rdfa::rdf::Graph* graph) {
   const std::string sparql = translated.value();
 
   {
-    SimulatedEndpoint endpoint(graph, LatencyProfile::Local());
+    SimulatedEndpoint endpoint(store, LatencyProfile::Local());
     rdfa::endpoint::AdmissionOptions opts;
     opts.max_in_flight = 1;
     opts.max_queue = 0;  // no waiting room: shed immediately when busy
@@ -380,7 +380,7 @@ int RunAdmissionDemo(rdfa::rdf::Graph* graph) {
     }
   }
   {
-    SimulatedEndpoint endpoint(graph, LatencyProfile::Local());
+    SimulatedEndpoint endpoint(store, LatencyProfile::Local());
     rdfa::endpoint::AdmissionOptions opts;
     opts.base_timeout_ms = 0.001;  // sub-microsecond budget: must trip
     endpoint.set_admission(opts);
@@ -730,23 +730,25 @@ int main(int argc, char** argv) {
   std::vector<size_t> scales =
       scale > 0 ? std::vector<size_t>{scale} : std::vector<size_t>{2000, 20000};
   // Last scale's KG outlives the loop: the admission demo reuses it.
-  std::unique_ptr<rdfa::rdf::Graph> graph;
+  std::unique_ptr<rdfa::rdf::MvccGraph> store;
   for (size_t laptops : scales) {
-    graph = std::make_unique<rdfa::rdf::Graph>();
+    auto graph = std::make_unique<rdfa::rdf::Graph>();
     rdfa::workload::ProductKgOptions opt;
     opt.laptops = laptops;
     opt.companies = laptops / 100 + 5;
     rdfa::workload::GenerateProductKg(graph.get(), opt);
     rdfa::rdf::MaterializeRdfsClosure(graph.get());
+    const size_t n_triples = graph->size();
+    store = std::make_unique<rdfa::rdf::MvccGraph>(std::move(graph));
 
-    failures += RunProfile(graph.get(), LatencyProfile::Peak(),
-                           "Table 6.1: Efficiency - peak hours",
-                           graph->size(), iters);
-    failures += RunProfile(graph.get(), LatencyProfile::OffPeak(),
+    failures += RunProfile(store.get(), LatencyProfile::Peak(),
+                           "Table 6.1: Efficiency - peak hours", n_triples,
+                           iters);
+    failures += RunProfile(store.get(), LatencyProfile::OffPeak(),
                            "Table 6.2: Efficiency - off-peak hours",
-                           graph->size(), iters);
+                           n_triples, iters);
   }
-  failures += RunAdmissionDemo(graph.get());
+  failures += RunAdmissionDemo(store.get());
   std::string mixed_json;
   if (mixed_writes > 0) {
     failures += RunMixedReadWrite(scales.front(), mixed_writes,

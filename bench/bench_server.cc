@@ -282,10 +282,7 @@ int main(int argc, char** argv) {
     kg.laptops = scale == 0 ? 2000 : scale;
     size_t triples = rdfa::workload::GenerateProductKg(base.get(), kg);
     rdfa::rdf::MvccGraph::Options mopts;
-    mopts.update_fn = [](rdfa::rdf::Graph* g, const std::string& text) {
-      auto applied = rdfa::sparql::ExecuteUpdateString(g, text);
-      return applied.ok() ? rdfa::Status::OK() : applied.status();
-    };
+    mopts.update_fn = rdfa::sparql::ApplyUpdate;
     auto opened =
         rdfa::rdf::MvccGraph::Open(std::move(mopts), std::move(base));
     if (!opened.ok()) {

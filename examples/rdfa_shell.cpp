@@ -64,21 +64,24 @@ struct Shell {
   double slow_ms = 250;    ///< --slow-query-ms=: capture threshold
   int slow_max = 32;       ///< --slow-query-max=: ring size (files kept)
   rdfa::QueryContext exec_ctx;  ///< the context armed for the current exec
+  /// The cache-serving endpoint and the store it serves, which shares
+  /// ownership of the graph on screen (declared first: destroyed last).
+  std::unique_ptr<rdfa::rdf::MvccGraph> endpoint_store;
   std::unique_ptr<rdfa::endpoint::SimulatedEndpoint> endpoint;
-  const rdfa::rdf::Graph* endpoint_graph = nullptr;
   /// --wal=<path>: the durable MVCC store. The shell's base graph is then a
   /// pinned snapshot of its head; `update`/`walstress` commit through it.
   std::unique_ptr<rdfa::rdf::MvccGraph> mvcc;
   std::string wal_path;
 
-  /// The cache-serving endpoint over the *current* graph, (re)built lazily
-  /// whenever the graph stack changed (load/example/explore/pop), so cached
-  /// answers always come from the dataset on screen. Mutations of the same
-  /// graph (infer) are handled by generation stamping, not by rebuilds.
+  /// The cache-serving endpoint over the graph on screen, built lazily.
+  /// Every change to the graph stack (load/example/infer/explore/pop/
+  /// commit) drops it, so cached answers always come from the dataset on
+  /// screen.
   rdfa::endpoint::SimulatedEndpoint& Endpoint() {
-    if (endpoint == nullptr || endpoint_graph != &graph()) {
+    if (endpoint == nullptr) {
+      endpoint_store = std::make_unique<rdfa::rdf::MvccGraph>(graphs.back());
       endpoint = std::make_unique<rdfa::endpoint::SimulatedEndpoint>(
-          &graph(), rdfa::endpoint::LatencyProfile::Local(), true);
+          endpoint_store.get(), rdfa::endpoint::LatencyProfile::Local(), true);
       rdfa::CacheOptions opts;
       opts.max_bytes = cache_mb << 20;
       opts.max_entries = 4096;
@@ -92,9 +95,13 @@ struct Shell {
       if (!slow_dir.empty()) {
         endpoint->set_slow_query_capture(slow_dir, slow_ms, slow_max);
       }
-      endpoint_graph = &graph();
     }
     return *endpoint;
+  }
+
+  void DropEndpoint() {
+    endpoint.reset();
+    endpoint_store.reset();
   }
 
   /// Builds the deadline/cancellation context for one exec and installs it
@@ -183,6 +190,7 @@ struct Shell {
   }
 
   void Reset(std::shared_ptr<rdfa::rdf::Graph> g) {
+    DropEndpoint();
     graphs.clear();
     sessions.clear();
     graphs.push_back(std::move(g));
@@ -225,7 +233,8 @@ void PrintHelp() {
                                 queries read the mapped file lazily; the
                                 first mutation materializes to heap
   ns <iri>                      set the default namespace for bare names
-  infer                         materialize the RDFS closure
+  infer                         materialize the RDFS closure (not under
+                                --wal: the closure would bypass the log)
   show                          render the two-frame GUI (facets + objects)
   click <Class>                 class-based transition
   value <p1/p2/...> <v>         click a value at the end of a property path
@@ -258,7 +267,7 @@ void PrintHelp() {
                                 Cancelled — the cooperative-abort path)
   trace on|off                  per-exec span tracing; with --trace-out=<dir>
                                 each exec writes Chrome trace JSON (Perfetto)
-  cache on|off|stats            generation-checked answer + plan cache for
+  cache on|off|stats            stamp-checked answer + plan cache for
                                 exec (re-running an unchanged query is a hit;
                                 any mutation invalidates); --cache-mb=<n>
                                 sets the byte budget and turns it on
@@ -302,7 +311,8 @@ bool HandleLine(Shell& shell, const std::string& line) {
   };
 
   if (cmd == "quit" || cmd == "exit") return false;
-  if ((cmd == "example" || cmd == "load" || cmd == "mmap") &&
+  if ((cmd == "example" || cmd == "load" || cmd == "mmap" ||
+       cmd == "infer") &&
       shell.mvcc != nullptr) {
     std::printf("error: %s is unavailable in --wal mode — the WAL is the "
                 "source of truth; mutate with update/walstress\n",
@@ -381,6 +391,7 @@ bool HandleLine(Shell& shell, const std::string& line) {
   } else if (cmd == "ns") {
     in >> shell.default_ns;
   } else if (cmd == "infer") {
+    shell.DropEndpoint();  // its store must never see a version mutate
     std::printf("inferred %zu triples\n",
                 rdfa::rdf::MaterializeRdfsClosure(&shell.graph()));
     // Rebuild the session so the schema view sees the closure.
@@ -556,7 +567,7 @@ bool HandleLine(Shell& shell, const std::string& line) {
     }
   } else if (cmd == "exec" && shell.cache_on) {
     // Cached execution: route the synthesized SPARQL through a local
-    // endpoint whose generation-checked answer/plan caches make repeated
+    // endpoint whose stamp-checked answer/plan caches make repeated
     // queries (unchanged graph) instant — and the result is installed back
     // into the session so chart/json/csv/explore keep working.
     auto sparql = shell.session().BuildSparql();
@@ -621,8 +632,7 @@ bool HandleLine(Shell& shell, const std::string& line) {
       if (shell.cache_mb == 0) shell.cache_mb = 64;
       shell.cache_on = true;
       // Rebuild so the budget takes effect even after `cache off`.
-      shell.endpoint.reset();
-      shell.endpoint_graph = nullptr;
+      shell.DropEndpoint();
       std::printf("cache on (%zu MB answer budget + plan cache)\n",
                   shell.cache_mb);
     } else if (mode == "off") {
@@ -753,6 +763,7 @@ bool HandleLine(Shell& shell, const std::string& line) {
     auto g = std::make_unique<rdfa::rdf::Graph>();
     auto nested = shell.session().ExploreAnswer(g.get());
     if (nested.ok()) {
+      shell.DropEndpoint();
       shell.graphs.push_back(std::move(g));
       shell.sessions.push_back(std::move(nested).value());
       shell.sessions.back()->set_thread_count(shell.threads);
@@ -764,6 +775,7 @@ bool HandleLine(Shell& shell, const std::string& line) {
     }
   } else if (cmd == "pop") {
     if (shell.sessions.size() > 1) {
+      shell.DropEndpoint();
       shell.sessions.pop_back();
       shell.graphs.pop_back();
       std::printf("back to level %zu\n", shell.sessions.size() - 1);
@@ -848,10 +860,7 @@ int main(int argc, char** argv) {
     // a crash mid-append) instead of reparsing any source data.
     rdfa::rdf::MvccGraph::Options opts;
     opts.wal_path = shell.wal_path;
-    opts.update_fn = [](rdfa::rdf::Graph* g, const std::string& text) {
-      auto applied = rdfa::sparql::ExecuteUpdateString(g, text);
-      return applied.ok() ? rdfa::Status::OK() : applied.status();
-    };
+    opts.update_fn = rdfa::sparql::ApplyUpdate;
     auto opened = rdfa::rdf::MvccGraph::Open(std::move(opts));
     if (!opened.ok()) {
       std::fprintf(stderr, "error: cannot open WAL %s: %s\n",

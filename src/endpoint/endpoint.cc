@@ -37,17 +37,9 @@ LatencyProfile LatencyProfile::Local() {
   return p;
 }
 
-SimulatedEndpoint::SimulatedEndpoint(rdf::Graph* graph, LatencyProfile profile,
-                                     bool enable_cache)
-    : graph_(graph), profile_(std::move(profile)) {
-  CacheOptions opts;
-  opts.enabled = enable_cache;
-  set_cache_options(opts);
-}
-
 SimulatedEndpoint::SimulatedEndpoint(rdf::MvccGraph* mvcc,
                                      LatencyProfile profile, bool enable_cache)
-    : graph_(nullptr), mvcc_(mvcc), profile_(std::move(profile)) {
+    : mvcc_(mvcc), profile_(std::move(profile)) {
   CacheOptions opts;
   opts.enabled = enable_cache;
   set_cache_options(opts);
@@ -364,15 +356,11 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
                     "Admission-queue wait in milliseconds")
       .Observe(resp.queued_ms);
 
-  // MVCC mode: pin the current snapshot for the whole query. The pin keeps
-  // the version alive across later commits; no graph lock is held while the
-  // query parses or executes.
-  rdf::MvccGraph::Pin pin;
-  rdf::Graph* g = graph_;
-  if (mvcc_ != nullptr) {
-    pin = mvcc_->Snapshot();
-    g = pin.graph.get();
-  }
+  // Pin the current snapshot for the whole query. The pin keeps the version
+  // alive across later commits; no graph lock is held while the query
+  // parses or executes.
+  const rdf::MvccGraph::Pin pin = mvcc_->Snapshot();
+  rdf::Graph* g = pin.graph.get();
   storage_backend = g->mapped() != nullptr ? "mmap" : "heap";
 
   // Live in-flight registry: visible to `ps`/`kill` and the
@@ -380,17 +368,15 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
   // exit path. Registration attaches relaxed progress counters to `ctx`, so
   // the executor's stage checks and row counts are sampled lock-free.
   QueryRegistry::Handle inflight = QueryRegistry::Global().Register(
-      &ctx, sparql, HashQueryText(sparql), mvcc_ != nullptr ? pin.epoch : 0);
+      &ctx, sparql, HashQueryText(sparql), pin.epoch);
   QueryRegistry::Global().UpdateStageGauges();
 
-  // Stamp-checked cache lookup. Legacy mode stamps with the global
-  // generation read *before* execution; MVCC mode validates each entry
-  // against FootprintStamp(entry.footprint) on the pinned snapshot, so only
-  // a commit that touched one of the entry's predicates invalidates it.
+  // Stamp-checked cache lookup: each entry is validated against
+  // FootprintStamp(entry.footprint) on the pinned snapshot, so only a
+  // commit that touched one of the entry's predicates invalidates it.
   const bool cache_on = answer_cache_->enabled();
   std::string fingerprint;
   uint64_t query_hash = 0;
-  uint64_t generation = 0;
   const auto stamp_fn = [g](const CacheFootprint& fp) {
     return g->FootprintStamp(fp);
   };
@@ -400,12 +386,10 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
     // answer bytes, so DP runs get their own answer and plan cache slots.
     if (use_dp_) fingerprint += "\n#planner-cfg:dp";
     query_hash = HashQueryText(fingerprint);
-    generation = g->Generation();
     TraceSpan cache_span(tracer.get(), "cache-lookup");
-    cache_span.Arg("generation", generation);
+    cache_span.Arg("epoch", pin.epoch);
     std::shared_ptr<const sparql::ResultTable> hit =
-        mvcc_ != nullptr ? answer_cache_->Get(fingerprint, stamp_fn)
-                         : answer_cache_->Get(fingerprint, generation);
+        answer_cache_->Get(fingerprint, stamp_fn);
     cache_span.Arg("hit", hit != nullptr);
     // The copy is the entry's id cells and overflow terms; the term table
     // they index is shared, not copied.
@@ -431,14 +415,12 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
   }
 
   auto start = std::chrono::steady_clock::now();
-  // Plan-cache lookup (same generation stamp: the cached BGP orders came
-  // from that generation's statistics). A hit skips the parse and replays
-  // the recorded join orders; a miss parses and captures them for reuse.
+  // Plan-cache lookup (same stamp protocol: the cached BGP orders came from
+  // the statistics of the version the plan was stamped with). A hit skips
+  // the parse and replays the recorded join orders; a miss parses and
+  // captures them for reuse.
   std::shared_ptr<const sparql::PlanEntry> plan;
-  if (cache_on) {
-    plan = mvcc_ != nullptr ? plan_cache_->Get(query_hash, stamp_fn)
-                            : plan_cache_->Get(query_hash, generation);
-  }
+  if (cache_on) plan = plan_cache_->Get(query_hash, stamp_fn);
   sparql::ParsedQuery parsed_local;
   sparql::PlanEntry fresh_plan;
   const sparql::ParsedQuery* query = nullptr;
@@ -456,18 +438,6 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
     }
     parsed_local = std::move(parsed).value();
     query = &parsed_local;
-  }
-  // The fill stamp. MVCC mode stamps with the footprint's per-predicate
-  // epoch sum on the pinned snapshot (wildcard when the ablation knob is
-  // off); legacy mode keeps the pre-execution global generation.
-  CacheFootprint footprint = CacheFootprint::Wildcard();
-  uint64_t fill_stamp = generation;
-  if (cache_on && mvcc_ != nullptr) {
-    if (predicate_invalidation_) {
-      footprint =
-          plan != nullptr ? plan->footprint : sparql::FootprintOf(*query);
-    }
-    fill_stamp = g->FootprintStamp(footprint);
   }
   sparql::Executor exec(g);
   exec.set_thread_count(thread_count_);
@@ -503,21 +473,25 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
     return resp;
   }
   resp.table = std::move(table).value();
-  // Fill only on a successful, unambiguous run: error/cancel paths returned
-  // above (no poisoned entries), and a generation that moved mid-execution
-  // (legacy mode: a contract violation — mutation requires exclusive
-  // access — but cheap to defend against) skips the fill rather than
-  // stamping a lie. In MVCC mode the pin is immutable, so this check is
-  // trivially true; a fill racing a commit is still safe because the stamp
-  // travels with the entry — per-predicate epochs only grow, so a stale
-  // fill can never alias the head snapshot's stamp.
-  if (cache_on && g->Generation() == generation) {
-    answer_cache_->Put(fingerprint, fill_stamp, resp.table,
+  // Fill only on a successful run: error/cancel paths returned above (no
+  // poisoned entries). The fill stamp is the footprint's per-predicate epoch
+  // sum on the pinned snapshot (a wildcard when the ablation knob is off).
+  // The pin never changes, so the stamp is the one the answer was computed
+  // under; a fill racing a commit is still safe because per-predicate
+  // epochs only grow, so a stale fill can never alias the head's stamp.
+  if (cache_on) {
+    CacheFootprint footprint = CacheFootprint::Wildcard();
+    if (predicate_invalidation_) {
+      footprint =
+          plan != nullptr ? plan->footprint : sparql::FootprintOf(*query);
+    }
+    const uint64_t stamp = g->FootprintStamp(footprint);
+    answer_cache_->Put(fingerprint, stamp, resp.table,
                        resp.table.ApproxBytes(), footprint);
     if (plan == nullptr) {
       fresh_plan.ast = *query;
-      fresh_plan.footprint = footprint;
-      plan_cache_->Put(query_hash, fill_stamp, std::move(fresh_plan));
+      fresh_plan.footprint = std::move(footprint);
+      plan_cache_->Put(query_hash, stamp, std::move(fresh_plan));
     }
   }
   {

@@ -13,7 +13,6 @@
 #include "common/query_context.h"
 #include "common/query_log.h"
 #include "common/status.h"
-#include "rdf/graph.h"
 #include "rdf/mvcc.h"
 #include "sparql/exec_stats.h"
 #include "sparql/plan_cache.h"
@@ -106,35 +105,28 @@ struct EndpointStats {
 };
 
 /// A SPARQL endpoint facade over the local engine with the latency model,
-/// an optional generation-checked answer + plan cache (an ablation knob),
-/// and a query log.
+/// an optional answer + plan cache (an ablation knob), and a query log.
 ///
-/// Caching protocol: every cached artifact is stamped with the graph's
-/// mutation generation (rdf::Graph::Generation()) read *before* execution.
-/// A lookup under a different generation is a miss that lazily evicts the
-/// stale entry, so an answer computed before a SPARQL UPDATE can never be
-/// served after it. Queries are fingerprinted with whitespace-normalized
-/// text (NormalizeQueryText), so reformattings share an entry.
+/// The endpoint serves an rdf::MvccGraph. Each query pins an immutable
+/// snapshot for its whole lifetime: no graph lock is held across a query,
+/// and concurrent commits never stall readers. Writers mutate through the
+/// MvccGraph (Insert/Remove/BufferUpdate + Commit); no exclusive access
+/// w.r.t. this endpoint is required.
 ///
-/// MVCC mode (the rdf::MvccGraph constructor): each query pins an immutable
-/// snapshot for its whole lifetime — no graph lock is held across a query
-/// and concurrent commits never stall readers. Cached artifacts carry the
-/// query's *predicate footprint* and are stamped with
-/// Graph::FootprintStamp(footprint) instead of the global generation, so a
-/// commit invalidates only the entries whose footprint intersects the
-/// predicates it actually touched (wildcard footprints — variable
-/// predicates, property paths, DESCRIBE — still fall back to the global
-/// generation). set_predicate_invalidation(false) degrades every footprint
-/// to a wildcard, restoring whole-cache invalidation as an ablation
-/// baseline.
+/// Caching protocol: every cached artifact carries the query's *predicate
+/// footprint* and is stamped with Graph::FootprintStamp(footprint) on the
+/// pinned snapshot. A lookup revalidates the entry against the reader's own
+/// snapshot, so a commit invalidates only the entries whose footprint
+/// intersects the predicates it touched (wildcard footprints — variable
+/// predicates, property paths, DESCRIBE — fall back to the global
+/// generation). A stale lookup is a miss that lazily evicts the entry.
+/// set_predicate_invalidation(false) degrades every footprint to a
+/// wildcard, restoring whole-cache invalidation as an ablation baseline.
+/// Queries are fingerprinted with whitespace-normalized text
+/// (NormalizeQueryText), so reformattings share an entry.
 class SimulatedEndpoint {
  public:
-  SimulatedEndpoint(rdf::Graph* graph, LatencyProfile profile,
-                    bool enable_cache = false);
-  /// MVCC mode: queries pin MvccGraph snapshots and the caches use
-  /// predicate-granular invalidation. Writers mutate through `mvcc`
-  /// directly (Insert/Remove/BufferUpdate + Commit) — no exclusive access
-  /// w.r.t. this endpoint is required.
+  /// `mvcc` must outlive the endpoint.
   SimulatedEndpoint(rdf::MvccGraph* mvcc, LatencyProfile profile,
                     bool enable_cache = false);
 
@@ -206,16 +198,13 @@ class SimulatedEndpoint {
   void set_use_dp(bool on) { use_dp_ = on; }
   bool use_dp() const { return use_dp_; }
 
-  /// Toggles predicate-granular cache invalidation (MVCC mode only;
-  /// default on). Off: fills stamp a wildcard footprint, i.e. classic
-  /// global-generation invalidation — the bench ablation baseline.
+  /// Toggles predicate-granular cache invalidation (default on). Off: fills
+  /// stamp a wildcard footprint, i.e. classic global-generation
+  /// invalidation — the bench ablation baseline.
   void set_predicate_invalidation(bool on) { predicate_invalidation_ = on; }
   bool predicate_invalidation() const { return predicate_invalidation_; }
-  bool mvcc_mode() const { return mvcc_ != nullptr; }
+  /// The served store; plan-only paths (EXPLAIN) pin its head themselves.
   rdf::MvccGraph* mvcc() const { return mvcc_; }
-  /// Legacy-mode graph (null in MVCC mode — pin a snapshot instead). For
-  /// plan-only paths (EXPLAIN) that bypass Query().
-  rdf::Graph* base_graph() const { return graph_; }
 
   const LatencyProfile& profile() const { return profile_; }
   size_t queries_served() const;
@@ -270,8 +259,7 @@ class SimulatedEndpoint {
   void ReleaseSlot();
   void RecordOutcome(const Status& status);
 
-  rdf::Graph* graph_;              ///< legacy mode (null in MVCC mode)
-  rdf::MvccGraph* mvcc_ = nullptr; ///< MVCC mode (null in legacy mode)
+  rdf::MvccGraph* mvcc_;
   bool predicate_invalidation_ = true;
   LatencyProfile profile_;
   int thread_count_ = 1;

@@ -131,16 +131,10 @@ EndpointResponse RequestHandler::Handle(const EndpointRequest& request) {
 Result<std::string> RequestHandler::Explain(const std::string& query) const {
   Result<sparql::ParsedQuery> parsed = sparql::ParseQuery(query);
   if (!parsed.ok()) return parsed.status();
-  // Plan against whatever queries would execute against right now: the
-  // legacy-mode graph, or a freshly pinned MVCC head snapshot (the pin
-  // keeps the version alive for the duration of planning).
-  rdf::MvccGraph::Pin pin;
-  rdf::Graph* g = endpoint_->base_graph();
-  if (endpoint_->mvcc_mode()) {
-    pin = endpoint_->mvcc()->Snapshot();
-    g = pin.graph.get();
-  }
-  sparql::Executor exec(g);
+  // Plan against the head snapshot queries would execute against right
+  // now; the pin keeps the version alive for the duration of planning.
+  const rdf::MvccGraph::Pin pin = endpoint_->mvcc()->Snapshot();
+  sparql::Executor exec(pin.graph.get());
   exec.set_thread_count(endpoint_->thread_count());
   exec.set_use_dp(endpoint_->use_dp());
   return exec.ExplainJson(parsed.value());

@@ -46,14 +46,13 @@ struct MvccGraph::PinTable {
   }
 };
 
-MvccGraph::MvccGraph(std::unique_ptr<Graph> base)
+MvccGraph::MvccGraph(std::shared_ptr<Graph> base)
     : MvccGraph(std::move(base), Options()) {}
 
-MvccGraph::MvccGraph(std::unique_ptr<Graph> base, Options opts)
+MvccGraph::MvccGraph(std::shared_ptr<Graph> base, Options opts)
     : opts_(std::move(opts)),
       pin_table_(std::make_shared<PinTable>()),
-      current_(base != nullptr ? std::shared_ptr<Graph>(std::move(base))
-                               : std::make_shared<Graph>()) {
+      current_(base != nullptr ? std::move(base) : std::make_shared<Graph>()) {
   current_->Freeze();
 }
 

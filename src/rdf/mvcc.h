@@ -70,9 +70,11 @@ class MvccGraph {
     uint64_t truncated_bytes = 0;
   };
 
-  /// An MvccGraph without durability, seeded with `base` (or empty).
-  explicit MvccGraph(std::unique_ptr<Graph> base = nullptr);
-  MvccGraph(std::unique_ptr<Graph> base, Options opts);
+  /// An MvccGraph without durability, seeded with `base` (or empty). The
+  /// store shares ownership of `base`, which becomes epoch 0 and, like every
+  /// published version, must not be mutated again.
+  explicit MvccGraph(std::shared_ptr<Graph> base = nullptr);
+  MvccGraph(std::shared_ptr<Graph> base, Options opts);
 
   /// Opens with `opts` (typically with a WAL path): replays the log into
   /// `base`, truncates any torn tail, and positions the WAL for append.

@@ -1,6 +1,6 @@
 // rdfa_server: the network front-end of the engine. One process serving the
 // SPARQL protocol dialect over HTTP/1.1 — admission control, per-request
-// deadlines, the generation-aware query cache, MVCC snapshot reads, tracing
+// deadlines, the stamp-checked query cache, MVCC snapshot reads, tracing
 // and the query log all come from the shared request pipeline.
 //
 //   ./build/src/rdfa_server --port=8080 --threads=4 --scale=1000
@@ -132,10 +132,7 @@ int main(int argc, char** argv) {
   // durability on top.
   rdfa::rdf::MvccGraph::Options mopts;
   mopts.wal_path = wal_path;
-  mopts.update_fn = [](rdfa::rdf::Graph* g, const std::string& text) {
-    auto applied = rdfa::sparql::ExecuteUpdateString(g, text);
-    return applied.ok() ? rdfa::Status::OK() : applied.status();
-  };
+  mopts.update_fn = rdfa::sparql::ApplyUpdate;
   auto opened = rdfa::rdf::MvccGraph::Open(std::move(mopts), std::move(base));
   if (!opened.ok()) {
     std::fprintf(stderr, "error: cannot open store: %s\n",

@@ -1527,4 +1527,8 @@ Result<Executor::UpdateStats> ExecuteUpdateString(
   return exec.Update(u);
 }
 
+Status ApplyUpdate(rdf::Graph* graph, const std::string& text) {
+  return ExecuteUpdateString(graph, text).status();
+}
+
 }  // namespace rdfa::sparql

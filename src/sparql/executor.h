@@ -1,6 +1,7 @@
 #ifndef RDFA_SPARQL_EXECUTOR_H_
 #define RDFA_SPARQL_EXECUTOR_H_
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -153,6 +154,10 @@ Result<ResultTable> ExecuteQueryString(
 Result<Executor::UpdateStats> ExecuteUpdateString(
     rdf::Graph* graph, std::string_view text,
     const rdf::PrefixMap* prefixes = nullptr);
+
+/// ExecuteUpdateString without the counts: the rdf::MvccGraph::UpdateFn that
+/// commits and replays buffered SPARQL updates through this engine.
+Status ApplyUpdate(rdf::Graph* graph, const std::string& text);
 
 }  // namespace rdfa::sparql
 

@@ -32,22 +32,16 @@ size_t ApproxPlanBytes(const PlanEntry& entry) {
 PlanCache::PlanCache(CacheOptions opts)
     : cache_(opts, "rdfa_plan_cache") {}
 
-std::shared_ptr<const PlanEntry> PlanCache::Get(uint64_t query_hash,
-                                                uint64_t generation) {
-  return cache_.Get(KeyFor(query_hash), generation);
-}
-
 std::shared_ptr<const PlanEntry> PlanCache::Get(
     uint64_t query_hash,
     const std::function<uint64_t(const CacheFootprint&)>& stamp_fn) {
   return cache_.Get(KeyFor(query_hash), stamp_fn);
 }
 
-void PlanCache::Put(uint64_t query_hash, uint64_t generation,
-                    PlanEntry entry) {
+void PlanCache::Put(uint64_t query_hash, uint64_t stamp, PlanEntry entry) {
   size_t bytes = ApproxPlanBytes(entry);
   CacheFootprint footprint = entry.footprint;
-  cache_.Put(KeyFor(query_hash), generation, std::move(entry), bytes,
+  cache_.Put(KeyFor(query_hash), stamp, std::move(entry), bytes,
              std::move(footprint));
 }
 

@@ -15,7 +15,7 @@ namespace rdfa::sparql {
 /// executor chose for it (one vector per BGP join run, in evaluation
 /// order). The orders were derived from GraphStats, which change with the
 /// graph — hence the whole entry is stamped with, and validated against,
-/// the graph generation that produced those statistics.
+/// the footprint stamp of the version that produced those statistics.
 struct PlanEntry {
   ParsedQuery ast;
   std::vector<std::vector<int>> bgp_orders;
@@ -27,10 +27,10 @@ struct PlanEntry {
   CacheFootprint footprint;
 };
 
-/// Generation-validated plan cache keyed by the FNV-1a hash of the
-/// normalized query text (common/query_log.h). A hit skips both the parse
-/// and the greedy BGP reordering; a generation mismatch is a miss that
-/// lazily evicts the stale plan. Thread-safe; counters exported as
+/// Stamp-validated plan cache keyed by the FNV-1a hash of the normalized
+/// query text (common/query_log.h). A hit skips both the parse and the
+/// greedy BGP reordering; a stamp mismatch is a miss that lazily evicts the
+/// stale plan. Thread-safe; counters exported as
 /// rdfa_plan_cache_{hits,misses,evictions,invalidations}_total.
 class PlanCache {
  public:
@@ -45,19 +45,15 @@ class PlanCache {
 
   explicit PlanCache(CacheOptions opts = DefaultOptions());
 
-  /// The cached plan for `query_hash` computed at `generation`, or null.
-  std::shared_ptr<const PlanEntry> Get(uint64_t query_hash,
-                                       uint64_t generation);
-
-  /// Footprint-validated lookup: `stamp_fn` recomputes the expected stamp
-  /// from the stored plan's footprint (see LruCache::Get).
+  /// The cached plan for `query_hash`, or null. `stamp_fn` recomputes the
+  /// expected stamp from the stored plan's footprint (see LruCache::Get).
   std::shared_ptr<const PlanEntry> Get(
       uint64_t query_hash,
       const std::function<uint64_t(const CacheFootprint&)>& stamp_fn);
 
-  /// Stores `entry` stamped with `generation` — the global generation for a
-  /// wildcard footprint, or the graph's FootprintStamp of entry.footprint.
-  void Put(uint64_t query_hash, uint64_t generation, PlanEntry entry);
+  /// Stores `entry` stamped with `stamp`, the graph's FootprintStamp of
+  /// entry.footprint (the global generation for a wildcard footprint).
+  void Put(uint64_t query_hash, uint64_t stamp, PlanEntry entry);
 
   void Clear() { cache_.Clear(); }
   CacheStats Stats() const { return cache_.Stats(); }

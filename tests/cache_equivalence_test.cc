@@ -5,8 +5,8 @@
 // seeds and thread counts, under eviction pressure, and under concurrent
 // hammering (the sanitize suite runs this file under TSan).
 //
-// Mutations and queries are serialized per the Graph thread contract:
-// const reads may run concurrently, updates require exclusive access.
+// Updates are MVCC commits between queries; every query pins the head
+// snapshot, so both endpoints answer from the same version at every step.
 
 #include <atomic>
 #include <memory>
@@ -18,8 +18,8 @@
 #include <gtest/gtest.h>
 
 #include "endpoint/endpoint.h"
-#include "sparql/executor.h"
 #include "sparql/results_io.h"
+#include "test_store.h"
 #include "workload/products.h"
 
 namespace rdfa::endpoint {
@@ -73,11 +73,11 @@ void BuildGraph(rdf::Graph* g, size_t laptops) {
 void RunDifferential(uint32_t seed, int threads) {
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " threads=" + std::to_string(threads));
-  rdf::Graph g;
-  BuildGraph(&g, 100);
+  auto store = test::SparqlStore([](rdf::Graph* g) { BuildGraph(g, 100); });
 
-  SimulatedEndpoint cached(&g, LatencyProfile::Local(), /*enable_cache=*/true);
-  SimulatedEndpoint uncached(&g, LatencyProfile::Local(),
+  SimulatedEndpoint cached(store.get(), LatencyProfile::Local(),
+                           /*enable_cache=*/true);
+  SimulatedEndpoint uncached(store.get(), LatencyProfile::Local(),
                              /*enable_cache=*/false);
   cached.set_thread_count(threads);
   uncached.set_thread_count(threads);
@@ -87,8 +87,8 @@ void RunDifferential(uint32_t seed, int threads) {
   int updates = 0;
   for (int step = 0; step < 36; ++step) {
     if (rng() % 10 < 3) {
-      auto up = sparql::ExecuteUpdateString(&g, UpdateFor(step));
-      ASSERT_TRUE(up.ok()) << up.status().ToString();
+      Status up = test::CommitUpdate(store.get(), UpdateFor(step));
+      ASSERT_TRUE(up.ok()) << up.ToString();
       ++updates;
       continue;
     }
@@ -110,7 +110,7 @@ void RunDifferential(uint32_t seed, int threads) {
   // re-query again (must hit with the refreshed bytes).
   const std::string& q = pool[0];
   ASSERT_TRUE(cached.Query(q).ok());
-  ASSERT_TRUE(sparql::ExecuteUpdateString(&g, UpdateFor(900)).ok());
+  ASSERT_TRUE(test::CommitUpdate(store.get(), UpdateFor(900)).ok());
   auto refreshed = cached.Query(q);
   auto baseline = uncached.Query(q);
   ASSERT_TRUE(refreshed.ok() && baseline.ok());
@@ -145,14 +145,14 @@ TEST(CacheEquivalenceTest, DifferentialSeed3Parallel) {
 // Eviction pressure: a cache squeezed to 2 entries churns constantly; the
 // churn must never surface a wrong answer, only cost hits.
 TEST(CacheEquivalenceTest, EvictionPressureNeverChangesAnswers) {
-  rdf::Graph g;
-  BuildGraph(&g, 100);
-  SimulatedEndpoint cached(&g, LatencyProfile::Local(), /*enable_cache=*/true);
+  auto store = test::SparqlStore([](rdf::Graph* g) { BuildGraph(g, 100); });
+  SimulatedEndpoint cached(store.get(), LatencyProfile::Local(),
+                           /*enable_cache=*/true);
   CacheOptions opts;
   opts.max_entries = 2;
   opts.shards = 1;
   cached.set_cache_options(opts);
-  SimulatedEndpoint uncached(&g, LatencyProfile::Local(),
+  SimulatedEndpoint uncached(store.get(), LatencyProfile::Local(),
                              /*enable_cache=*/false);
 
   const std::vector<std::string> pool = QueryPool();
@@ -173,19 +173,19 @@ TEST(CacheEquivalenceTest, EvictionPressureNeverChangesAnswers) {
 
 // Concurrent hammer, run under TSan in the sanitize suite: phases of
 // concurrent cache-on queries (hits and misses racing on the sharded LRU)
-// alternate with exclusive-access updates. Within a phase the graph is
-// immutable, so every concurrent answer must equal the phase's serial
-// reference, hit or miss.
+// alternate with commits. Within a phase the head version does not change,
+// so every concurrent answer must equal the phase's serial reference, hit
+// or miss.
 TEST(CacheConcurrencyTest, HammeredCacheStaysByteIdenticalAcrossPhases) {
-  rdf::Graph g;
-  BuildGraph(&g, 60);
-  SimulatedEndpoint cached(&g, LatencyProfile::Local(), /*enable_cache=*/true);
+  auto store = test::SparqlStore([](rdf::Graph* g) { BuildGraph(g, 60); });
+  SimulatedEndpoint cached(store.get(), LatencyProfile::Local(),
+                           /*enable_cache=*/true);
   AdmissionOptions adm;
   adm.max_in_flight = 8;
   adm.max_queue = 32;
   adm.base_timeout_ms = 0;  // no derived deadline under TSan slowdown
   cached.set_admission(adm);
-  SimulatedEndpoint reference(&g, LatencyProfile::Local(),
+  SimulatedEndpoint reference(store.get(), LatencyProfile::Local(),
                               /*enable_cache=*/false);
   const std::vector<std::string> pool = QueryPool();
 
@@ -225,10 +225,10 @@ TEST(CacheConcurrencyTest, HammeredCacheStaysByteIdenticalAcrossPhases) {
     EXPECT_EQ(mismatches.load(), 0)
         << "phase " << phase << ": a concurrent answer diverged";
 
-    // Phase boundary: all queries have drained; the graph is mutated with
-    // exclusive access, invalidating the whole cached generation.
-    auto up = sparql::ExecuteUpdateString(&g, UpdateFor(phase * 3));
-    ASSERT_TRUE(up.ok()) << up.status().ToString();
+    // Phase boundary: all queries have drained; a commit touching every
+    // pool query's footprint invalidates the cached answers.
+    Status up = test::CommitUpdate(store.get(), UpdateFor(phase * 3));
+    ASSERT_TRUE(up.ok()) << up.ToString();
   }
 
   CacheStats stats = cached.answer_cache_stats();
@@ -350,9 +350,9 @@ TEST(CachePoisonTest, ConcurrentWriterSeed3FourReaders) {
 // ClearCache between drained phases: the reset path (entries dropped, hit
 // counters zeroed) followed by a refill, exercised under the TSan build.
 TEST(CacheConcurrencyTest, ClearBetweenPhasesRestartsHitRateMath) {
-  rdf::Graph g;
-  BuildGraph(&g, 60);
-  SimulatedEndpoint cached(&g, LatencyProfile::Local(), /*enable_cache=*/true);
+  auto store = test::SparqlStore([](rdf::Graph* g) { BuildGraph(g, 60); });
+  SimulatedEndpoint cached(store.get(), LatencyProfile::Local(),
+                           /*enable_cache=*/true);
   const std::vector<std::string> pool = QueryPool();
   for (int phase = 0; phase < 2; ++phase) {
     for (const std::string& q : pool) {

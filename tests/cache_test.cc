@@ -18,6 +18,7 @@
 #include "endpoint/endpoint.h"
 #include "sparql/parser.h"
 #include "sparql/plan_cache.h"
+#include "test_store.h"
 #include "workload/invoices.h"
 
 namespace rdfa {
@@ -294,7 +295,11 @@ TEST(PlanCacheTest, RoundTripsParsedQueriesPerGeneration) {
   sparql::PlanCache cache;
   ASSERT_TRUE(cache.enabled());
   const uint64_t h = HashQueryText("SELECT ?x WHERE { ?x ?p ?o }");
-  EXPECT_EQ(cache.Get(h, 1), nullptr);
+  uint64_t generation = 1;
+  const auto stamp_fn = [&generation](const CacheFootprint&) {
+    return generation;
+  };
+  EXPECT_EQ(cache.Get(h, stamp_fn), nullptr);
 
   auto parsed = sparql::ParseQuery("SELECT ?x WHERE { ?x ?p ?o }");
   ASSERT_TRUE(parsed.ok());
@@ -303,14 +308,15 @@ TEST(PlanCacheTest, RoundTripsParsedQueriesPerGeneration) {
   entry.bgp_orders = {{1, 0}};
   cache.Put(h, 1, std::move(entry));
 
-  auto hit = cache.Get(h, 1);
+  auto hit = cache.Get(h, stamp_fn);
   ASSERT_NE(hit, nullptr);
   ASSERT_EQ(hit->bgp_orders.size(), 1u);
   EXPECT_EQ(hit->bgp_orders[0], (std::vector<int>{1, 0}));
 
   // A different generation invalidates: plans ride on statistics that the
   // mutation may have shifted.
-  EXPECT_EQ(cache.Get(h, 2), nullptr);
+  generation = 2;
+  EXPECT_EQ(cache.Get(h, stamp_fn), nullptr);
   EXPECT_EQ(cache.Stats().invalidations, 1u);
 }
 
@@ -320,9 +326,8 @@ TEST(PlanCacheTest, RoundTripsParsedQueriesPerGeneration) {
 // must leave the cache empty — the next lookup re-executes and succeeds.
 
 TEST(CachePoisonTest, CancelledFillLeavesNoEntryBehind) {
-  rdf::Graph g;
-  workload::BuildInvoicesExample(&g);
-  endpoint::SimulatedEndpoint ep(&g, endpoint::LatencyProfile::Local(),
+  auto store = test::SparqlStore(workload::BuildInvoicesExample);
+  endpoint::SimulatedEndpoint ep(store.get(), endpoint::LatencyProfile::Local(),
                                  /*enable_cache=*/true);
   const char kQuery[] =
       "PREFIX inv: <http://www.ics.forth.gr/invoices#>\n"
@@ -334,7 +339,8 @@ TEST(CachePoisonTest, CancelledFillLeavesNoEntryBehind) {
   // path has committed to filling.
   QueryContext probe;
   {
-    endpoint::SimulatedEndpoint clean(&g, endpoint::LatencyProfile::Local());
+    endpoint::SimulatedEndpoint clean(store.get(),
+                                      endpoint::LatencyProfile::Local());
     auto r = clean.Query(kQuery, probe);
     ASSERT_TRUE(r.ok());
     ASSERT_TRUE(r.value().status.ok());

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sparql/executor.h"
+#include "test_store.h"
 #include "workload/invoices.h"
 
 namespace rdfa::endpoint {
@@ -17,12 +17,12 @@ constexpr char kQuery[] =
 
 class EndpointTest : public ::testing::Test {
  protected:
-  void SetUp() override { workload::BuildInvoicesExample(&g_); }
-  rdf::Graph g_;
+  std::unique_ptr<rdf::MvccGraph> store_ =
+      test::SparqlStore(workload::BuildInvoicesExample);
 };
 
 TEST_F(EndpointTest, LocalProfileHasNoModeledOverhead) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local());
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local());
   auto resp = ep.Query(kQuery);
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(resp.value().network_ms, 0);
@@ -31,8 +31,8 @@ TEST_F(EndpointTest, LocalProfileHasNoModeledOverhead) {
 }
 
 TEST_F(EndpointTest, PeakSlowerThanOffPeak) {
-  SimulatedEndpoint peak(&g_, LatencyProfile::Peak());
-  SimulatedEndpoint off(&g_, LatencyProfile::OffPeak());
+  SimulatedEndpoint peak(store_.get(), LatencyProfile::Peak());
+  SimulatedEndpoint off(store_.get(), LatencyProfile::OffPeak());
   auto rp = peak.Query(kQuery);
   auto ro = off.Query(kQuery);
   ASSERT_TRUE(rp.ok());
@@ -45,8 +45,8 @@ TEST_F(EndpointTest, PeakSlowerThanOffPeak) {
 }
 
 TEST_F(EndpointTest, NetworkJitterIsDeterministic) {
-  SimulatedEndpoint a(&g_, LatencyProfile::Peak());
-  SimulatedEndpoint b(&g_, LatencyProfile::Peak());
+  SimulatedEndpoint a(store_.get(), LatencyProfile::Peak());
+  SimulatedEndpoint b(store_.get(), LatencyProfile::Peak());
   auto ra1 = a.Query(kQuery);
   auto ra2 = a.Query(kQuery);
   auto rb1 = b.Query(kQuery);
@@ -57,7 +57,8 @@ TEST_F(EndpointTest, NetworkJitterIsDeterministic) {
 }
 
 TEST_F(EndpointTest, CacheHitsSkipExecution) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::OffPeak(), /*enable_cache=*/true);
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::OffPeak(),
+                       /*enable_cache=*/true);
   auto first = ep.Query(kQuery);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first.value().cache_hit);
@@ -74,13 +75,14 @@ TEST_F(EndpointTest, CacheHitsSkipExecution) {
 }
 
 TEST_F(EndpointTest, ParseErrorsPropagate) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local());
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local());
   auto resp = ep.Query("SELECT FROM NOWHERE");
   EXPECT_EQ(resp.status().code(), StatusCode::kParseError);
 }
 
 TEST_F(EndpointTest, CachedAnswerEqualsFreshAnswer) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local(), /*enable_cache=*/true);
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local(),
+                       /*enable_cache=*/true);
   auto first = ep.Query(kQuery);
   auto second = ep.Query(kQuery);
   ASSERT_TRUE(first.ok() && second.ok());
@@ -88,8 +90,8 @@ TEST_F(EndpointTest, CachedAnswerEqualsFreshAnswer) {
 }
 
 TEST_F(EndpointTest, EffectiveTimeoutTightensUnderLoad) {
-  SimulatedEndpoint peak(&g_, LatencyProfile::Peak());
-  SimulatedEndpoint off(&g_, LatencyProfile::OffPeak());
+  SimulatedEndpoint peak(store_.get(), LatencyProfile::Peak());
+  SimulatedEndpoint off(store_.get(), LatencyProfile::OffPeak());
   AdmissionOptions opts;
   EXPECT_NEAR(off.effective_timeout_ms(), opts.base_timeout_ms, 1e-9);
   EXPECT_NEAR(peak.effective_timeout_ms(),
@@ -98,7 +100,7 @@ TEST_F(EndpointTest, EffectiveTimeoutTightensUnderLoad) {
 }
 
 TEST_F(EndpointTest, ShedsWithResourceExhaustedWhenSaturated) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local());
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local());
   AdmissionOptions opts;
   opts.max_in_flight = 1;
   opts.max_queue = 0;  // no waiting room
@@ -126,7 +128,7 @@ TEST_F(EndpointTest, ShedsWithResourceExhaustedWhenSaturated) {
 }
 
 TEST_F(EndpointTest, QueuedQueryRunsOnceTheSlotFrees) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local());
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local());
   AdmissionOptions opts;
   opts.max_in_flight = 1;
   opts.max_queue = 1;
@@ -150,7 +152,7 @@ TEST_F(EndpointTest, QueuedQueryRunsOnceTheSlotFrees) {
 }
 
 TEST_F(EndpointTest, QueuedQueryHonorsItsDeadline) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local());
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local());
   AdmissionOptions opts;
   opts.max_in_flight = 1;
   opts.max_queue = 4;
@@ -170,7 +172,7 @@ TEST_F(EndpointTest, QueuedQueryHonorsItsDeadline) {
 }
 
 TEST_F(EndpointTest, CancellingAQueuedQueryUnblocksIt) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local());
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local());
   AdmissionOptions opts;
   opts.max_in_flight = 1;
   opts.max_queue = 4;
@@ -192,7 +194,7 @@ TEST_F(EndpointTest, CancellingAQueuedQueryUnblocksIt) {
 }
 
 TEST_F(EndpointTest, TightBudgetTripsMidExecutionWithPartialStats) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local());
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local());
   AdmissionOptions opts;
   opts.base_timeout_ms = 1e-4;  // 100 ns: expires before the first check
   ep.set_admission(opts);
@@ -208,7 +210,7 @@ TEST_F(EndpointTest, TightBudgetTripsMidExecutionWithPartialStats) {
 }
 
 TEST_F(EndpointTest, StatsReportPercentiles) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::OffPeak());
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::OffPeak());
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(ep.Query(kQuery).ok());
   EndpointStats stats = ep.Stats();
   EXPECT_EQ(stats.count, 5u);
@@ -217,23 +219,25 @@ TEST_F(EndpointTest, StatsReportPercentiles) {
 }
 
 // Regression anchor: the pre-generation cache kept serving the answer
-// computed *before* a SPARQL UPDATE. The generation stamp must turn that
+// computed *before* a SPARQL UPDATE. The footprint stamp must turn that
 // lookup into a miss (counted as an invalidation) and the re-executed
 // answer must reflect the mutation.
 TEST_F(EndpointTest, UpdateInvalidatesCachedAnswer) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local(), /*enable_cache=*/true);
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local(),
+                       /*enable_cache=*/true);
   auto before = ep.Query(kQuery);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(before.value().status.ok());
   const std::string stale = before.value().table.ToTsv();
 
-  auto updated = sparql::ExecuteUpdateString(
-      &g_,
+  const size_t triples_before = store_->Snapshot().graph->size();
+  Status updated = test::CommitUpdate(
+      store_.get(),
       "PREFIX inv: <http://www.ics.forth.gr/invoices#>\n"
       "INSERT DATA { inv:i99 inv:takesPlaceAt inv:br1 . "
       "inv:i99 inv:inQuantity 1000 . }");
-  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-  ASSERT_GT(updated.value().inserted, 0u);
+  ASSERT_TRUE(updated.ok()) << updated.ToString();
+  ASSERT_GT(store_->Snapshot().graph->size(), triples_before);
 
   auto after = ep.Query(kQuery);
   ASSERT_TRUE(after.ok());
@@ -253,7 +257,8 @@ TEST_F(EndpointTest, UpdateInvalidatesCachedAnswer) {
 // Regression anchor: the pre-LRU cache was an unbounded map — distinct
 // queries grew it forever. Residency must now respect the entry budget.
 TEST_F(EndpointTest, CacheResidencyStaysBounded) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local(), /*enable_cache=*/true);
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local(),
+                       /*enable_cache=*/true);
   CacheOptions opts;
   opts.max_entries = 4;
   opts.shards = 1;  // one global LRU: exact bound, exact eviction order
@@ -274,7 +279,8 @@ TEST_F(EndpointTest, CacheResidencyStaysBounded) {
 }
 
 TEST_F(EndpointTest, ClearCacheResetsHitCounter) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local(), /*enable_cache=*/true);
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local(),
+                       /*enable_cache=*/true);
   ASSERT_TRUE(ep.Query(kQuery).ok());
   ASSERT_TRUE(ep.Query(kQuery).ok());
   EXPECT_EQ(ep.cache_hits(), 1u);
@@ -289,7 +295,8 @@ TEST_F(EndpointTest, ClearCacheResetsHitCounter) {
 }
 
 TEST_F(EndpointTest, PlanCacheHitSkipsParsingButNotExecution) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local(), /*enable_cache=*/true);
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local(),
+                       /*enable_cache=*/true);
   auto first = ep.Query(kQuery);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first.value().plan_cache_hit);
@@ -297,8 +304,8 @@ TEST_F(EndpointTest, PlanCacheHitSkipsParsingButNotExecution) {
 
   // An update keeps the answer cache from hitting; the plan is recomputed
   // too (plans validate against the statistics' generation).
-  auto updated = sparql::ExecuteUpdateString(
-      &g_,
+  Status updated = test::CommitUpdate(
+      store_.get(),
       "PREFIX inv: <http://www.ics.forth.gr/invoices#>\n"
       "INSERT DATA { inv:i98 inv:takesPlaceAt inv:br2 . "
       "inv:i98 inv:inQuantity 7 . }");
@@ -314,7 +321,8 @@ TEST_F(EndpointTest, PlanCacheServesWhenAnswerCacheCannotHold) {
   // A 1-byte answer budget keeps every answer out of the cache (oversized
   // entries are skipped), so repeats re-execute — but the plan layer still
   // hits, skipping parse + reorder while producing identical bytes.
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local(), /*enable_cache=*/true);
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local(),
+                       /*enable_cache=*/true);
   CacheOptions opts;
   opts.max_bytes = 1;
   opts.shards = 1;
@@ -334,7 +342,8 @@ TEST_F(EndpointTest, PlanCacheServesWhenAnswerCacheCannotHold) {
 }
 
 TEST_F(EndpointTest, ReformattedQuerySharesTheCacheEntry) {
-  SimulatedEndpoint ep(&g_, LatencyProfile::Local(), /*enable_cache=*/true);
+  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local(),
+                       /*enable_cache=*/true);
   auto first = ep.Query(kQuery);
   ASSERT_TRUE(first.ok());
   // Same query, whitespace mangled: tabs, runs of spaces, trailing newline.

@@ -7,6 +7,7 @@
 #include "analytics/fco.h"
 #include "analytics/session.h"
 #include "endpoint/endpoint.h"
+#include "rdf/mvcc.h"
 #include "rdf/rdfs.h"
 #include "sparql/value.h"
 #include "viz/chart.h"
@@ -89,10 +90,11 @@ TEST(IntegrationTest, ScaledPipelineWithEndpointAndCharts) {
   m.ops = {hifun::AggOp::kAvg, hifun::AggOp::kCount};
   ASSERT_TRUE(s.ClickAggregate(m).ok());
 
-  // Execute through the simulated endpoint.
+  // Execute through the simulated endpoint, serving a copy of the graph.
   auto sparql_text = s.BuildSparql();
   ASSERT_TRUE(sparql_text.ok());
-  endpoint::SimulatedEndpoint ep(&g, endpoint::LatencyProfile::OffPeak());
+  rdf::MvccGraph store(g.Clone());
+  endpoint::SimulatedEndpoint ep(&store, endpoint::LatencyProfile::OffPeak());
   auto resp = ep.Query(sparql_text.value());
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(resp.value().table.num_rows(), opt.companies);

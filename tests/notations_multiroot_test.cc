@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "endpoint/endpoint.h"
+#include "rdf/mvcc.h"
 #include "rdf/namespaces.h"
 #include "sparql/executor.h"
 #include "fs/notations.h"
@@ -185,9 +186,10 @@ TEST(MultiRootTest, QueryOverTwoRootsAgreesAcrossStrategies) {
 // ---------------- endpoint log ----------------
 
 TEST(EndpointLogTest, LogAndStats) {
-  rdf::Graph g;
-  workload::BuildRunningExample(&g);
-  endpoint::SimulatedEndpoint ep(&g, endpoint::LatencyProfile::Local(),
+  auto g = std::make_unique<rdf::Graph>();
+  workload::BuildRunningExample(g.get());
+  rdf::MvccGraph store(std::move(g));
+  endpoint::SimulatedEndpoint ep(&store, endpoint::LatencyProfile::Local(),
                                  /*enable_cache=*/true);
   const std::string q =
       "SELECT ?x WHERE { ?x <" + kEx + "price> ?p . }";
@@ -205,8 +207,8 @@ TEST(EndpointLogTest, LogAndStats) {
 }
 
 TEST(EndpointLogTest, EmptyStats) {
-  rdf::Graph g;
-  endpoint::SimulatedEndpoint ep(&g, endpoint::LatencyProfile::Local());
+  rdf::MvccGraph store;
+  endpoint::SimulatedEndpoint ep(&store, endpoint::LatencyProfile::Local());
   EXPECT_EQ(ep.Stats().count, 0u);
 }
 

@@ -36,6 +36,7 @@
 #include "sparql/executor.h"
 #include "sparql/parser.h"
 #include "test_paths.h"
+#include "test_store.h"
 #include "workload/invoices.h"
 #include "workload/products.h"
 
@@ -264,9 +265,9 @@ TEST(TracerTest, ConcurrentSpansFromManyThreads) {
 // Pipeline stage coverage + tracing-on/off equivalence
 
 TEST(TraceCoverageTest, TracedQueryCoversThePipelineStages) {
-  rdf::Graph g;
-  workload::BuildInvoicesExample(&g);
-  endpoint::SimulatedEndpoint ep(&g, endpoint::LatencyProfile::Local());
+  auto store = test::SparqlStore(workload::BuildInvoicesExample);
+  endpoint::SimulatedEndpoint ep(store.get(),
+                                 endpoint::LatencyProfile::Local());
 
   auto tracer = std::make_shared<Tracer>();
   QueryContext ctx;
@@ -647,9 +648,8 @@ TEST(MetricsTickTest, CacheCountersTickExactlyOncePerEvent) {
   // invalidation, capacity eviction — ticks its exported counter exactly
   // once, and all the series appear in the Prometheus exposition.
   MetricsRegistry::Global().ResetForTest();
-  rdf::Graph g;
-  workload::BuildInvoicesExample(&g);
-  endpoint::SimulatedEndpoint ep(&g, endpoint::LatencyProfile::Local(),
+  auto store = test::SparqlStore(workload::BuildInvoicesExample);
+  endpoint::SimulatedEndpoint ep(store.get(), endpoint::LatencyProfile::Local(),
                                  /*enable_cache=*/true);
   CacheOptions opts;
   opts.max_entries = 1;
@@ -664,8 +664,8 @@ TEST(MetricsTickTest, CacheCountersTickExactlyOncePerEvent) {
   ASSERT_TRUE(ep.Query(kInvQuery).ok());
   ASSERT_TRUE(ep.Query(other).ok());
   // Mutation, then re-query of the resident key: one invalidation.
-  ASSERT_TRUE(sparql::ExecuteUpdateString(
-                  &g,
+  ASSERT_TRUE(test::CommitUpdate(
+                  store.get(),
                   "PREFIX inv: <http://www.ics.forth.gr/invoices#>\n"
                   "INSERT DATA { inv:i97 inv:inQuantity 50 . }")
                   .ok());
@@ -706,9 +706,8 @@ TEST(MetricsTickTest, CacheCountersTickExactlyOncePerEvent) {
 
 TEST(MetricsTickTest, PlanCacheCountersTickExactlyOncePerEvent) {
   MetricsRegistry::Global().ResetForTest();
-  rdf::Graph g;
-  workload::BuildInvoicesExample(&g);
-  endpoint::SimulatedEndpoint ep(&g, endpoint::LatencyProfile::Local(),
+  auto store = test::SparqlStore(workload::BuildInvoicesExample);
+  endpoint::SimulatedEndpoint ep(store.get(), endpoint::LatencyProfile::Local(),
                                  /*enable_cache=*/true);
   // A 1-byte answer budget forces every repeat onto the plan-cache path
   // (answers are never resident, plans are).
@@ -798,9 +797,9 @@ TEST(QueryLogTest, EndpointWritesTraceFilesAndStructuredLog) {
   fs::remove_all(dir, ec);
   fs::remove(log_path, ec);
 
-  rdf::Graph g;
-  workload::BuildInvoicesExample(&g);
-  endpoint::SimulatedEndpoint ep(&g, endpoint::LatencyProfile::Local());
+  auto store = test::SparqlStore(workload::BuildInvoicesExample);
+  endpoint::SimulatedEndpoint ep(store.get(),
+                                 endpoint::LatencyProfile::Local());
   ep.set_trace_dir(dir);
   ep.set_query_log_path(log_path);
 
@@ -846,9 +845,9 @@ TEST(QueryLogTest, EndpointMetricsUseDistinctNamesFromEngineMetrics) {
   // A query shed at admission never reaches the Executor: it must tick the
   // endpoint counter exactly once and the engine counters not at all.
   MetricsRegistry::Global().ResetForTest();
-  rdf::Graph g;
-  workload::BuildInvoicesExample(&g);
-  endpoint::SimulatedEndpoint ep(&g, endpoint::LatencyProfile::Local());
+  auto store = test::SparqlStore(workload::BuildInvoicesExample);
+  endpoint::SimulatedEndpoint ep(store.get(),
+                                 endpoint::LatencyProfile::Local());
   endpoint::AdmissionOptions opts;
   opts.max_in_flight = 1;
   opts.max_queue = 0;
@@ -1236,9 +1235,9 @@ TEST(SlowQueryCaptureTest, EndpointCapturesForensicRecordWithProfile) {
   std::error_code ec;
   fs::remove_all(dir, ec);
 
-  rdf::Graph g;
-  workload::BuildInvoicesExample(&g);
-  endpoint::SimulatedEndpoint ep(&g, endpoint::LatencyProfile::Local());
+  auto store = test::SparqlStore(workload::BuildInvoicesExample);
+  endpoint::SimulatedEndpoint ep(store.get(),
+                                 endpoint::LatencyProfile::Local());
   // Threshold 0: every query is "slow", so one query suffices.
   ep.set_slow_query_capture(dir, /*threshold_ms=*/0.0, /*max_files=*/4);
   ASSERT_TRUE(ep.Query(kInvQuery).ok());

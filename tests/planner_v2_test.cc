@@ -19,6 +19,7 @@
 #include "endpoint/endpoint.h"
 #include "rdf/binary_io.h"
 #include "rdf/graph.h"
+#include "rdf/mvcc.h"
 #include "sparql/bgp.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
@@ -574,11 +575,11 @@ TEST(PlannerV2Test, EndpointDpRunsGetTheirOwnPlanAndAnswerSlots) {
   // The `#planner-cfg:dp` fingerprint suffix is the only thing that keeps a
   // DP plan (and its row order) from being served to a greedy run: toggling
   // use_dp must miss both caches once, then hit its own entries.
-  auto g = BuildKg(7, 600);
+  rdf::MvccGraph store(BuildKg(7, 600));
   const std::string q =
       std::string(kPfx) +
       "SELECT ?l ?m ?c WHERE { ?l ex:manufacturer ?m . ?m ex:origin ?c . }";
-  endpoint::SimulatedEndpoint ep(g.get(), endpoint::LatencyProfile::Local(),
+  endpoint::SimulatedEndpoint ep(&store, endpoint::LatencyProfile::Local(),
                                  /*enable_cache=*/true);
   auto greedy = ep.Query(q);
   ASSERT_TRUE(greedy.ok());

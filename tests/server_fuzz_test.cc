@@ -39,10 +39,7 @@ class ServerFuzzTest : public ::testing::Test {
     auto base = std::make_unique<rdf::Graph>();
     workload::BuildRunningExample(base.get());
     rdf::MvccGraph::Options mopts;  // no WAL: in-memory MVCC
-    mopts.update_fn = [](rdf::Graph* g, const std::string& text) {
-      auto applied = sparql::ExecuteUpdateString(g, text);
-      return applied.ok() ? Status::OK() : applied.status();
-    };
+    mopts.update_fn = sparql::ApplyUpdate;
     auto opened = rdf::MvccGraph::Open(std::move(mopts), std::move(base));
     ASSERT_TRUE(opened.ok());
     mvcc_ = std::move(opened).value();

@@ -18,6 +18,7 @@
 #include "server/http_util.h"
 #include "sparql/executor.h"
 #include "sparql/results_io.h"
+#include "test_store.h"
 #include "workload/products.h"
 
 namespace rdfa::server {
@@ -32,9 +33,9 @@ const char kLaptopQuery[] =
 class ServerProtocolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    workload::BuildRunningExample(&g_);
     endpoint_ = std::make_unique<endpoint::SimulatedEndpoint>(
-        &g_, endpoint::LatencyProfile::Local(), /*enable_cache=*/true);
+        store_.get(), endpoint::LatencyProfile::Local(),
+        /*enable_cache=*/true);
     endpoint::AdmissionOptions adm;
     adm.base_timeout_ms = 0;  // the HTTP timeout cap governs
     endpoint_->set_admission(adm);
@@ -62,7 +63,8 @@ class ServerProtocolTest : public ::testing::Test {
     return "/sparql?query=" + PercentEncode(query) + extra;
   }
 
-  rdf::Graph g_;
+  std::unique_ptr<rdf::MvccGraph> store_ =
+      test::SparqlStore(workload::BuildRunningExample);
   std::unique_ptr<endpoint::SimulatedEndpoint> endpoint_;
   std::unique_ptr<endpoint::RequestHandler> handler_;
   std::unique_ptr<HttpServer> server_;
@@ -86,7 +88,8 @@ TEST_F(ServerProtocolTest, GetAndPostVariantsAgreeByteForByte) {
 }
 
 TEST_F(ServerProtocolTest, JsonBodyMatchesDirectExecutorOutput) {
-  auto direct = sparql::ExecuteQueryString(&g_, kLaptopQuery);
+  auto direct = sparql::ExecuteQueryString(store_->Snapshot().graph.get(),
+                                           kLaptopQuery);
   ASSERT_TRUE(direct.ok());
   HttpClient c = Client();
   HttpClient::Response resp;
@@ -96,7 +99,8 @@ TEST_F(ServerProtocolTest, JsonBodyMatchesDirectExecutorOutput) {
 }
 
 TEST_F(ServerProtocolTest, TsvBodyMatchesDirectExecutorOutput) {
-  auto direct = sparql::ExecuteQueryString(&g_, kLaptopQuery);
+  auto direct = sparql::ExecuteQueryString(store_->Snapshot().graph.get(),
+                                           kLaptopQuery);
   ASSERT_TRUE(direct.ok());
   HttpClient c = Client();
   // Once via Accept, once via the format= override; both must be the
@@ -259,6 +263,33 @@ TEST_F(ServerProtocolTest, HealthMetricsAndExplainServe) {
                     &explain));
   EXPECT_EQ(explain.status, 200);
   EXPECT_NE(explain.body.find("\"bgps\""), std::string::npos);
+}
+
+// /explain pins the head snapshot per request. A predicate absent at epoch
+// 0 makes the plan impossible; after a commit inserts it, the plan is costed
+// on the new version's statistics, not on the version served at start.
+TEST_F(ServerProtocolTest, ExplainPlansAgainstTheCommittedHead) {
+  const std::string q =
+      std::string(kPfx) + "SELECT ?l ?v WHERE { ?l ex:newPoke ?v . }";
+  HttpClient c = Client();
+  HttpClient::Response before, after;
+  ASSERT_TRUE(c.Get("/explain?query=" + PercentEncode(q), &before));
+  ASSERT_EQ(before.status, 200);
+  EXPECT_NE(before.body.find("\"impossible\":true"), std::string::npos)
+      << before.body;
+
+  Status committed = test::CommitUpdate(
+      store_.get(),
+      std::string(kPfx) +
+          "INSERT DATA { ex:laptop1 ex:newPoke 1 . ex:laptop2 ex:newPoke 2 . "
+          "ex:laptop3 ex:newPoke 3 . }");
+  ASSERT_TRUE(committed.ok()) << committed.ToString();
+  ASSERT_TRUE(c.Get("/explain?query=" + PercentEncode(q), &after));
+  ASSERT_EQ(after.status, 200);
+  EXPECT_EQ(after.body.find("\"impossible\":true"), std::string::npos)
+      << after.body;
+  EXPECT_NE(after.body.find("\"est_rows\":3,"), std::string::npos)
+      << after.body;
 }
 
 // The differential guarantee behind the shared RequestHandler: pushing a
