@@ -42,7 +42,9 @@ carrying its own inline python:
       match the plan-JSON schema, its EXPLAIN ANALYZE profile must name a
       filter stage, and every slow-query capture must parse
       and carry an operator profile naming at least min-stages distinct
-      stages across the directory
+      stages across the directory; a capture's filter/group-aggregate/
+      projection exec_stats times must equal the sums of their profile
+      nodes
 
 Exits non-zero (via assert) on any violated gate.
 """
@@ -275,6 +277,20 @@ def _profile_ops(nodes, out):
         _profile_ops(node.get("children", []), out)
 
 
+# ExecStats timing fields and the profile op that is each one's clock.
+_STAGE_FIELDS = (("filter_ms", "filter"),
+                 ("group_agg_ms", "group-aggregate"),
+                 ("projection_ms", "projection"))
+
+
+def _profile_nodes(nodes, op, out):
+    """Collects every node named `op` from a nested profile tree into `out`."""
+    for node in nodes:
+        if node["op"] == op:
+            out.append(node)
+        _profile_nodes(node.get("children", []), op, out)
+
+
 def cmd_obs_gates(args):
     # Gate 1: the profiled leg of the bench must return byte-identical
     # answers with bounded overhead. The epsilon absorbs timer noise on the
@@ -326,24 +342,41 @@ def cmd_obs_gates(args):
 
     # Gate 3: every slow-query capture parses, and across the ring the
     # embedded operator profiles name enough distinct stages to triage with.
+    # A capture with both exec_stats and a profile must agree on the stage
+    # times: each stage's span is its ExecStats field's only clock, so the
+    # field equals the summed ms of its profile nodes up to the %.3f print
+    # rounding (0.0005 ms per printed number, the field's own included).
     files = sorted(glob.glob(os.path.join(args.slow_dir, "slow-*.json")))
     assert files, "no slow-query captures under %s" % args.slow_dir
     stages = set()
+    reconciled = 0
     for path in files:
         with open(path) as f:
             rec = json.load(f)
         assert "outcome" in rec and "query_hash" in rec, path
         _profile_ops(rec.get("profile", []), stages)
+        if "exec_stats" in rec and rec.get("profile"):
+            for field, op in _STAGE_FIELDS:
+                nodes = []
+                _profile_nodes(rec["profile"], op, nodes)
+                summed = sum(n["ms"] for n in nodes)
+                slack = 0.0005 * (len(nodes) + 1)
+                assert abs(rec["exec_stats"][field] - summed) <= slack, (
+                    "%s: %s %.3f ms vs %d %s spans summing to %.3f ms"
+                    % (path, field, rec["exec_stats"][field], len(nodes),
+                       op, summed))
+            reconciled += 1
+    assert reconciled > 0, "no capture carries both exec_stats and a profile"
     assert len(stages) >= args.min_stages, (
         "slow captures name only %d distinct stages %s (gate: >= %d)"
         % (len(stages), sorted(stages), args.min_stages))
 
     print("obs gates ok: overhead %.2f -> %.2f ms p50 (budget %.2f), "
           "%d/%d byte-identical, %d explain + %d analyze lines, "
-          "%d captures naming %d stages"
+          "%d captures naming %d stages, %d reconciled with exec_stats"
           % (obs["off_p50_ms"], obs["on_p50_ms"], budget,
              obs["byte_identical"], obs["pairs"], plans, analyzed,
-             len(files), len(stages)))
+             len(files), len(stages), reconciled))
 
 
 def main(argv):

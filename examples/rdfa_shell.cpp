@@ -189,15 +189,20 @@ struct Shell {
     return out;
   }
 
+  /// Pushes `s` as the top session, with the shell's threads and DP setting.
+  void PushSession(std::unique_ptr<rdfa::analytics::AnalyticsSession> s) {
+    s->set_thread_count(threads);
+    s->set_use_dp(use_dp);
+    sessions.push_back(std::move(s));
+  }
+
   void Reset(std::shared_ptr<rdfa::rdf::Graph> g) {
     DropEndpoint();
     graphs.clear();
     sessions.clear();
     graphs.push_back(std::move(g));
-    sessions.push_back(
+    PushSession(
         std::make_unique<rdfa::analytics::AnalyticsSession>(graphs[0].get()));
-    sessions.back()->set_thread_count(threads);
-    sessions.back()->set_use_dp(use_dp);
   }
 
   /// Re-pins the WAL head after a commit (or at open) and restarts the
@@ -394,9 +399,11 @@ bool HandleLine(Shell& shell, const std::string& line) {
     shell.DropEndpoint();  // its store must never see a version mutate
     std::printf("inferred %zu triples\n",
                 rdfa::rdf::MaterializeRdfsClosure(&shell.graph()));
-    // Rebuild the session so the schema view sees the closure.
-    auto base = std::move(shell.graphs.back());
-    shell.Reset(std::move(base));
+    // Rebuild the top session so the schema view sees the closure; the
+    // outer levels stay.
+    shell.sessions.pop_back();
+    shell.PushSession(std::make_unique<rdfa::analytics::AnalyticsSession>(
+        shell.graphs.back().get()));
   } else if (cmd == "show") {
     std::printf("%s", shell.session().fs().RenderText().c_str());
   } else if (cmd == "click") {
@@ -765,9 +772,7 @@ bool HandleLine(Shell& shell, const std::string& line) {
     if (nested.ok()) {
       shell.DropEndpoint();
       shell.graphs.push_back(std::move(g));
-      shell.sessions.push_back(std::move(nested).value());
-      shell.sessions.back()->set_thread_count(shell.threads);
-      shell.sessions.back()->set_use_dp(shell.use_dp);
+      shell.PushSession(std::move(nested).value());
       std::printf("exploring the answer as a dataset (level %zu)\n",
                   shell.sessions.size() - 1);
     } else {

@@ -64,21 +64,28 @@ class Tracer {
   /// cost argument in DESIGN.md §10). Spans nest by containment — Perfetto
   /// stacks same-thread intervals — so hold the Span object across the
   /// stage it names.
+  /// A non-null `add_ms` makes the span its stage's only clock: it reads the
+  /// clock even untraced and on close adds its duration (ms) to `*add_ms`,
+  /// from the same two timestamps a traced span records.
   class Span {
    public:
-    Span(Tracer* tracer, const char* name)
-        : tracer_(tracer), name_(name) {
-      if (tracer_ != nullptr) {
-        start_ = Clock::now();
-        id_ = tracer_->BeginSpan(&parent_);
-      }
+    Span(Tracer* tracer, const char* name, double* add_ms = nullptr)
+        : tracer_(tracer), name_(name), add_ms_(add_ms) {
+      if (tracer_ != nullptr || add_ms_ != nullptr) start_ = Clock::now();
+      if (tracer_ != nullptr) id_ = tracer_->BeginSpan(&parent_);
     }
     Span(const Span&) = delete;
     Span& operator=(const Span&) = delete;
     ~Span() {
+      if (tracer_ == nullptr && add_ms_ == nullptr) return;
+      const Clock::time_point end = Clock::now();
+      if (add_ms_ != nullptr) {
+        *add_ms_ += std::chrono::duration<double, std::milli>(end - start_)
+                        .count();
+      }
       if (tracer_ != nullptr) {
         tracer_->EndSpan(id_);
-        tracer_->RecordSpan(name_, start_, Clock::now(), id_, parent_,
+        tracer_->RecordSpan(name_, start_, end, id_, parent_,
                             std::move(args_));
       }
     }
@@ -109,6 +116,7 @@ class Tracer {
    private:
     Tracer* tracer_;
     const char* name_;
+    double* add_ms_;
     Clock::time_point start_{};
     int64_t id_ = -1;
     int64_t parent_ = -1;

@@ -1,22 +1,11 @@
 #include "rdf/mvcc.h"
 
-#include <chrono>
 #include <map>
 
 #include "common/metrics.h"
 #include "common/trace.h"
 
 namespace rdfa::rdf {
-
-namespace {
-
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 /// Shared pin bookkeeping behind the snapshot-pin gauges. Owned jointly by
 /// the MvccGraph and every outstanding Pin token, so a pin released after
@@ -189,10 +178,12 @@ Result<uint64_t> MvccGraph::Commit() {
     std::lock_guard<std::mutex> lock(snap_mu_);
     base = current_;
   }
-  const auto apply_start = std::chrono::steady_clock::now();
+  // The commit-apply and commit-publish spans are their histograms' clocks.
+  double apply_ms = 0;
+  double publish_ms = 0;
   std::unique_ptr<Graph> next;
   {
-    TraceSpan apply_span(tracer, "commit-apply");
+    TraceSpan apply_span(tracer, "commit-apply", &apply_ms);
     next = base->Clone();
     for (const WalRecord& rec : pending_) {
       (void)ApplyRecord(next.get(), rec);  // skip-on-failure; see header
@@ -204,12 +195,11 @@ Result<uint64_t> MvccGraph::Commit() {
   metrics
       .GetHistogram("rdfa_mvcc_commit_apply_ms", Histogram::LatencyBoundsMs(),
                     "Commit clone+apply+freeze latency")
-      .Observe(MsSince(apply_start));
+      .Observe(apply_ms);
   pending_.clear();
-  const auto publish_start = std::chrono::steady_clock::now();
   uint64_t published;
   {
-    TraceSpan publish_span(tracer, "commit-publish");
+    TraceSpan publish_span(tracer, "commit-publish", &publish_ms);
     std::lock_guard<std::mutex> lock(snap_mu_);
     current_ = std::move(next);
     published = ++epoch_;
@@ -218,7 +208,7 @@ Result<uint64_t> MvccGraph::Commit() {
       .GetHistogram("rdfa_mvcc_commit_publish_ms",
                     Histogram::LatencyBoundsMs(),
                     "Commit version-swap latency (snapshot lock hold time)")
-      .Observe(MsSince(publish_start));
+      .Observe(publish_ms);
   metrics
       .GetCounter("rdfa_mvcc_commits_total", "MVCC commits published")
       .Increment();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <set>
 #include <span>
@@ -804,17 +803,10 @@ Status ExecuteBgpV2(const rdf::Graph& graph,
                        plan.steps[pi].perm >= rdf::Graph::kPermPSO);
   }
   if (needs_secondary && !graph.secondary_indexes_built()) {
-    const auto start = std::chrono::steady_clock::now();
-    {
-      TraceSpan build_span(tracer, "index-build-secondary");
-      graph.EnsureSecondaryIndexes();
-    }
-    if (opts.stats != nullptr) {
-      opts.stats->index_build_ms +=
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-    }
+    TraceSpan build_span(
+        tracer, "index-build-secondary",
+        opts.stats != nullptr ? &opts.stats->index_build_ms : nullptr);
+    graph.EnsureSecondaryIndexes();
   }
   std::set<int> bound;
   auto after_step = [&](size_t pi) {
@@ -844,6 +836,25 @@ Status ExecuteBgpV2(const rdf::Graph& graph,
   return Status::OK();
 }
 
+/// A top-level run: one all-unbound seed row. Planner v2 engages only on
+/// these — its interesting-order and seed-scan reasoning assumes the first
+/// pattern produces the intermediate. Seeded re-entries (OPTIONAL / UNION /
+/// EXISTS) run the v1 machinery.
+bool TopLevelRun(const std::vector<Binding>& rows) {
+  if (rows.size() != 1) return false;
+  for (TermId v : rows.front()) {
+    if (v != kNoTermId) return false;
+  }
+  return true;
+}
+
+/// The one DP-eligibility rule, shared by execution, plan-cache replays and
+/// EXPLAIN so they cannot disagree.
+bool DpOrders(const JoinOptions& opts, const std::vector<Binding>& rows,
+              size_t n) {
+  return opts.use_dp && DpSearches(n) && TopLevelRun(rows);
+}
+
 }  // namespace
 
 Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
@@ -866,104 +877,52 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
 
   Tracer* tracer = opts.ctx != nullptr ? opts.ctx->tracer() : nullptr;
 
-  // Planner v2 engages only with use_dp on trivial-seed runs (one
-  // all-unbound input row — the top-level BGP case): its interesting-order
-  // and seed-scan reasoning assumes the first pattern produces the
-  // intermediate. Seeded re-entries (OPTIONAL / UNION / EXISTS) run the v1
-  // machinery.
-  bool trivial_seed = rows->size() == 1;
-  if (trivial_seed) {
-    for (TermId v : rows->front()) {
-      if (v != kNoTermId) {
-        trivial_seed = false;
-        break;
-      }
-    }
-  }
-  const bool v2 = trivial_seed && !patterns.empty() && opts.use_dp;
+  const bool v2 = opts.use_dp && !patterns.empty() && TopLevelRun(*rows);
   // "This plan's order came from the DP search" — deterministic across
   // capture and replay (a replayed DP order still reports dp=true).
-  const bool dp_ordered =
-      v2 && patterns.size() > 1 && patterns.size() <= kMaxDpPatterns;
+  const bool dp_ordered = DpOrders(opts, *rows, patterns.size());
 
   // Plan-cache replay: apply a previously chosen order without re-running
   // the greedy reorderer. Only a valid permutation of the pattern count is
   // trusted — anything else (stale entry shape, corrupted data) falls back
   // to the normal path below.
+  std::vector<int> order;
   bool replayed = false;
   if (opts.replay_order != nullptr &&
       opts.replay_order->size() == patterns.size()) {
-    std::vector<CompiledPattern> ordered;
-    std::vector<int> ordered_source;
-    ordered.reserve(patterns.size());
-    ordered_source.reserve(patterns.size());
     std::vector<bool> used(patterns.size(), false);
-    bool valid = true;
+    replayed = true;
     for (int src : *opts.replay_order) {
       if (src < 0 || static_cast<size_t>(src) >= patterns.size() ||
           used[src]) {
-        valid = false;
+        replayed = false;
         break;
       }
       used[src] = true;
-      ordered.push_back(patterns[src]);
-      ordered_source.push_back(src);
     }
-    if (valid) {
+    if (replayed) {
       TraceSpan plan_span(tracer, "plan");
       plan_span.Arg("patterns", static_cast<uint64_t>(patterns.size()));
       plan_span.Arg("replayed", true);
-      patterns = std::move(ordered);
-      source_index = std::move(ordered_source);
-      replayed = true;
+      order = *opts.replay_order;
     }
   }
 
-  // Join ordering. DP (planner v2) replaces the greedy reorderer when
-  // enabled and the BGP is small enough — and, being the reorderer itself,
-  // it also applies when `reorder` is off, making the chosen order immune
-  // to source-order accidents. Orders only change performance, never the
-  // result set.
+  // Join ordering (PlanBgpOrder). DP also applies when `reorder` is off,
+  // making the chosen order immune to source-order accidents. Orders only
+  // change performance, never the result set.
   if (!replayed && patterns.size() > 1 && (reorder || dp_ordered)) {
     TraceSpan plan_span(tracer, "plan");
     plan_span.Arg("patterns", static_cast<uint64_t>(patterns.size()));
-    std::vector<int> order;
-    if (dp_ordered) {
-      DpStats dp_stats;
-      {
-        TraceSpan dp_span(tracer, "dp-plan");
-        order = PlanBgpOrderDp(graph, patterns, &dp_stats);
-        dp_span.Arg("states_considered",
-                    static_cast<uint64_t>(dp_stats.states_considered));
-        dp_span.Arg("states_expanded",
-                    static_cast<uint64_t>(dp_stats.states_expanded));
-      }
-      plan_span.Arg("dp", true);
-      static Histogram& dp_plan_ms = MetricsRegistry::Global().GetHistogram(
-          "rdfa_dp_plan_ms", Histogram::LatencyBoundsMs(),
-          "DP join-order search latency");
-      dp_plan_ms.Observe(dp_stats.plan_ms);
-    } else {
-      // Seed "bound" with slots already bound in the incoming rows.
-      std::set<int> bound;
-      if (!rows->empty()) {
-        const Binding& first = rows->front();
-        for (size_t i = 0; i < first.size(); ++i) {
-          if (first[i] != kNoTermId) bound.insert(static_cast<int>(i));
-        }
-      }
-      order = GreedyOrder(graph, patterns, std::move(bound));
-    }
+    if (dp_ordered) plan_span.Arg("dp", true);
+    order = PlanBgpOrder(graph, patterns, opts, reorder, *rows);
+  }
+  if (!order.empty()) {
     std::vector<CompiledPattern> ordered;
-    std::vector<int> ordered_source;
     ordered.reserve(patterns.size());
-    ordered_source.reserve(patterns.size());
-    for (int idx : order) {
-      ordered.push_back(patterns[idx]);
-      ordered_source.push_back(source_index[idx]);
-    }
+    for (int idx : order) ordered.push_back(patterns[idx]);
     patterns = std::move(ordered);
-    source_index = std::move(ordered_source);
+    source_index = std::move(order);
   }
 
   if (opts.capture_order != nullptr) {
@@ -992,14 +951,42 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
 
 std::vector<int> PlanBgpOrder(const rdf::Graph& graph,
                               const std::vector<CompiledPattern>& patterns,
-                              const JoinOptions& opts, bool reorder) {
+                              const JoinOptions& opts, bool reorder,
+                              const std::vector<Binding>& rows,
+                              bool* used_dp) {
+  const bool dp = DpOrders(opts, rows, patterns.size());
+  if (used_dp != nullptr) *used_dp = dp;
+  if (dp) {
+    static Histogram& dp_plan_ms = MetricsRegistry::Global().GetHistogram(
+        "rdfa_dp_plan_ms", Histogram::LatencyBoundsMs(),
+        "DP join-order search latency");
+    double ms = 0;
+    std::vector<int> order;
+    {
+      TraceSpan dp_span(opts.ctx != nullptr ? opts.ctx->tracer() : nullptr,
+                        "dp-plan", &ms);
+      DpStats dp_stats;
+      order = PlanBgpOrderDp(graph, patterns, &dp_stats);
+      dp_span.Arg("states_considered",
+                  static_cast<uint64_t>(dp_stats.states_considered));
+      dp_span.Arg("states_expanded",
+                  static_cast<uint64_t>(dp_stats.states_expanded));
+    }
+    dp_plan_ms.Observe(ms);
+    return order;
+  }
   std::vector<int> source(patterns.size());
   std::iota(source.begin(), source.end(), 0);
-  if (patterns.size() <= 1) return source;
-  const bool dp = opts.use_dp && patterns.size() <= kMaxDpPatterns;
-  if (dp) return PlanBgpOrderDp(graph, patterns);
-  if (!reorder) return source;
-  return GreedyOrder(graph, patterns, std::set<int>());
+  if (!reorder || patterns.size() <= 1) return source;
+  // Seed "bound" with slots already bound in the incoming rows.
+  std::set<int> bound;
+  if (!rows.empty()) {
+    const Binding& first = rows.front();
+    for (size_t i = 0; i < first.size(); ++i) {
+      if (first[i] != kNoTermId) bound.insert(static_cast<int>(i));
+    }
+  }
+  return GreedyOrder(graph, patterns, std::move(bound));
 }
 
 }  // namespace rdfa::sparql

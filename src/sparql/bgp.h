@@ -107,15 +107,20 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
 Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
                size_t slot_count, bool reorder, std::vector<Binding>* rows);
 
-/// Plans a trivial-seed BGP's join order without executing anything: the
-/// same order JoinBgp would choose for a top-level run — the DP search when
-/// `opts.use_dp` and the BGP is small enough, the greedy reorderer when
-/// `reorder`, source order otherwise. Returns source indexes in execution
-/// order. The EXPLAIN path pairs this with AnnotateBgpPlan (planner.h) to
-/// render the plan shape without touching any data.
+/// Plans a BGP run's join order without executing anything: the order
+/// JoinBgp chooses, unless it replays one, for a run extending `rows` — the
+/// DP search for a top-level run (one all-unbound row) under `opts.use_dp`
+/// of a size DpSearches (planner.h), else the greedy reorderer from the
+/// slots bound in `rows.front()` when `reorder`, else source order.
+/// Returns source indexes in execution order; `*used_dp` (nullable) reports
+/// whether DP chose. EXPLAIN passes one empty row and pairs this with
+/// AnnotateBgpPlan (planner.h) to render the plan shape without touching
+/// any data.
 std::vector<int> PlanBgpOrder(const rdf::Graph& graph,
                               const std::vector<CompiledPattern>& patterns,
-                              const JoinOptions& opts, bool reorder);
+                              const JoinOptions& opts, bool reorder,
+                              const std::vector<Binding>& rows,
+                              bool* used_dp = nullptr);
 
 }  // namespace rdfa::sparql
 

@@ -12,18 +12,19 @@ namespace rdfa::sparql {
 
 /// Per-query execution statistics, filled in by the Executor and threaded
 /// through the endpoint and the benchmarks so speedups are observable
-/// rather than asserted. All times are wall-clock milliseconds.
+/// rather than asserted. All times are wall-clock milliseconds, each the
+/// summed duration of the trace spans named beside it (DESIGN.md §10).
 struct ExecStats {
   int threads = 1;             ///< thread budget the query ran with
   double index_build_ms = 0;   ///< Graph::Freeze and secondary permutation
-                               ///< builds (non-zero on first touch)
-  double bgp_ms = 0;           ///< total BGP join time across pattern runs
-  /// FILTER evaluation across pattern runs (a filter's EXISTS probes are
-  /// charged here and, for their joins, to bgp_ms as well)
+                               ///< builds: "index-build(-secondary)"
+  double bgp_ms = 0;           ///< "bgp" minus the filter/build time inside
+  /// FILTER evaluation: "filter" (a filter's EXISTS probes are charged here
+  /// and, for their joins, to bgp_ms as well)
   double filter_ms = 0;
-  double group_agg_ms = 0;     ///< grouping + aggregate computation
-  double projection_ms = 0;    ///< SELECT-list projection into result cells
-  double total_ms = 0;         ///< whole Execute call
+  double group_agg_ms = 0;     ///< grouping + aggregates: "group-aggregate"
+  double projection_ms = 0;    ///< SELECT-list projection: "projection"
+  double total_ms = 0;         ///< whole Execute call: "execute"
   size_t morsel_count = 0;     ///< parallel morsels executed, all stages
   size_t bgp_patterns = 0;     ///< triple patterns joined
   /// Index rows enumerated per executed pattern, in execution order.
@@ -47,8 +48,9 @@ struct ExecStats {
   /// permutations, expected rows) — the explainable-plan surface.
   std::vector<std::string> plan_shapes;
   /// Set when the query unwound on a tripped deadline or cancellation; the
-  /// other counters then describe the *partial* work done up to the trip
-  /// (so callers can see where the budget went).
+  /// other counters then describe the *partial* work done up to the trip,
+  /// the time of the stage it died in included (so callers can see where
+  /// the budget went).
   bool aborted = false;
   /// The pipeline stage the abort unwound from (e.g. "bgp-join",
   /// "group-aggregate"); empty when !aborted.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <functional>
 #include <map>
 #include <numeric>
@@ -33,12 +32,6 @@ namespace {
 constexpr size_t kParallelRowThreshold = 128;
 constexpr size_t kMorselsPerThread = 4;
 constexpr size_t kMinMorselRows = 64;
-
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 bool IsInternalVarName(const std::string& name) {
   return StartsWith(name, "_path") || StartsWith(name, "_agg");
@@ -462,7 +455,6 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
   // slots allocated by then.
   auto apply_ready_filters = [&](bool at_end) {
     std::optional<TraceSpan> span;
-    std::chrono::steady_clock::time_point start;
     for (PendingFilter& f : filters) {
       if (f.done) continue;
       if (!at_end) {
@@ -477,8 +469,7 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
         if (!ready) continue;
       }
       if (!span.has_value()) {
-        start = std::chrono::steady_clock::now();
-        span.emplace(ctx_.tracer(), "filter");
+        span.emplace(ctx_.tracer(), "filter", &stats_.filter_ms);
         span->Arg("input_rows", static_cast<uint64_t>(rows.size()));
       }
       const CompiledExpr filter(*f.el->filter, *vars);
@@ -494,7 +485,6 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
     }
     if (span.has_value()) {
       span->Arg("output_rows", static_cast<uint64_t>(rows.size()));
-      stats_.filter_ms += MsSince(start);
     }
   };
 
@@ -518,7 +508,6 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
         }
         grow_rows();
         {
-          auto start = std::chrono::steady_clock::now();
           JoinOptions jopts;
           jopts.threads = threads_;
           jopts.stats = &stats_;
@@ -550,16 +539,20 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
           // charged to index_build_ms and filter_ms, not to bgp_ms.
           const double build_before = stats_.index_build_ms;
           const double filter_before = stats_.filter_ms;
-          Status join_status =
-              JoinBgp(*graph_, std::move(compiled), vars->size(),
-                      reorder_joins_, jopts, &rows);
+          double run_ms = 0;
+          Status join_status;
+          {
+            TraceSpan bgp_span(ctx_.tracer(), "bgp", &run_ms);
+            join_status = JoinBgp(*graph_, std::move(compiled), vars->size(),
+                                  reorder_joins_, jopts, &rows);
+          }
           if (jopts.capture_order != nullptr) {
             if (capture_orders_->size() <= seq) {
               capture_orders_->resize(seq + 1);
             }
             (*capture_orders_)[seq] = std::move(chosen);
           }
-          stats_.bgp_ms += MsSince(start) -
+          stats_.bgp_ms += run_ms -
                            (stats_.index_build_ms - build_before) -
                            (stats_.filter_ms - filter_before);
           RDFA_RETURN_NOT_OK(join_status);
@@ -897,8 +890,8 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
   };
 
   if (has_aggregate) {
-    auto agg_start = std::chrono::steady_clock::now();
-    TraceSpan agg_span(ctx_.tracer(), "group-aggregate");
+    TraceSpan agg_span(ctx_.tracer(), "group-aggregate",
+                       &stats_.group_agg_ms);
     agg_span.Arg("input_rows", static_cast<uint64_t>(rows.size()));
     // Assign every row its group (see GroupKeyCoder); without GROUP BY all
     // rows, or none, form the one group.
@@ -1020,7 +1013,6 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
       if (go.keep) out_rows.push_back(std::move(go.row));
     }
     std::vector<Binding>().swap(rows);  // the groups kept what they need
-    stats_.group_agg_ms += MsSince(agg_start);
     agg_span.Arg("output_rows", static_cast<uint64_t>(out_rows.size()));
   }
 
@@ -1028,8 +1020,7 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
   // expressions materialize terms. Under aggregation it runs over the
   // surviving groups' representative rows.
   {
-    auto proj_start = std::chrono::steady_clock::now();
-    TraceSpan proj_span(ctx_.tracer(), "projection");
+    TraceSpan proj_span(ctx_.tracer(), "projection", &stats_.projection_ms);
     proj_span.Arg("input_rows", static_cast<uint64_t>(
                                     has_aggregate ? out_rows.size()
                                                   : rows.size()));
@@ -1061,7 +1052,6 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
         }
       }
     }
-    stats_.projection_ms += MsSince(proj_start);
     proj_span.Arg("output_rows", static_cast<uint64_t>(out_rows.size()));
   }
 
@@ -1228,9 +1218,11 @@ Result<ResultTable> Executor::Execute(const ParsedQuery& query) {
   stats_.Reset();
   stats_.threads = threads_;
   bgp_seq_ = 0;
-  auto total_start = std::chrono::steady_clock::now();
-  TraceSpan exec_span(ctx_.tracer(), "execute");
-  exec_span.Arg("threads", static_cast<int64_t>(threads_));
+  // The execute span is total_ms's clock; it closes before
+  // RecordQueryMetrics reads total_ms.
+  std::optional<TraceSpan> exec_span(std::in_place, ctx_.tracer(), "execute",
+                                     &stats_.total_ms);
+  exec_span->Arg("threads", static_cast<int64_t>(threads_));
 
   // Zero-deadline (or already-cancelled) fast fail: no work is admitted at
   // all, mirroring a serving stack rejecting a request whose budget is
@@ -1241,9 +1233,9 @@ Result<ResultTable> Executor::Execute(const ParsedQuery& query) {
       stats_.aborted = true;
       stats_.abort_stage =
           ctx_.trip_stage() != nullptr ? ctx_.trip_stage() : "admission";
-      stats_.total_ms = MsSince(total_start);
-      exec_span.Arg("aborted", true);
-      exec_span.Arg("abort_stage", stats_.abort_stage);
+      exec_span->Arg("aborted", true);
+      exec_span->Arg("abort_stage", stats_.abort_stage);
+      exec_span.reset();
       RecordQueryMetrics(stats_, admit.code());
       return admit;
     }
@@ -1252,12 +1244,11 @@ Result<ResultTable> Executor::Execute(const ParsedQuery& query) {
   // Eager first-touch index build: done here, once, so (a) its cost shows
   // up as index_build_ms rather than inside the first pattern scan, and
   // (b) parallel workers only ever see a clean index.
-  auto freeze_start = std::chrono::steady_clock::now();
   {
-    TraceSpan freeze_span(ctx_.tracer(), "index-build");
+    TraceSpan freeze_span(ctx_.tracer(), "index-build",
+                          &stats_.index_build_ms);
     graph_->Freeze();
   }
-  stats_.index_build_ms += MsSince(freeze_start);
 
   // Mapped-backend decode accounting: snapshot the view's relaxed counters
   // around the dispatch so the per-query deltas land in the trace and the
@@ -1313,17 +1304,17 @@ Result<ResultTable> Executor::Execute(const ParsedQuery& query) {
                    "Mapped-snapshot permutation blocks skipped via SeekGE")
         .Increment(blocks_skipped);
   }
-  stats_.total_ms = MsSince(total_start);
   StatusCode code = result.status().code();
   if (code == StatusCode::kDeadlineExceeded || code == StatusCode::kCancelled) {
     stats_.aborted = true;
     if (ctx_.trip_stage() != nullptr) stats_.abort_stage = ctx_.trip_stage();
   }
-  exec_span.Arg("aborted", stats_.aborted);
-  if (stats_.aborted) exec_span.Arg("abort_stage", stats_.abort_stage);
+  exec_span->Arg("aborted", stats_.aborted);
+  if (stats_.aborted) exec_span->Arg("abort_stage", stats_.abort_stage);
   if (result.ok()) {
-    exec_span.Arg("rows", static_cast<uint64_t>(result.value().num_rows()));
+    exec_span->Arg("rows", static_cast<uint64_t>(result.value().num_rows()));
   }
+  exec_span.reset();
   RecordQueryMetrics(stats_, code);
   return result;
 }
@@ -1378,8 +1369,10 @@ std::string Executor::ExplainJson(const ParsedQuery& query) {
       compiled.push_back(CompileTriple(body[i].triple, &vars, *graph_));
       ++i;
     }
+    bool used_dp = false;
     const std::vector<int> order =
-        PlanBgpOrder(*graph_, compiled, opts, reorder_joins_);
+        PlanBgpOrder(*graph_, compiled, opts, reorder_joins_,
+                     std::vector<Binding>(1), &used_dp);
     std::vector<CompiledPattern> ordered;
     ordered.reserve(order.size());
     bool impossible = false;
@@ -1388,8 +1381,7 @@ std::string Executor::ExplainJson(const ParsedQuery& query) {
       ordered.push_back(compiled[idx]);
     }
     BgpPlan plan = AnnotateBgpPlan(*graph_, ordered);
-    plan.used_dp =
-        opts.use_dp && compiled.size() > 1 && compiled.size() <= kMaxDpPatterns;
+    plan.used_dp = used_dp;
     if (!first) out += ",";
     first = false;
     if (impossible) {

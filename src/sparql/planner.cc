@@ -1,7 +1,6 @@
 #include "sparql/planner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <numeric>
@@ -91,8 +90,7 @@ std::vector<int> PlanBgpOrderDp(const rdf::Graph& graph,
   const size_t n = patterns.size();
   std::vector<int> source(n);
   std::iota(source.begin(), source.end(), 0);
-  if (n <= 1 || n > kMaxDpPatterns) return source;
-  const auto plan_start = std::chrono::steady_clock::now();
+  if (!DpSearches(n)) return source;
 
   // Compact variable-slot numbering: slot -> bit index, sorted by slot id
   // so the mapping (and thus every tie-break below) is deterministic.
@@ -215,9 +213,6 @@ std::vector<int> PlanBgpOrderDp(const rdf::Graph& graph,
   }
   if (stats != nullptr) {
     stats->states_considered = states_considered;
-    stats->plan_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - plan_start)
-                         .count();
   }
   return best != nullptr ? best->order : source;
 }

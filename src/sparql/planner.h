@@ -13,6 +13,10 @@ namespace rdfa::sparql {
 /// states). Above this the order-aware greedy fallback plans instead.
 inline constexpr size_t kMaxDpPatterns = 8;
 
+/// Whether the DP search orders a BGP of `n` patterns: one pattern has no
+/// order to choose, and above kMaxDpPatterns the greedy fallback plans.
+inline bool DpSearches(size_t n) { return n > 1 && n <= kMaxDpPatterns; }
+
 /// One step of an annotated left-deep plan, 1:1 with the execution-ordered
 /// pattern vector.
 struct PlannedStep {
@@ -47,11 +51,10 @@ struct BgpPlan {
 const char* PermName(rdf::Graph::Perm perm);
 
 /// Observability counters one DP search fills (when the caller passes a
-/// non-null out-param): how long planning took and how much of the state
-/// space it walked. Surfaced as the "dp-plan" trace span and the
-/// rdfa_dp_plan_ms histogram.
+/// non-null out-param): how much of the state space it walked, shown as
+/// args on the "dp-plan" trace span. That span also times the search for
+/// the rdfa_dp_plan_ms histogram (PlanBgpOrder).
 struct DpStats {
-  double plan_ms = 0;
   size_t states_considered = 0;  ///< (subset, head) states relaxed into
   size_t states_expanded = 0;    ///< valid states whose extensions were tried
 };
@@ -63,8 +66,9 @@ struct DpStats {
 /// width, merge (when the step joins exactly on the seeded interesting
 /// order) as the cheaper of the two — and returns the cheapest order as
 /// source indexes. Deterministic: ties keep the earliest-enumerated state.
-/// Callers handle larger BGPs with the greedy fallback. `stats` (nullable)
-/// receives planning time and search-space counters.
+/// Returns source order unless DpSearches(patterns.size()); callers handle
+/// larger BGPs with the greedy fallback. `stats` (nullable) receives the
+/// search-space counters.
 std::vector<int> PlanBgpOrderDp(const rdf::Graph& graph,
                                 const std::vector<CompiledPattern>& patterns,
                                 DpStats* stats = nullptr);

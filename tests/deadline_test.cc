@@ -11,6 +11,7 @@
 
 #include "analytics/rollup_cache.h"
 #include "common/query_context.h"
+#include "common/trace.h"
 #include "hifun/evaluator.h"
 #include "hifun/hifun_parser.h"
 #include "rdf/rdfs.h"
@@ -196,6 +197,35 @@ TEST_F(DeadlineTest, CancelDuringParallelGroupAggregate) {
       << clipped.status().ToString();
   EXPECT_TRUE(stats.aborted);
   EXPECT_EQ(stats.abort_stage, "group-aggregate");
+}
+
+TEST_F(DeadlineTest, AbortInGroupAggregateKeepsTheStagePartialTime) {
+  // Phase 1: count the checks of a clean serial run.
+  QueryContext probe;
+  sparql::ExecStats stats;
+  ASSERT_TRUE(RunQuery(graph_, *query_, probe, 1, &stats).ok());
+
+  // Phase 2: trip on the final counted check, inside group-aggregate, with
+  // a tracer attached.
+  QueryContext ctx;
+  ctx.CancelAfterChecks(probe.checks_performed());
+  auto tracer = std::make_shared<Tracer>();
+  ctx.set_tracer(tracer);
+  auto clipped = RunQuery(graph_, *query_, ctx, 1, &stats);
+  ASSERT_FALSE(clipped.ok());
+  ASSERT_EQ(stats.abort_stage, "group-aggregate");
+
+  // The stage's span closes on unwind and is group_agg_ms's clock, so the
+  // time spent before the trip is kept and equals the span.
+  double agg_span_ms = 0;
+  double exec_span_ms = 0;
+  for (const Tracer::SpanRecord& s : tracer->FinishedSpans()) {
+    if (s.name == "group-aggregate") agg_span_ms += s.dur_us / 1000.0;
+    if (s.name == "execute") exec_span_ms += s.dur_us / 1000.0;
+  }
+  EXPECT_GT(stats.group_agg_ms, 0.0);
+  EXPECT_NEAR(stats.group_agg_ms, agg_span_ms, 1e-6);
+  EXPECT_NEAR(stats.total_ms, exec_span_ms, 1e-6);
 }
 
 TEST(HifunDeadlineTest, EvaluatorUnwindsOnExpiredAndCancelled) {

@@ -50,6 +50,16 @@ constexpr char kInvQuery[] =
     "SELECT ?b (SUM(?q) AS ?tot) WHERE { ?i inv:takesPlaceAt ?b . ?i "
     "inv:inQuantity ?q . } GROUP BY ?b";
 
+/// Summed duration in ms of every finished span named `name`: what an
+/// ExecStats timing field fed by those spans must equal.
+double SpanMs(const Tracer& tracer, const std::string& name) {
+  double ms = 0;
+  for (const Tracer::SpanRecord& s : tracer.FinishedSpans()) {
+    if (s.name == name) ms += s.dur_us / 1000.0;
+  }
+  return ms;
+}
+
 // ---------------------------------------------------------------------------
 // A minimal recursive-descent JSON well-formedness checker, so the tests can
 // assert "this parses" without external dependencies.
@@ -331,12 +341,16 @@ TEST(TraceCoverageTest, SecondaryIndexBuildHasItsOwnSpan) {
   const auto spans = first->FinishedSpans();
   for (const auto& span : spans) {
     if (span.name != "index-build-secondary") continue;
-    // Inside the timed index build, outside every join span.
-    EXPECT_GE(stats.index_build_ms + 0.01, span.dur_us / 1000.0);
+    // Outside every join span.
     for (const auto& parent : spans) {
       if (parent.id == span.parent) EXPECT_NE(parent.name, "bgp-join");
     }
   }
+  // The two build spans are index_build_ms's only clocks.
+  EXPECT_NEAR(stats.index_build_ms,
+              SpanMs(*first, "index-build") +
+                  SpanMs(*first, "index-build-secondary"),
+              1e-6);
   EXPECT_GT(stats.index_build_ms, 0.0);
 
   auto second = std::make_shared<Tracer>();
@@ -1294,6 +1308,12 @@ constexpr char kProductPfx[] =
 constexpr char kJoinQuery[] =
     "SELECT ?l ?m ?c WHERE { ?l ex:manufacturer ?m . ?m ex:origin ?c . "
     "?l ex:price ?p }";
+// kJoinQuery's patterns under a FILTER and a GROUP BY, so every timed stage
+// runs; COUNT and MAX give the same bytes in any row order.
+constexpr char kGroupQuery[] =
+    "SELECT ?c (COUNT(?l) AS ?n) (MAX(?p) AS ?top) WHERE { "
+    "?l ex:manufacturer ?m . ?m ex:origin ?c . ?l ex:price ?p . "
+    "FILTER(?p > 500) } GROUP BY ?c";
 
 TEST(ExplainTest, SchemaHoldsAcrossStrategiesAndBackends) {
   ExplainFixture fx;
@@ -1341,7 +1361,7 @@ TEST(ExplainTest, SchemaHoldsAcrossStrategiesAndBackends) {
 
 TEST(ExplainTest, AnalyzeProfileReconcilesWithExecStats) {
   ExplainFixture fx;
-  auto parsed = sparql::ParseQuery(kProductPfx + std::string(kJoinQuery));
+  auto parsed = sparql::ParseQuery(kProductPfx + std::string(kGroupQuery));
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
 
   // The two strategies, plus planner v2 (seed scan and merge steps).
@@ -1418,6 +1438,19 @@ TEST(ExplainTest, AnalyzeProfileReconcilesWithExecStats) {
         EXPECT_TRUE(tracer->HasSpan("mmap-decode"))
             << "mapped execution must account for block decodes";
       }
+      // Each stage's span is its ExecStats field's only clock, so the two
+      // agree to floating-point rounding, not to a timer-noise slack.
+      EXPECT_TRUE(tracer->HasSpan("filter"));
+      EXPECT_TRUE(tracer->HasSpan("group-aggregate"));
+      EXPECT_NEAR(stats.filter_ms, SpanMs(*tracer, "filter"), 1e-6);
+      EXPECT_NEAR(stats.group_agg_ms, SpanMs(*tracer, "group-aggregate"),
+                  1e-6);
+      EXPECT_NEAR(stats.projection_ms, SpanMs(*tracer, "projection"), 1e-6);
+      EXPECT_NEAR(stats.index_build_ms,
+                  SpanMs(*tracer, "index-build") +
+                      SpanMs(*tracer, "index-build-secondary"),
+                  1e-6);
+      EXPECT_NEAR(stats.total_ms, SpanMs(*tracer, "execute"), 1e-6);
     }
   }
 }
