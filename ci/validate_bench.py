@@ -42,9 +42,10 @@ carrying its own inline python:
       match the plan-JSON schema, its EXPLAIN ANALYZE profile must name a
       filter stage, and every slow-query capture must parse
       and carry an operator profile naming at least min-stages distinct
-      stages across the directory; a capture's filter/group-aggregate/
-      projection exec_stats times must equal the sums of their profile
-      nodes
+      stages across the directory; an analyze line's filter_ms and a
+      capture's filter/group-aggregate/projection exec_stats times must
+      equal the sums of their outermost profile nodes, and an analyze
+      line's stage times must not sum past its total
 
 Exits non-zero (via assert) on any violated gate.
 """
@@ -282,13 +283,33 @@ _STAGE_FIELDS = (("filter_ms", "filter"),
                  ("group_agg_ms", "group-aggregate"),
                  ("projection_ms", "projection"))
 
+# Every ExecStats stage time; together they fit inside total_ms.
+_STAGE_TIMES = ("index_build_ms", "bgp_ms", "filter_ms", "group_agg_ms",
+                "projection_ms")
+
 
 def _profile_nodes(nodes, op, out):
-    """Collects every node named `op` from a nested profile tree into `out`."""
+    """Collects the outermost nodes named `op` of a nested profile tree into
+    `out`. It does not descend into a collected node: a nested node of the
+    same op (a filter inside an EXISTS probe's filter) is timed inside it."""
     for node in nodes:
         if node["op"] == op:
             out.append(node)
-        _profile_nodes(node.get("children", []), op, out)
+        else:
+            _profile_nodes(node.get("children", []), op, out)
+
+
+def _check_stage_field(stats, profile, field, op, where):
+    """Asserts ExecStats `field` equals the summed ms of the outermost `op`
+    nodes of `profile`, up to the %.3f print rounding (0.0005 ms per
+    printed number, the field's own included)."""
+    nodes = []
+    _profile_nodes(profile, op, nodes)
+    summed = sum(n["ms"] for n in nodes)
+    slack = 0.0005 * (len(nodes) + 1)
+    assert abs(stats[field] - summed) <= slack, (
+        "%s: %s %.3f ms vs %d %s spans summing to %.3f ms"
+        % (where, field, stats[field], len(nodes), op, summed))
 
 
 def cmd_obs_gates(args):
@@ -331,8 +352,17 @@ def cmd_obs_gates(args):
             _profile_ops(obj["profile"], ops)
             assert "execute" in ops, ops
             # The shell script's range click puts a FILTER in the query;
-            # its time must show as its own stage.
+            # its time must show as its own stage, counted once: an EXISTS
+            # probe's nested filters are inside the outermost filter's time.
             assert "filter" in ops, ops
+            stats = obj["stats"]
+            _check_stage_field(stats, obj["profile"], "filter_ms", "filter",
+                               "analyze line %d" % (analyzed + 1))
+            staged = sum(stats[f] for f in _STAGE_TIMES)
+            slack = 0.0005 * (len(_STAGE_TIMES) + 1)
+            assert staged <= stats["total_ms"] + slack, (
+                "analyze line %d: stage times sum to %.3f ms, past the "
+                "%.3f ms total" % (analyzed + 1, staged, stats["total_ms"]))
             analyzed += 1
         elif "form" in obj:
             _check_plan_json(obj)
@@ -343,9 +373,8 @@ def cmd_obs_gates(args):
     # Gate 3: every slow-query capture parses, and across the ring the
     # embedded operator profiles name enough distinct stages to triage with.
     # A capture with both exec_stats and a profile must agree on the stage
-    # times: each stage's span is its ExecStats field's only clock, so the
-    # field equals the summed ms of its profile nodes up to the %.3f print
-    # rounding (0.0005 ms per printed number, the field's own included).
+    # times: each stage's outermost spans are its ExecStats field's only
+    # clock, so the field equals their summed ms up to the print rounding.
     files = sorted(glob.glob(os.path.join(args.slow_dir, "slow-*.json")))
     assert files, "no slow-query captures under %s" % args.slow_dir
     stages = set()
@@ -357,14 +386,8 @@ def cmd_obs_gates(args):
         _profile_ops(rec.get("profile", []), stages)
         if "exec_stats" in rec and rec.get("profile"):
             for field, op in _STAGE_FIELDS:
-                nodes = []
-                _profile_nodes(rec["profile"], op, nodes)
-                summed = sum(n["ms"] for n in nodes)
-                slack = 0.0005 * (len(nodes) + 1)
-                assert abs(rec["exec_stats"][field] - summed) <= slack, (
-                    "%s: %s %.3f ms vs %d %s spans summing to %.3f ms"
-                    % (path, field, rec["exec_stats"][field], len(nodes),
-                       op, summed))
+                _check_stage_field(rec["exec_stats"], rec["profile"], field,
+                                   op, path)
             reconciled += 1
     assert reconciled > 0, "no capture carries both exec_stats and a profile"
     assert len(stages) >= args.min_stages, (

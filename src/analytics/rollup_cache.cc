@@ -35,52 +35,39 @@ std::string GroupKey(const sparql::ResultTable& table, size_t row,
 }
 
 /// Scans rows [0, n) into a keyed accumulator map. With `threads` > 1 the
-/// scan runs in parallel morsels building per-thread partial tables, folded
-/// back in morsel order with `merge` — the same distributive-merge shape
-/// the roll-up itself relies on. `scan(row, &map)` must be safe to call
-/// concurrently on disjoint maps; errors propagate from the earliest row.
+/// scan runs in morsels building partial tables, folded back in morsel
+/// order with `merge` — the same distributive-merge shape the roll-up
+/// itself relies on. `scan(row, &map)` must be safe to call concurrently
+/// on disjoint maps; errors propagate from the earliest row.
 template <typename Acc, typename ScanFn, typename MergeFn>
 Status AccumulateRows(size_t n, int threads, const QueryContext& ctx,
                       const ScanFn& scan, const MergeFn& merge,
                       std::map<std::string, Acc>* groups) {
-  constexpr size_t kMinRowsParallel = 128;
-  if (threads <= 1 || n < kMinRowsParallel) {
+  if (threads <= 1) {
+    // The serial reference: a counted checkpoint every 128 rows.
     for (size_t r = 0; r < n; ++r) {
-      if (r % kMinRowsParallel == 0) {
-        RDFA_RETURN_NOT_OK(ctx.Check("rollup-merge"));
-      }
+      if (r % 128 == 0) RDFA_RETURN_NOT_OK(ctx.Check("rollup-merge"));
       RDFA_RETURN_NOT_OK(scan(r, groups));
     }
     return Status::OK();
   }
-  auto morsels = Morsels(n, static_cast<size_t>(threads) * 4, 64);
-  std::vector<std::map<std::string, Acc>> parts(morsels.size());
-  std::vector<Status> statuses(morsels.size(), Status::OK());
-  ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-    Status admitted = ctx.Check("rollup-merge");
-    if (!admitted.ok()) {
-      statuses[m] = admitted;
-      return;
-    }
-    auto [lo, hi] = morsels[m];
-    for (size_t r = lo; r < hi; ++r) {
-      Status st = scan(r, &parts[m]);
-      if (!st.ok()) {
-        statuses[m] = st;
-        return;
-      }
-    }
-  });
-  RDFA_RETURN_NOT_OK(ctx.Check("rollup-merge"));
-  for (const Status& st : statuses) RDFA_RETURN_NOT_OK(st);
-  for (std::map<std::string, Acc>& part : parts) {
-    for (auto& [key, acc] : part) {
-      auto it = groups->find(key);
-      if (it == groups->end()) {
-        groups->emplace(key, std::move(acc));
-      } else {
-        merge(acc, &it->second);
-      }
+  struct Part {
+    std::map<std::string, Acc> groups;
+    Status status = Status::OK();
+  };
+  std::vector<Part> parts = RunMorsels<Part>(
+      n, threads, kMinMorselItems, [&](size_t lo, size_t hi, Part* part) {
+        part->status = ctx.Check("rollup-merge");
+        for (size_t r = lo; r < hi && part->status.ok(); ++r) {
+          part->status = scan(r, &part->groups);
+        }
+      });
+  if (parts.size() > 1) RDFA_RETURN_NOT_OK(ctx.Check("rollup-merge"));
+  for (const Part& part : parts) RDFA_RETURN_NOT_OK(part.status);
+  for (Part& part : parts) {
+    for (auto& [key, acc] : part.groups) {
+      auto [it, fresh] = groups->try_emplace(key, std::move(acc));
+      if (!fresh) merge(acc, &it->second);  // try_emplace left acc intact
     }
   }
   return Status::OK();

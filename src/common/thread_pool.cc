@@ -44,9 +44,10 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
+void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
+                             size_t max_helpers) {
   if (n == 0) return;
-  size_t helpers = std::min(worker_count(), n - 1);
+  size_t helpers = std::min({worker_count(), n - 1, max_helpers});
   if (helpers == 0) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -91,20 +92,6 @@ ThreadPool& ThreadPool::Shared() {
   static ThreadPool pool(
       std::max<size_t>(std::thread::hardware_concurrency(), 4) - 1);
   return pool;
-}
-
-std::vector<std::pair<size_t, size_t>> Morsels(size_t n, size_t max_morsels,
-                                               size_t min_grain) {
-  std::vector<std::pair<size_t, size_t>> out;
-  if (n == 0) return out;
-  if (max_morsels == 0) max_morsels = 1;
-  if (min_grain == 0) min_grain = 1;
-  size_t grain = std::max(min_grain, (n + max_morsels - 1) / max_morsels);
-  out.reserve((n + grain - 1) / grain);
-  for (size_t b = 0; b < n; b += grain) {
-    out.emplace_back(b, std::min(n, b + grain));
-  }
-  return out;
 }
 
 }  // namespace rdfa

@@ -1,8 +1,10 @@
 #ifndef RDFA_COMMON_THREAD_POOL_H_
 #define RDFA_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -29,11 +31,12 @@ class ThreadPool {
   size_t worker_count() const { return workers_.size(); }
 
   /// Runs `fn(i)` for every i in [0, n); `fn` must be safe to call
-  /// concurrently. At most `worker_count()` pool threads help; the caller
-  /// runs items too. Item completion order is unspecified — callers that
-  /// need determinism write into pre-sized per-item slots and combine in
-  /// item order afterwards.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
+  /// concurrently. At most min(`max_helpers`, `worker_count()`) pool
+  /// threads help; the caller runs items too. Item completion order is
+  /// unspecified — callers that need determinism write into pre-sized
+  /// per-item slots and combine in item order afterwards.
+  void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
+                   size_t max_helpers = SIZE_MAX);
 
   /// The process-wide pool. Sized to at least 3 workers even on small
   /// machines so a `threads=4` run exercises real concurrency everywhere.
@@ -50,12 +53,37 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Splits [0, n) into at most `max_morsels` contiguous ranges of at least
-/// `min_grain` items each, returned in order. The deterministic unit of
-/// parallel work: results produced per morsel and concatenated in morsel
-/// order reproduce the serial output exactly.
-std::vector<std::pair<size_t, size_t>> Morsels(size_t n, size_t max_morsels,
-                                               size_t min_grain);
+/// The morsel policy of every parallel loop: a budget of `threads` splits
+/// the items into up to threads x kMorselsPerThread contiguous morsels (slack
+/// to balance load without drowning the work in scheduling) of at least a
+/// minimum grain — kMinMorselItems for row and item loops.
+inline constexpr size_t kMorselsPerThread = 4;
+inline constexpr size_t kMinMorselItems = 64;
+
+/// Runs the range kernel `fn(lo, hi, Part*)` over [0, n) and returns one
+/// Part per morsel, in morsel order, so combining the parts in order
+/// reproduces the serial run exactly. Below 2 x `min_grain` items
+/// (`min_grain` >= 1), or at `threads` <= 1, it calls fn(0, n, &part) once
+/// on the calling thread and never touches the pool; otherwise at most
+/// `threads` - 1 pool workers help the caller, so a run never uses more
+/// threads than its budget. More than one part means the run went parallel.
+template <typename Part, typename Fn>
+std::vector<Part> RunMorsels(size_t n, int threads, size_t min_grain,
+                             const Fn& fn) {
+  if (threads <= 1 || n < 2 * min_grain) {
+    std::vector<Part> parts(1);
+    fn(size_t{0}, n, &parts[0]);
+    return parts;
+  }
+  const size_t max_morsels = static_cast<size_t>(threads) * kMorselsPerThread;
+  const size_t grain = std::max(min_grain, (n + max_morsels - 1) / max_morsels);
+  std::vector<Part> parts((n + grain - 1) / grain);
+  ThreadPool::Shared().ParallelFor(
+      parts.size(),
+      [&](size_t m) { fn(m * grain, std::min(n, (m + 1) * grain), &parts[m]); },
+      static_cast<size_t>(threads) - 1);
+  return parts;
+}
 
 }  // namespace rdfa
 

@@ -1,5 +1,7 @@
 #include "endpoint/request_handler.h"
 
+#include <cmath>
+
 #include "common/string_util.h"
 #include "common/trace.h"
 #include "sparql/executor.h"
@@ -96,10 +98,10 @@ std::string RequestHandler::ErrorBody(const Status& status) {
 EndpointResponse RequestHandler::Handle(const EndpointRequest& request) {
   EndpointResponse out;
   // The request's own budget, capped by the handler's maximum; a request
-  // that asks for none inherits the cap. The endpoint's admission-derived
-  // budget still min-combines inside Query().
+  // that asks for none — or for a non-finite one — inherits the cap. The
+  // endpoint's admission-derived budget still min-combines inside Query().
   QueryContext ctx = request.ctx;
-  double budget = request.timeout_ms;
+  double budget = std::isfinite(request.timeout_ms) ? request.timeout_ms : 0;
   if (max_timeout_ms_ > 0 && (budget <= 0 || budget > max_timeout_ms_)) {
     budget = max_timeout_ms_;
   }

@@ -28,9 +28,10 @@ bool NegotiateFormat(const std::string& accept, ResultFormat* out);
 /// differential tests) must agree on.
 struct EndpointRequest {
   std::string query;
-  /// Requested per-request deadline in milliseconds; 0 = none. The handler
-  /// caps it at its configured maximum, and the endpoint's own admission
-  /// budget still combines in (the tightest deadline wins).
+  /// Requested per-request deadline in milliseconds; 0 (or a non-finite
+  /// value) = none. The handler caps it at its configured maximum, and the
+  /// endpoint's own admission budget still combines in (the tightest
+  /// deadline wins).
   double timeout_ms = 0;
   ResultFormat format = ResultFormat::kJson;
   /// Caller-supplied cancellation/deadline handle (shared cancel state).

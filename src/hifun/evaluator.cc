@@ -263,43 +263,8 @@ Result<sparql::ResultTable> Evaluator::Evaluate(const Query& query,
   gm_span.emplace(ctx.tracer(), "hifun-group-measure");
   gm_span->Arg("items", static_cast<uint64_t>(items.size()));
 
-  constexpr size_t kMinItemsParallel = 128;
-  if (threads_ > 1 && items.size() >= kMinItemsParallel) {
-    graph_.Freeze();  // one first-touch build, not a per-worker race to it
-    auto morsels = Morsels(items.size(), static_cast<size_t>(threads_) * 4,
-                           /*min_grain=*/64);
-    struct MorselOut {
-      std::vector<ItemOut> outs;
-      Status status = Status::OK();
-    };
-    std::vector<MorselOut> parts(morsels.size());
-    ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-      // Cooperative checkpoint per morsel of the group-measure pass.
-      Status admitted = ctx.Check("hifun-group-measure");
-      if (!admitted.ok()) {
-        parts[m].status = admitted;
-        return;
-      }
-      auto [lo, hi] = morsels[m];
-      parts[m].outs.resize(hi - lo);
-      for (size_t i = lo; i < hi; ++i) {
-        Status st = eval_item(items[i], &parts[m].outs[i - lo]);
-        if (!st.ok()) {
-          parts[m].status = st;  // stop at the morsel's first error
-          return;
-        }
-      }
-    });
-    RDFA_RETURN_NOT_OK(ctx.Check("hifun-group-measure"));
-    // Items are contiguous per morsel, so the first failing morsel holds
-    // the globally earliest error — the one a serial run would return.
-    for (const MorselOut& part : parts) {
-      RDFA_RETURN_NOT_OK(part.status);
-    }
-    for (MorselOut& part : parts) {
-      for (ItemOut& out : part.outs) merge(out);
-    }
-  } else {
+  if (threads_ <= 1) {
+    // The serial reference: a counted checkpoint every 256 items.
     size_t since_check = 0;
     for (TermId item : items) {
       if (since_check++ % 256 == 0) {
@@ -308,6 +273,33 @@ Result<sparql::ResultTable> Evaluator::Evaluate(const Query& query,
       ItemOut out;
       RDFA_RETURN_NOT_OK(eval_item(item, &out));
       merge(out);
+    }
+  } else {
+    graph_.Freeze();  // one first-touch build, not a per-worker race to it
+    struct MorselOut {
+      std::vector<ItemOut> outs;
+      Status status = Status::OK();
+    };
+    std::vector<MorselOut> parts = RunMorsels<MorselOut>(
+        items.size(), threads_, kMinMorselItems,
+        [&](size_t lo, size_t hi, MorselOut* part) {
+          // Cooperative checkpoint per morsel of the group-measure pass.
+          part->status = ctx.Check("hifun-group-measure");
+          if (!part->status.ok()) return;
+          part->outs.resize(hi - lo);
+          for (size_t i = lo; i < hi; ++i) {
+            part->status = eval_item(items[i], &part->outs[i - lo]);
+            if (!part->status.ok()) return;  // the morsel's first error
+          }
+        });
+    if (parts.size() > 1) RDFA_RETURN_NOT_OK(ctx.Check("hifun-group-measure"));
+    // Items are contiguous per morsel, so the first failing morsel holds
+    // the globally earliest error — the one a serial run would return.
+    for (const MorselOut& part : parts) {
+      RDFA_RETURN_NOT_OK(part.status);
+    }
+    for (MorselOut& part : parts) {
+      for (ItemOut& out : part.outs) merge(out);
     }
   }
 

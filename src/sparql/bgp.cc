@@ -1,7 +1,7 @@
 #include "sparql/bgp.h"
 
 #include <algorithm>
-#include <atomic>
+#include <iterator>
 #include <numeric>
 #include <set>
 #include <span>
@@ -36,11 +36,6 @@ CompiledPattern CompileTriple(const TriplePattern& tp, VarTable* vars,
 
 namespace {
 
-// Rows below this threshold are not worth splitting into morsels.
-constexpr size_t kMinMorselRows = 64;
-// Morsels per thread: enough slack for load balancing without drowning the
-// join in scheduling overhead.
-constexpr size_t kMorselsPerThread = 4;
 // Cancellation poll interval inside a scan, in enumerated index rows: small
 // enough that a 1ms deadline trips promptly, large enough that the atomic
 // loads vanish in the scan cost.
@@ -162,39 +157,53 @@ void ExtendRowBy(const CompiledPattern& p, Binding* row,
   if (BindTriple(p, matches.back(), row)) out->push_back(std::move(*row));
 }
 
+// A scan's matches, collected with the cheap stop flag polled every
+// kCheckEveryRows rows enumerated (counted across every scan collected).
+// Once the flag trips, scans drain without collecting; the caller turns
+// the trip into a typed Status and discards its partial output.
+struct ScanMatches {
+  void Add(const rdf::TripleId& t) {
+    if (stopped) return;
+    ++scanned;
+    if (ctx != nullptr && scanned % kCheckEveryRows == 0 &&
+        ctx->ShouldStop()) {
+      stopped = true;
+      return;
+    }
+    triples.push_back(t);
+  }
+
+  // Replaces the collected triples with the matches of `p` under `row`.
+  void Probe(rdf::Graph::ProbeCursor* cursor, const CompiledPattern& p,
+             const Binding& row) {
+    triples.clear();
+    cursor->ForEachMatch(p.s_var < 0 ? p.s_id : row[p.s_var],
+                         p.p_var < 0 ? p.p_id : row[p.p_var],
+                         p.o_var < 0 ? p.o_id : row[p.o_var],
+                         [this](const rdf::TripleId& t) { Add(t); });
+  }
+
+  const QueryContext* ctx;
+  std::vector<rdf::TripleId> triples;
+  size_t scanned = 0;
+  bool stopped = false;
+};
+
 // Extends every row in [begin, end) of `*rows` through `p`, appending the
 // results (in row order) to `*out` and leaving the input rows unspecified.
-// Returns the number of index rows enumerated. When `ctx` is set, polls it
-// every kCheckEveryRows enumerated rows and abandons the remaining range
-// once it trips (the caller turns the trip into a typed Status; the partial
-// output is discarded). One probe cursor serves the range: input sorted on
-// the probed lane (a seed scan's order) gallops from probe to probe.
+// Returns the number of index rows enumerated. One probe cursor serves the
+// range: input sorted on the probed lane (a seed scan's order) gallops
+// from probe to probe.
 size_t ExtendRange(const rdf::Graph& graph, const CompiledPattern& p,
                    std::vector<Binding>* rows, size_t begin, size_t end,
                    const QueryContext* ctx, std::vector<Binding>* out) {
-  size_t scanned = 0;
-  bool stopped = false;
   rdf::Graph::ProbeCursor cursor(graph);
-  std::vector<rdf::TripleId> matches;
-  for (size_t r = begin; r < end && !stopped; ++r) {
-    Binding& row = (*rows)[r];
-    TermId s = p.s_var < 0 ? p.s_id : row[p.s_var];
-    TermId pp = p.p_var < 0 ? p.p_id : row[p.p_var];
-    TermId o = p.o_var < 0 ? p.o_id : row[p.o_var];
-    matches.clear();
-    cursor.ForEachMatch(s, pp, o, [&](const rdf::TripleId& t) {
-      if (stopped) return;  // drain the scan without extending
-      ++scanned;
-      if (ctx != nullptr && scanned % kCheckEveryRows == 0 &&
-          ctx->ShouldStop()) {
-        stopped = true;
-        return;
-      }
-      matches.push_back(t);
-    });
-    ExtendRowBy(p, &row, matches, out);
+  ScanMatches scan{ctx};
+  for (size_t r = begin; r < end && !scan.stopped; ++r) {
+    scan.Probe(&cursor, p, (*rows)[r]);
+    ExtendRowBy(p, &(*rows)[r], scan.triples, out);
   }
-  return scanned;
+  return scan.scanned;
 }
 
 // ---- order-preserving hash join ------------------------------------------
@@ -320,11 +329,9 @@ size_t ProbeHashRange(const rdf::Graph& graph, const CompiledPattern& p,
                       std::vector<Binding>* rows, size_t begin, size_t end,
                       const QueryContext* ctx, std::vector<Binding>* out,
                       size_t* probe_hits) {
-  size_t fallback_scanned = 0;
-  bool stopped = false;
   rdf::Graph::ProbeCursor cursor(graph);
-  std::vector<rdf::TripleId> matches;
-  for (size_t r = begin; r < end && !stopped; ++r) {
+  ScanMatches fallback{ctx};
+  for (size_t r = begin; r < end && !fallback.stopped; ++r) {
     Binding& row = (*rows)[r];
     const bool s_bound = p.s_var >= 0 && row[p.s_var] != kNoTermId;
     const bool p_bound = p.p_var >= 0 && row[p.p_var] != kNoTermId;
@@ -342,30 +349,111 @@ size_t ProbeHashRange(const rdf::Graph& graph, const CompiledPattern& p,
         ++*probe_hits;
         if (ctx != nullptr && *probe_hits % kCheckEveryRows == 0 &&
             ctx->ShouldStop()) {
-          stopped = true;
+          fallback.stopped = true;
           break;
         }
       }
       ExtendRowBy(p, &row, {bucket.data(), hits}, out);
     } else {
-      TermId s = p.s_var < 0 ? p.s_id : row[p.s_var];
-      TermId pp = p.p_var < 0 ? p.p_id : row[p.p_var];
-      TermId o = p.o_var < 0 ? p.o_id : row[p.o_var];
-      matches.clear();
-      cursor.ForEachMatch(s, pp, o, [&](const rdf::TripleId& t) {
-        if (stopped) return;
-        ++fallback_scanned;
-        if (ctx != nullptr && fallback_scanned % kCheckEveryRows == 0 &&
-            ctx->ShouldStop()) {
-          stopped = true;
-          return;
-        }
-        matches.push_back(t);
-      });
-      ExtendRowBy(p, &row, matches, out);
+      fallback.Probe(&cursor, p, row);
+      ExtendRowBy(p, &row, fallback.triples, out);
     }
   }
-  return fallback_scanned;
+  return fallback.scanned;
+}
+
+// The tracer of the query a join runs for; null when untraced.
+Tracer* TracerOf(const JoinOptions& opts) {
+  return opts.ctx != nullptr ? opts.ctx->tracer() : nullptr;
+}
+
+// One morsel's share of a join step; RunStepMorsels folds the parts, in
+// morsel order, into the whole step's.
+struct StepPart {
+  std::vector<Binding> rows;
+  size_t scanned = 0;     ///< index rows enumerated (merge: entries decoded)
+  size_t probe_hits = 0;  ///< hash bucket entries probed
+  size_t seeks = 0;       ///< merge cursor seeks
+  Status status = Status::OK();  ///< a counted check that tripped inside
+};
+
+// Runs `kernel(lo, hi, &part)` over [0, n) by the shared morsel policy and
+// concatenates the parts in morsel order, which keeps the step's output
+// byte-identical to a serial run's. A morsel that starts after the context
+// tripped does no work; the step's closing check reports the trip.
+template <typename Kernel>
+StepPart RunStepMorsels(size_t n, const JoinOptions& opts,
+                        const Kernel& kernel) {
+  std::vector<StepPart> parts = RunMorsels<StepPart>(
+      n, opts.threads, kMinMorselItems,
+      [&](size_t lo, size_t hi, StepPart* part) {
+        if (opts.ctx == nullptr || !opts.ctx->ShouldStop()) {
+          kernel(lo, hi, part);
+        }
+      });
+  if (parts.size() == 1) return std::move(parts.front());
+  if (opts.stats != nullptr) opts.stats->morsel_count += parts.size();
+  StepPart all;
+  size_t total = 0;
+  for (const StepPart& part : parts) total += part.rows.size();
+  all.rows.reserve(total);
+  for (StepPart& part : parts) {
+    all.scanned += part.scanned;
+    all.probe_hits += part.probe_hits;
+    all.seeks += part.seeks;
+    if (all.status.ok()) all.status = part.status;
+    std::move(part.rows.begin(), part.rows.end(),
+              std::back_inserter(all.rows));
+  }
+  return all;
+}
+
+// The frame every join step runs in: the counted "bgp-join" check before
+// and after it, its span, its ExecStats row and publishing its rows.
+// `body(&span)` runs the step and returns its whole output. A trip inside
+// the step surfaces after the stats are recorded; the closing check keeps
+// an output a stop flag left partial from reaching the next step.
+template <typename Body>
+Status JoinStep(char strategy, int source_pattern, const JoinOptions& opts,
+                std::vector<Binding>* rows, const Body& body) {
+  if (opts.ctx != nullptr) RDFA_RETURN_NOT_OK(opts.ctx->Check("bgp-join"));
+  TraceSpan span(TracerOf(opts), "bgp-join");
+  span.Arg("pattern", static_cast<int64_t>(source_pattern));
+  span.Arg("input_rows", static_cast<uint64_t>(rows->size()));
+  StepPart out = body(&span);
+  if (opts.stats != nullptr) {
+    ++opts.stats->bgp_patterns;
+    opts.stats->rows_scanned.push_back(out.scanned);
+    opts.stats->join_order.push_back(source_pattern);
+    opts.stats->join_strategy.push_back(strategy);
+  }
+  span.Arg("rows_scanned", static_cast<uint64_t>(out.scanned));
+  span.Arg("output_rows", static_cast<uint64_t>(out.rows.size()));
+  RDFA_RETURN_NOT_OK(out.status);
+  if (opts.ctx != nullptr) RDFA_RETURN_NOT_OK(opts.ctx->Check("bgp-join"));
+  if (opts.ctx != nullptr) opts.ctx->AddProgressRows(out.rows.size());
+  *rows = std::move(out.rows);
+  return Status::OK();
+}
+
+// The seed kernel, for a step with one input row: the row's matches are
+// the items, so even the first pattern of a query splits into morsels.
+// Extends `row` by each match in order.
+StepPart ExtendSeed(const CompiledPattern& p, const Binding& row,
+                    const ScanMatches& seed, const JoinOptions& opts) {
+  StepPart step = RunStepMorsels(
+      seed.triples.size(), opts, [&](size_t lo, size_t hi, StepPart* part) {
+        part->rows.reserve(hi - lo);
+        for (size_t i = lo; i < hi; ++i) {
+          if (opts.ctx != nullptr && (i - lo + 1) % kCheckEveryRows == 0 &&
+              opts.ctx->ShouldStop()) {
+            return;  // abandon this morsel; the step reports the trip
+          }
+          ExtendRow(p, row, seed.triples[i], &part->rows);
+        }
+      });
+  step.scanned = seed.scanned;
+  return step;
 }
 
 // Executes one pattern step through the v1 hash/NLJ machinery — shared by
@@ -374,232 +462,79 @@ size_t ProbeHashRange(const rdf::Graph& graph, const CompiledPattern& p,
 // caller.
 Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
                            int source_pattern, const JoinOptions& opts,
-                           int threads, Tracer* tracer,
                            std::vector<Binding>* rows) {
-  // One typed check per join stage; scans poll the cheap flag inline.
-  if (opts.ctx != nullptr) RDFA_RETURN_NOT_OK(opts.ctx->Check("bgp-join"));
-  TraceSpan join_span(tracer, "bgp-join");
-  join_span.Arg("pattern", static_cast<int64_t>(source_pattern));
-  join_span.Arg("input_rows", static_cast<uint64_t>(rows->size()));
-  std::vector<Binding> next;
-  next.reserve(rows->size());
-  size_t scanned = 0;
-  char strategy_used = 'N';
-  Status build_status = Status::OK();
-
   const HashPlan plan = PlanHash(graph, p, *rows, opts.strategy);
-  if (plan.use_hash) {
-    strategy_used = 'H';
-    HashTable table;
-    size_t build_scanned = 0;
-    {
-      TraceSpan build_span(tracer, "hash-build");
-      build_status =
-          BuildHashTable(graph, p, plan, opts.ctx, &table, &build_scanned);
-      build_span.Arg("build_rows", static_cast<uint64_t>(build_scanned));
-    }
-    scanned += build_scanned;
-    if (opts.stats != nullptr) {
-      ++opts.stats->hash_builds;
-      opts.stats->hash_build_rows += build_scanned;
-    }
-    if (build_status.ok()) {
-      size_t probe_hits = 0;
-      if (threads > 1 && rows->size() >= 2 * kMinMorselRows) {
-        // Morsel-parallel probe; concatenation in morsel order keeps the
-        // output byte-identical to the serial probe (and thus to NLJ).
-        auto morsels =
-            Morsels(rows->size(),
-                    static_cast<size_t>(threads) * kMorselsPerThread,
-                    kMinMorselRows);
-        std::vector<std::vector<Binding>> parts(morsels.size());
-        std::vector<size_t> part_scanned(morsels.size(), 0);
-        std::vector<size_t> part_hits(morsels.size(), 0);
-        ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-          if (opts.ctx != nullptr && opts.ctx->ShouldStop()) return;
-          auto [lo, hi] = morsels[m];
-          part_scanned[m] =
-              ProbeHashRange(graph, p, plan, table, rows, lo, hi, opts.ctx,
-                             &parts[m], &part_hits[m]);
-        });
-        for (size_t m = 0; m < morsels.size(); ++m) {
-          scanned += part_scanned[m];
-          probe_hits += part_hits[m];
-          for (Binding& b : parts[m]) next.push_back(std::move(b));
-        }
-        if (opts.stats != nullptr) {
-          opts.stats->morsel_count += morsels.size();
-        }
-      } else {
-        scanned += ProbeHashRange(graph, p, plan, table, rows, 0,
-                                  rows->size(), opts.ctx, &next, &probe_hits);
-      }
-      if (opts.stats != nullptr) opts.stats->hash_probe_hits += probe_hits;
-      join_span.Arg("probe_hits", static_cast<uint64_t>(probe_hits));
-    }
-  } else if (threads > 1 && rows->size() == 1) {
-    // Single seed row (the common first pattern): materialize the index
-    // range once and split *it* into morsels.
-    const Binding& row = rows->front();
-    TermId s = p.s_var < 0 ? p.s_id : row[p.s_var];
-    TermId pp = p.p_var < 0 ? p.p_id : row[p.p_var];
-    TermId o = p.o_var < 0 ? p.o_id : row[p.o_var];
-    std::vector<rdf::TripleId> matches = graph.Match(s, pp, o);
-    scanned = matches.size();
-    auto morsels = Morsels(matches.size(),
-                           static_cast<size_t>(threads) * kMorselsPerThread,
-                           kMinMorselRows);
-    if (morsels.size() <= 1) {
-      for (size_t i = 0; i < matches.size(); ++i) {
-        if (opts.ctx != nullptr && (i + 1) % kCheckEveryRows == 0 &&
-            opts.ctx->ShouldStop()) {
-          break;
-        }
-        ExtendRow(p, row, matches[i], &next);
-      }
-    } else {
-      std::vector<std::vector<Binding>> parts(morsels.size());
-      ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-        auto [lo, hi] = morsels[m];
-        parts[m].reserve(hi - lo);
-        for (size_t i = lo; i < hi; ++i) {
-          if (opts.ctx != nullptr && (i - lo + 1) % kCheckEveryRows == 0 &&
-              opts.ctx->ShouldStop()) {
-            return;  // abandon this morsel; caller reports the trip
+  return JoinStep(
+      plan.use_hash ? 'H' : 'N', source_pattern, opts, rows,
+      [&](TraceSpan* span) {
+        StepPart step;
+        if (plan.use_hash) {
+          HashTable table;
+          size_t build_scanned = 0;
+          Status build_status = Status::OK();
+          {
+            TraceSpan build_span(TracerOf(opts), "hash-build");
+            build_status = BuildHashTable(graph, p, plan, opts.ctx, &table,
+                                          &build_scanned);
+            build_span.Arg("build_rows",
+                           static_cast<uint64_t>(build_scanned));
           }
-          ExtendRow(p, row, matches[i], &parts[m]);
+          if (opts.stats != nullptr) {
+            ++opts.stats->hash_builds;
+            opts.stats->hash_build_rows += build_scanned;
+          }
+          if (build_status.ok()) {
+            step = RunStepMorsels(
+                rows->size(), opts, [&](size_t lo, size_t hi, StepPart* part) {
+                  part->rows.reserve(hi - lo);
+                  part->scanned =
+                      ProbeHashRange(graph, p, plan, table, rows, lo, hi,
+                                     opts.ctx, &part->rows, &part->probe_hits);
+                });
+            if (opts.stats != nullptr) {
+              opts.stats->hash_probe_hits += step.probe_hits;
+            }
+            span->Arg("probe_hits", static_cast<uint64_t>(step.probe_hits));
+          }
+          step.scanned += build_scanned;
+          step.status = build_status;
+        } else if (rows->size() == 1) {
+          rdf::Graph::ProbeCursor cursor(graph);
+          ScanMatches seed{opts.ctx};
+          seed.Probe(&cursor, p, rows->front());
+          step = ExtendSeed(p, rows->front(), seed, opts);
+        } else {
+          step = RunStepMorsels(
+              rows->size(), opts, [&](size_t lo, size_t hi, StepPart* part) {
+                part->rows.reserve(hi - lo);
+                part->scanned = ExtendRange(graph, p, rows, lo, hi, opts.ctx,
+                                            &part->rows);
+              });
         }
+        span->Arg("strategy", plan.use_hash ? "hash" : "nested-loop");
+        return step;
       });
-      for (std::vector<Binding>& part : parts) {
-        for (Binding& b : part) next.push_back(std::move(b));
-      }
-      if (opts.stats != nullptr) opts.stats->morsel_count += morsels.size();
-    }
-  } else if (threads > 1 && rows->size() >= 2 * kMinMorselRows) {
-    // Morsel-parallel extension over the incoming rows; concatenation in
-    // morsel order keeps the output byte-identical to the serial join.
-    auto morsels = Morsels(rows->size(),
-                           static_cast<size_t>(threads) * kMorselsPerThread,
-                           kMinMorselRows);
-    std::vector<std::vector<Binding>> parts(morsels.size());
-    std::vector<size_t> part_scanned(morsels.size(), 0);
-    ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-      if (opts.ctx != nullptr && opts.ctx->ShouldStop()) return;
-      auto [lo, hi] = morsels[m];
-      part_scanned[m] =
-          ExtendRange(graph, p, rows, lo, hi, opts.ctx, &parts[m]);
-    });
-    for (size_t m = 0; m < morsels.size(); ++m) {
-      scanned += part_scanned[m];
-      for (Binding& b : parts[m]) next.push_back(std::move(b));
-    }
-    if (opts.stats != nullptr) opts.stats->morsel_count += morsels.size();
-  } else {
-    scanned = ExtendRange(graph, p, rows, 0, rows->size(), opts.ctx, &next);
-  }
-
-  if (opts.stats != nullptr) {
-    ++opts.stats->bgp_patterns;
-    opts.stats->rows_scanned.push_back(scanned);
-    opts.stats->join_order.push_back(source_pattern);
-    opts.stats->join_strategy.push_back(strategy_used);
-  }
-  join_span.Arg("strategy", strategy_used == 'H' ? "hash" : "nested-loop");
-  join_span.Arg("rows_scanned", static_cast<uint64_t>(scanned));
-  join_span.Arg("output_rows", static_cast<uint64_t>(next.size()));
-  // A tripped hash build already carries the typed status from its
-  // counted check; surface it after the stats are recorded.
-  RDFA_RETURN_NOT_OK(build_status);
-  // A scan abandoned mid-pattern left `next` partial: surface the typed
-  // status now rather than joining the next pattern against garbage.
-  if (opts.ctx != nullptr) RDFA_RETURN_NOT_OK(opts.ctx->Check("bgp-join"));
-  if (opts.ctx != nullptr) opts.ctx->AddProgressRows(next.size());
-  *rows = std::move(next);
-  return Status::OK();
 }
 
 // ---- planner v2: seed scan / sieve / merge steps -------------------------
 
 // Planner-v2 seed step: enumerate the first pattern's constant-narrowed
 // range in the plan's permutation, so the intermediate comes out sorted on
-// the interesting-order variable. Byte-layout mirrors the v1 single-seed
-// path (materialize, then extend serially or by morsels).
+// the interesting-order variable, then extend the seed row through the
+// seed kernel.
 Status ExecuteSeedStep(const rdf::Graph& graph, const CompiledPattern& p,
                        int source_pattern, const PlannedStep& step,
-                       const JoinOptions& opts, int threads, Tracer* tracer,
-                       std::vector<Binding>* rows) {
-  if (opts.ctx != nullptr) RDFA_RETURN_NOT_OK(opts.ctx->Check("bgp-join"));
-  TraceSpan join_span(tracer, "bgp-join");
-  join_span.Arg("pattern", static_cast<int64_t>(source_pattern));
-  join_span.Arg("input_rows", static_cast<uint64_t>(rows->size()));
-  join_span.Arg("strategy", "seed-scan");
-  join_span.Arg("perm", PermName(step.perm));
-  const Binding row = rows->front();
-  std::vector<rdf::TripleId> matches;
-  bool stopped = false;
-  size_t scanned = 0;
-  graph.ForEachInPerm(step.perm, p.s_var < 0 ? p.s_id : kNoTermId,
-                      p.p_var < 0 ? p.p_id : kNoTermId,
-                      p.o_var < 0 ? p.o_id : kNoTermId,
-                      [&](const rdf::TripleId& t) {
-                        if (stopped) return;
-                        ++scanned;
-                        if (opts.ctx != nullptr &&
-                            scanned % kCheckEveryRows == 0 &&
-                            opts.ctx->ShouldStop()) {
-                          stopped = true;
-                          return;
-                        }
-                        matches.push_back(t);
-                      });
-  std::vector<Binding> next;
-  next.reserve(matches.size());
-  bool extended = false;
-  if (threads > 1) {
-    auto morsels = Morsels(matches.size(),
-                           static_cast<size_t>(threads) * kMorselsPerThread,
-                           kMinMorselRows);
-    if (morsels.size() > 1) {
-      std::vector<std::vector<Binding>> parts(morsels.size());
-      ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-        auto [lo, hi] = morsels[m];
-        parts[m].reserve(hi - lo);
-        for (size_t i = lo; i < hi; ++i) {
-          if (opts.ctx != nullptr && (i - lo + 1) % kCheckEveryRows == 0 &&
-              opts.ctx->ShouldStop()) {
-            return;  // abandon this morsel; caller reports the trip
-          }
-          ExtendRow(p, row, matches[i], &parts[m]);
-        }
-      });
-      for (std::vector<Binding>& part : parts) {
-        for (Binding& b : part) next.push_back(std::move(b));
-      }
-      if (opts.stats != nullptr) opts.stats->morsel_count += morsels.size();
-      extended = true;
-    }
-  }
-  if (!extended) {
-    for (size_t i = 0; i < matches.size(); ++i) {
-      if (opts.ctx != nullptr && (i + 1) % kCheckEveryRows == 0 &&
-          opts.ctx->ShouldStop()) {
-        break;
-      }
-      ExtendRow(p, row, matches[i], &next);
-    }
-  }
-  if (opts.stats != nullptr) {
-    ++opts.stats->bgp_patterns;
-    opts.stats->rows_scanned.push_back(scanned);
-    opts.stats->join_order.push_back(source_pattern);
-    opts.stats->join_strategy.push_back('S');
-  }
-  join_span.Arg("rows_scanned", static_cast<uint64_t>(scanned));
-  join_span.Arg("output_rows", static_cast<uint64_t>(next.size()));
-  if (opts.ctx != nullptr) RDFA_RETURN_NOT_OK(opts.ctx->Check("bgp-join"));
-  if (opts.ctx != nullptr) opts.ctx->AddProgressRows(next.size());
-  *rows = std::move(next);
-  return Status::OK();
+                       const JoinOptions& opts, std::vector<Binding>* rows) {
+  return JoinStep('S', source_pattern, opts, rows, [&](TraceSpan* span) {
+    span->Arg("strategy", "seed-scan");
+    span->Arg("perm", PermName(step.perm));
+    ScanMatches seed{opts.ctx};
+    graph.ForEachInPerm(step.perm, p.s_var < 0 ? p.s_id : kNoTermId,
+                        p.p_var < 0 ? p.p_id : kNoTermId,
+                        p.o_var < 0 ? p.o_id : kNoTermId,
+                        [&](const rdf::TripleId& t) { seed.Add(t); });
+    return ExtendSeed(p, rows->front(), seed, opts);
+  });
 }
 
 // A contiguous run of input rows sharing one interesting-order key — the
@@ -639,23 +574,27 @@ bool BuildSieve(const std::vector<Binding>& rows, int head_slot,
   return true;
 }
 
-// Streams one merge cursor against a contiguous range of sieve runs,
-// appending extensions in input-row order. The cursor seeks straight to
-// each run's key (sideways information passing: whole blocks of
-// non-candidates are skipped undecoded). Each key group is buffered once
-// and replayed across its run's rows — the replay enumerates exactly the
-// triples (in exactly the order) a per-row NLJ probe of that key would,
-// which is the byte-identity argument.
+// Streams one merge cursor against the sieve runs [run_lo, run_hi),
+// appending extensions in input-row order to out->rows and counting the
+// entries decoded and seeks into *out. The cursor seeks straight to each
+// run's key (sideways information passing: whole blocks of non-candidates
+// are skipped undecoded). Each key group is buffered once and replayed
+// across its run's rows — the replay enumerates exactly the triples (in
+// exactly the order) a per-row NLJ probe of that key would, which is the
+// byte-identity argument.
 Status MergeRuns(const rdf::Graph& graph, const CompiledPattern& p,
                  rdf::Graph::Perm perm, const std::vector<Binding>& rows,
                  const std::vector<SieveRun>& runs, size_t run_lo,
-                 size_t run_hi, const QueryContext* ctx,
-                 std::vector<Binding>* out, size_t* decoded, size_t* seeks,
-                 size_t* advances) {
+                 size_t run_hi, const QueryContext* ctx, StepPart* out) {
   rdf::Graph::MergeCursor cur = graph.OpenMergeCursor(
       perm, p.s_var < 0 ? p.s_id : kNoTermId,
       p.p_var < 0 ? p.p_id : kNoTermId, p.o_var < 0 ? p.o_id : kNoTermId);
+  auto count_cursor = [&] {
+    out->scanned += cur.decoded();
+    out->seeks += cur.seeks();
+  };
   std::vector<rdf::TripleId> group;
+  size_t advances = 0;
   for (size_t ri = run_lo; ri < run_hi && !cur.at_end(); ++ri) {
     const SieveRun& run = runs[ri];
     cur.SeekGE(run.key);
@@ -665,21 +604,19 @@ Status MergeRuns(const rdf::Graph& graph, const CompiledPattern& p,
     while (!cur.at_end() && cur.key() == run.key) {
       group.push_back(cur.triple());
       cur.Next();
-      if (ctx != nullptr && ++*advances % kCheckEveryRows == 0) {
+      if (ctx != nullptr && ++advances % kCheckEveryRows == 0) {
         Status check = ctx->Check("merge-advance");
         if (!check.ok()) {
-          *decoded += cur.decoded();
-          *seeks += cur.seeks();
+          count_cursor();
           return check;
         }
       }
     }
     for (size_t r = run.begin; r < run.end; ++r) {
-      for (const rdf::TripleId& t : group) ExtendRow(p, rows[r], t, out);
+      for (const rdf::TripleId& t : group) ExtendRow(p, rows[r], t, &out->rows);
     }
   }
-  *decoded += cur.decoded();
-  *seeks += cur.seeks();
+  count_cursor();
   return Status::OK();
 }
 
@@ -689,83 +626,42 @@ Status MergeRuns(const rdf::Graph& graph, const CompiledPattern& p,
 // order equals the serial output.
 Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
                         int source_pattern, const PlannedStep& step,
-                        int head_slot, const JoinOptions& opts, int threads,
-                        Tracer* tracer, std::vector<Binding>* rows) {
+                        int head_slot, const JoinOptions& opts,
+                        std::vector<Binding>* rows) {
   std::vector<SieveRun> runs;
   Status sieve_status = Status::OK();
   if (!BuildSieve(*rows, head_slot, opts.ctx, &runs, &sieve_status)) {
     // Head unbound or input unsorted — impossible for trivial-seed
     // pipelines, but the demotion is byte-identical regardless.
-    return ExecuteAdaptiveStep(graph, p, source_pattern, opts, threads,
-                               tracer, rows);
+    return ExecuteAdaptiveStep(graph, p, source_pattern, opts, rows);
   }
-  if (opts.ctx != nullptr) RDFA_RETURN_NOT_OK(opts.ctx->Check("bgp-join"));
-  TraceSpan join_span(tracer, "bgp-join");
-  join_span.Arg("pattern", static_cast<int64_t>(source_pattern));
-  join_span.Arg("input_rows", static_cast<uint64_t>(rows->size()));
-  join_span.Arg("strategy", "merge");
-  join_span.Arg("perm", PermName(step.perm));
-  join_span.Arg("sieve_keys", static_cast<uint64_t>(runs.size()));
-
-  std::vector<Binding> next;
-  size_t decoded = 0, seeks = 0, advances = 0;
-  Status merge_status = sieve_status;
-  if (merge_status.ok()) {
-    next.reserve(rows->size());
-    bool merged = false;
-    if (threads > 1 && rows->size() >= 2 * kMinMorselRows) {
-      auto morsels = Morsels(runs.size(),
-                             static_cast<size_t>(threads) * kMorselsPerThread,
-                             kMinMorselRows);
-      if (morsels.size() > 1) {
-        std::vector<std::vector<Binding>> parts(morsels.size());
-        std::vector<size_t> part_decoded(morsels.size(), 0);
-        std::vector<size_t> part_seeks(morsels.size(), 0);
-        std::vector<size_t> part_advances(morsels.size(), 0);
-        std::vector<Status> part_status(morsels.size(), Status::OK());
-        ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-          if (opts.ctx != nullptr && opts.ctx->ShouldStop()) return;
-          auto [lo, hi] = morsels[m];
-          part_status[m] = MergeRuns(graph, p, step.perm, *rows, runs, lo, hi,
-                                     opts.ctx, &parts[m], &part_decoded[m],
-                                     &part_seeks[m], &part_advances[m]);
-        });
-        for (size_t m = 0; m < morsels.size(); ++m) {
-          decoded += part_decoded[m];
-          seeks += part_seeks[m];
-          if (merge_status.ok() && !part_status[m].ok()) {
-            merge_status = part_status[m];
-          }
-          for (Binding& b : parts[m]) next.push_back(std::move(b));
+  return JoinStep(
+      'M', source_pattern, opts, rows, [&](TraceSpan* span) {
+        span->Arg("strategy", "merge");
+        span->Arg("perm", PermName(step.perm));
+        span->Arg("sieve_keys", static_cast<uint64_t>(runs.size()));
+        StepPart merged;
+        if (sieve_status.ok()) {
+          merged = RunStepMorsels(
+              runs.size(), opts, [&](size_t lo, size_t hi, StepPart* part) {
+                if (lo < hi) {
+                  part->rows.reserve(runs[hi - 1].end - runs[lo].begin);
+                }
+                part->status = MergeRuns(graph, p, step.perm, *rows, runs, lo,
+                                         hi, opts.ctx, part);
+              });
+        } else {
+          merged.status = sieve_status;
         }
-        if (opts.stats != nullptr) opts.stats->morsel_count += morsels.size();
-        merged = true;
-      }
-    }
-    if (!merged) {
-      merge_status = MergeRuns(graph, p, step.perm, *rows, runs, 0,
-                               runs.size(), opts.ctx, &next, &decoded, &seeks,
-                               &advances);
-    }
-  }
-  if (opts.stats != nullptr) {
-    ++opts.stats->bgp_patterns;
-    opts.stats->rows_scanned.push_back(decoded);
-    opts.stats->join_order.push_back(source_pattern);
-    opts.stats->join_strategy.push_back('M');
-    ++opts.stats->merge_joins;
-    opts.stats->merge_rows_decoded += decoded;
-    opts.stats->sieve_seeks += seeks;
-    opts.stats->sieve_keys += runs.size();
-  }
-  join_span.Arg("rows_scanned", static_cast<uint64_t>(decoded));
-  join_span.Arg("sieve_seeks", static_cast<uint64_t>(seeks));
-  join_span.Arg("output_rows", static_cast<uint64_t>(next.size()));
-  RDFA_RETURN_NOT_OK(merge_status);
-  if (opts.ctx != nullptr) RDFA_RETURN_NOT_OK(opts.ctx->Check("bgp-join"));
-  if (opts.ctx != nullptr) opts.ctx->AddProgressRows(next.size());
-  *rows = std::move(next);
-  return Status::OK();
+        if (opts.stats != nullptr) {
+          ++opts.stats->merge_joins;
+          opts.stats->merge_rows_decoded += merged.scanned;
+          opts.stats->sieve_seeks += merged.seeks;
+          opts.stats->sieve_keys += runs.size();
+        }
+        span->Arg("sieve_seeks", static_cast<uint64_t>(merged.seeks));
+        return merged;
+      });
 }
 
 // Planner-v2 pipeline: annotate the execution-ordered patterns, surface the
@@ -777,12 +673,11 @@ Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
 Status ExecuteBgpV2(const rdf::Graph& graph,
                     const std::vector<CompiledPattern>& patterns,
                     const std::vector<int>& source_index, bool dp_ordered,
-                    const JoinOptions& opts, int threads, Tracer* tracer,
-                    std::vector<Binding>* rows) {
+                    const JoinOptions& opts, std::vector<Binding>* rows) {
   BgpPlan plan = AnnotateBgpPlan(graph, patterns);
   plan.used_dp = dp_ordered;
   {
-    TraceSpan plan_span(tracer, "plan-v2");
+    TraceSpan plan_span(TracerOf(opts), "plan-v2");
     plan_span.Arg("patterns", static_cast<uint64_t>(patterns.size()));
     plan_span.Arg("dp", dp_ordered);
     plan_span.Arg("head_slot", static_cast<int64_t>(plan.head_slot));
@@ -804,7 +699,7 @@ Status ExecuteBgpV2(const rdf::Graph& graph,
   }
   if (needs_secondary && !graph.secondary_indexes_built()) {
     TraceSpan build_span(
-        tracer, "index-build-secondary",
+        TracerOf(opts), "index-build-secondary",
         opts.stats != nullptr ? &opts.stats->index_build_ms : nullptr);
     graph.EnsureSecondaryIndexes();
   }
@@ -814,8 +709,7 @@ Status ExecuteBgpV2(const rdf::Graph& graph,
     if (opts.after_step && pi + 1 < patterns.size()) opts.after_step(bound);
   };
   RDFA_RETURN_NOT_OK(ExecuteSeedStep(graph, patterns[0], source_index[0],
-                                     plan.steps[0], opts, threads, tracer,
-                                     rows));
+                                     plan.steps[0], opts, rows));
   after_step(0);
   if (rows->empty()) return Status::OK();
   for (size_t pi = 1; pi < patterns.size(); ++pi) {
@@ -823,12 +717,10 @@ Status ExecuteBgpV2(const rdf::Graph& graph,
     if (step.strategy == 'M' && merge_enabled) {
       RDFA_RETURN_NOT_OK(ExecuteMergeStep(graph, patterns[pi],
                                           source_index[pi], step,
-                                          plan.head_slot, opts, threads,
-                                          tracer, rows));
+                                          plan.head_slot, opts, rows));
     } else {
       RDFA_RETURN_NOT_OK(ExecuteAdaptiveStep(graph, patterns[pi],
-                                             source_index[pi], opts, threads,
-                                             tracer, rows));
+                                             source_index[pi], opts, rows));
     }
     after_step(pi);
     if (rows->empty()) return Status::OK();
@@ -875,7 +767,7 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
   std::vector<int> source_index(patterns.size());
   std::iota(source_index.begin(), source_index.end(), 0);
 
-  Tracer* tracer = opts.ctx != nullptr ? opts.ctx->tracer() : nullptr;
+  Tracer* tracer = TracerOf(opts);
 
   const bool v2 = opts.use_dp && !patterns.empty() && TopLevelRun(*rows);
   // "This plan's order came from the DP search" — deterministic across
@@ -929,15 +821,13 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
     opts.capture_order->assign(source_index.begin(), source_index.end());
   }
 
-  const int threads = std::max(1, opts.threads);
   if (v2) {
     return ExecuteBgpV2(graph, patterns, source_index, dp_ordered, opts,
-                        threads, tracer, rows);
+                        rows);
   }
   for (size_t pi = 0; pi < patterns.size(); ++pi) {
     RDFA_RETURN_NOT_OK(ExecuteAdaptiveStep(graph, patterns[pi],
-                                           source_index[pi], opts, threads,
-                                           tracer, rows));
+                                           source_index[pi], opts, rows));
     if (rows->empty()) return Status::OK();
   }
   return Status::OK();
@@ -963,8 +853,7 @@ std::vector<int> PlanBgpOrder(const rdf::Graph& graph,
     double ms = 0;
     std::vector<int> order;
     {
-      TraceSpan dp_span(opts.ctx != nullptr ? opts.ctx->tracer() : nullptr,
-                        "dp-plan", &ms);
+      TraceSpan dp_span(TracerOf(opts), "dp-plan", &ms);
       DpStats dp_stats;
       order = PlanBgpOrderDp(graph, patterns, &dp_stats);
       dp_span.Arg("states_considered",

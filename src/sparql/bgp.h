@@ -53,11 +53,8 @@ enum class JoinStrategy {
 
 /// Knobs and instrumentation for one JoinBgp call.
 struct JoinOptions {
-  /// Thread budget: <=1 runs the serial path. Parallelism is morsel-based —
-  /// the input rows (or, for a single seed row, the first pattern's
-  /// materialized index range) are split into contiguous morsels, extended
-  /// independently, and concatenated in morsel order, so the result is
-  /// byte-identical to the serial join.
+  /// Thread budget of the join's morsels (RunMorsels, common/thread_pool.h):
+  /// <=1 runs serially; a parallel join is byte-identical to the serial one.
   int threads = 1;
   /// When set, join order / rows-scanned / strategy / morsel counters are
   /// appended.

@@ -19,8 +19,9 @@ struct ExecStats {
   double index_build_ms = 0;   ///< Graph::Freeze and secondary permutation
                                ///< builds: "index-build(-secondary)"
   double bgp_ms = 0;           ///< "bgp" minus the filter/build time inside
-  /// FILTER evaluation: "filter" (a filter's EXISTS probes are charged here
-  /// and, for their joins, to bgp_ms as well)
+  /// FILTER evaluation: the outermost "filter" spans. A filter's EXISTS
+  /// probes are charged here only: their nested filter, bgp and index-build
+  /// spans stay in the trace but add nothing to these fields.
   double filter_ms = 0;
   double group_agg_ms = 0;     ///< grouping + aggregates: "group-aggregate"
   double projection_ms = 0;    ///< SELECT-list projection: "projection"

@@ -1,6 +1,7 @@
 #include "sparql/executor.h"
 
 #include <algorithm>
+#include <iterator>
 #include <array>
 #include <functional>
 #include <map>
@@ -28,10 +29,8 @@ using rdf::TermId;
 
 namespace {
 
-// Row counts below this are not worth splitting into morsels.
-constexpr size_t kParallelRowThreshold = 128;
-constexpr size_t kMorselsPerThread = 4;
-constexpr size_t kMinMorselRows = 64;
+// Rows between polls of the cheap stop flag in a row loop.
+constexpr size_t kPollEveryRows = 128;
 
 bool IsInternalVarName(const std::string& name) {
   return StartsWith(name, "_path") || StartsWith(name, "_agg");
@@ -438,16 +437,9 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
     }
   };
 
-  // EXISTS { ... } inside filters joins the probe pattern against the
-  // current row. A VarTable copy isolates variables the probe introduces.
-  std::function<bool(const GraphPattern&, const Binding&)> exists_fn =
-      [this, vars](const GraphPattern& probe, const Binding& row) {
-        VarTable local = *vars;
-        auto res = EvalPattern(probe, &local, {row});
-        return res.ok() && !res.value().empty();
-      };
+  const ExistsEval exists_eval = ExistsProbe(*vars);
   EvalContext ctx{.terms = &graph_->terms(), .vars = vars,
-                  .exists_eval = &exists_fn};
+                  .exists_eval = &exists_eval};
 
   // Applies every not-yet-run filter whose variables are all certainly
   // bound. EXISTS filters always wait for the end (their subpattern scope
@@ -776,12 +768,42 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
   return rows;
 }
 
+Executor::ExistsEval Executor::ExistsProbe(const VarTable& vars) {
+  return [this, &vars](const GraphPattern& probe, const Binding& row) {
+    // A VarTable copy isolates variables the probe introduces. The probe's
+    // time belongs to the stage whose expression runs it: its nested spans
+    // stay in the trace, but their time is not counted into ExecStats a
+    // second time.
+    VarTable local = vars;
+    const double index_build_ms = stats_.index_build_ms;
+    const double bgp_ms = stats_.bgp_ms;
+    const double filter_ms = stats_.filter_ms;
+    auto res = EvalPattern(probe, &local, {row});
+    stats_.index_build_ms = index_build_ms;
+    stats_.bgp_ms = bgp_ms;
+    stats_.filter_ms = filter_ms;
+    return res.ok() && !res.value().empty();
+  };
+}
+
 Result<ResultTable> Executor::Select(const SelectQuery& query) {
   VarTable vars;
   RDFA_ASSIGN_OR_RETURN(std::vector<Binding> rows,
                         EvalPattern(query.where, &vars, {}));
 
-  EvalContext ctx{.terms = &graph_->terms(), .vars = &vars};
+  // Projection, GROUP BY keys, HAVING and ORDER BY read EXISTS through the
+  // same probe FILTER does. A probe re-enters this single-owner executor,
+  // so a stage whose expressions hold one runs its rows serially.
+  const ExistsEval exists_eval = ExistsProbe(vars);
+  EvalContext ctx{.terms = &graph_->terms(), .vars = &vars,
+                  .exists_eval = &exists_eval};
+  // A stage that ran in parallel (more than one part) counts its morsels
+  // and closes with one counted check.
+  auto close_parallel = [&](size_t parts, const char* stage) {
+    if (parts <= 1) return Status::OK();
+    stats_.morsel_count += parts;
+    return ctx_.Check(stage);
+  };
 
   // Resolve the projection list.
   std::vector<Projection> projections = query.projections;
@@ -858,7 +880,9 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
   std::vector<std::optional<CompiledExpr>> proj_exprs;
   proj_slots.reserve(projections.size());
   proj_exprs.reserve(projections.size());
+  bool proj_exists = false;
   for (const Projection& p : projections) {
+    if (p.expr != nullptr && p.expr->ContainsExists()) proj_exists = true;
     proj_slots.push_back(p.expr == nullptr ? vars.Find(p.var) : -1);
     proj_exprs.emplace_back();
     if (p.expr != nullptr) proj_exprs.back().emplace(*p.expr, vars);
@@ -901,7 +925,7 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
     std::vector<uint32_t> row_group(rows.size());
     if (query.group_by.empty()) table.FindOrAdd(key.data());
     for (size_t r = 0; r < rows.size(); ++r) {
-      if ((r + 1) % kParallelRowThreshold == 0 && ctx_.ShouldStop()) {
+      if ((r + 1) % kPollEveryRows == 0 && ctx_.ShouldStop()) {
         return ctx_.Check("group-aggregate");
       }
       coder.Encode(rows[r], ctx, key.data());
@@ -944,6 +968,9 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
     std::vector<CompiledExpr> having;
     having.reserve(query.having.size());
     for (const ExprPtr& h : query.having) having.emplace_back(*h, vars);
+    bool group_exists = false;
+    for (const ExprPtr& h : query.having) group_exists |= h->ContainsExists();
+    for (const Expr* a : agg_nodes) group_exists |= a->ContainsExists();
     // COUNT(DISTINCT *) tells solutions apart by the in-scope variables.
     std::vector<int> scope;
     for (size_t i = 0; i < vars.size(); ++i) {
@@ -953,16 +980,15 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
     }
 
     // Aggregate + HAVING per group. Groups are independent, so morsels of
-    // groups run in parallel; results land in pre-sized slots and survivors
-    // are appended in output order — deterministic. Each group's rows are
-    // read in input order, which keeps order-sensitive aggregates
+    // groups run in parallel; each keeps its survivors in output order, and
+    // the parts concatenate in morsel order — deterministic. Each group's
+    // rows are read in input order, which keeps order-sensitive aggregates
     // (floating-point SUM, GROUP_CONCAT) byte-identical to a serial pass.
-    struct GroupOut {
-      OutRow row;
-      bool keep = false;
+    struct GroupPart {
+      std::vector<OutRow> kept;
+      Status status = Status::OK();
     };
-    std::vector<GroupOut> gout(n_groups);
-    auto compute_group = [&](size_t gi) {
+    auto compute_group = [&](size_t gi, std::vector<OutRow>* kept) {
       const uint32_t g = group_order[gi];
       const std::span<const uint32_t> group_rows(
           members.data() + group_begin[g], group_begin[g + 1] - group_begin[g]);
@@ -982,35 +1008,26 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
         auto b = h.Test(rep, gctx);
         if (!b.has_value() || !*b) return;
       }
-      GroupOut& go = gout[gi];
-      go.keep = true;
-      go.row.binding = std::move(rep);
-      go.row.agg_values = std::move(agg_values);
+      OutRow& row = kept->emplace_back();
+      row.binding = std::move(rep);
+      row.agg_values = std::move(agg_values);
     };
-    if (threads_ > 1 && n_groups >= 2) {
-      auto morsels = Morsels(n_groups,
-                             static_cast<size_t>(threads_) * kMorselsPerThread,
-                             /*min_grain=*/1);
-      ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-        auto [lo, hi] = morsels[m];
-        for (size_t gi = lo; gi < hi; ++gi) {
-          // One counted checkpoint per group: a cancel mid-aggregate trips
-          // here, and the per-group check count matches the serial path so
-          // deterministic-cancellation tests see one sequence.
-          if (!ctx_.Check("group-aggregate").ok()) return;
-          compute_group(gi);
-        }
-      });
-      RDFA_RETURN_NOT_OK(ctx_.Check("group-aggregate"));
-      stats_.morsel_count += morsels.size();
-    } else {
-      for (size_t gi = 0; gi < n_groups; ++gi) {
-        RDFA_RETURN_NOT_OK(ctx_.Check("group-aggregate"));
-        compute_group(gi);
-      }
-    }
-    for (GroupOut& go : gout) {
-      if (go.keep) out_rows.push_back(std::move(go.row));
+    std::vector<GroupPart> group_parts = RunMorsels<GroupPart>(
+        n_groups, group_exists ? 1 : threads_, /*min_grain=*/1,
+        [&](size_t lo, size_t hi, GroupPart* part) {
+          for (size_t gi = lo; gi < hi; ++gi) {
+            // One counted checkpoint per group, serial or parallel: a
+            // cancel mid-aggregate trips here.
+            part->status = ctx_.Check("group-aggregate");
+            if (!part->status.ok()) return;
+            compute_group(gi, &part->kept);
+          }
+        });
+    RDFA_RETURN_NOT_OK(close_parallel(group_parts.size(), "group-aggregate"));
+    for (GroupPart& part : group_parts) {
+      RDFA_RETURN_NOT_OK(part.status);
+      std::move(part.kept.begin(), part.kept.end(),
+                std::back_inserter(out_rows));
     }
     std::vector<Binding>().swap(rows);  // the groups kept what they need
     agg_span.Arg("output_rows", static_cast<uint64_t>(out_rows.size()));
@@ -1028,29 +1045,20 @@ Result<ResultTable> Executor::Select(const SelectQuery& query) {
       for (OutRow& r : out_rows) project(r.binding, row_ctx(r), &r);
     } else {
       out_rows.resize(rows.size());
-      auto project_row = [&](size_t r) {
-        project(rows[r], ctx, &out_rows[r]);
-        out_rows[r].binding = std::move(rows[r]);
-      };
-      if (threads_ > 1 && rows.size() >= kParallelRowThreshold) {
-        auto morsels = Morsels(rows.size(),
-                               static_cast<size_t>(threads_) * kMorselsPerThread,
-                               kMinMorselRows);
-        ThreadPool::Shared().ParallelFor(morsels.size(), [&](size_t m) {
-          if (ctx_.ShouldStop()) return;
-          auto [lo, hi] = morsels[m];
-          for (size_t r = lo; r < hi; ++r) project_row(r);
-        });
-        RDFA_RETURN_NOT_OK(ctx_.Check("projection"));
-        stats_.morsel_count += morsels.size();
-      } else {
-        for (size_t r = 0; r < rows.size(); ++r) {
-          if ((r + 1) % kParallelRowThreshold == 0 && ctx_.ShouldStop()) {
-            return ctx_.Check("projection");
-          }
-          project_row(r);
-        }
-      }
+      std::vector<Status> proj_parts = RunMorsels<Status>(
+          rows.size(), proj_exists ? 1 : threads_, kMinMorselItems,
+          [&](size_t lo, size_t hi, Status* st) {
+            for (size_t r = lo; r < hi; ++r) {
+              if ((r + 1) % kPollEveryRows == 0 && ctx_.ShouldStop()) {
+                *st = ctx_.Check("projection");
+                return;
+              }
+              project(rows[r], ctx, &out_rows[r]);
+              out_rows[r].binding = std::move(rows[r]);
+            }
+          });
+      RDFA_RETURN_NOT_OK(close_parallel(proj_parts.size(), "projection"));
+      for (const Status& st : proj_parts) RDFA_RETURN_NOT_OK(st);
     }
     proj_span.Arg("output_rows", static_cast<uint64_t>(out_rows.size()));
   }

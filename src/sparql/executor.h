@@ -1,6 +1,7 @@
 #ifndef RDFA_SPARQL_EXECUTOR_H_
 #define RDFA_SPARQL_EXECUTOR_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -126,6 +127,11 @@ class Executor {
   Result<std::vector<Binding>> EvalPattern(const GraphPattern& pattern,
                                            VarTable* vars,
                                            std::vector<Binding> seed);
+
+  using ExistsEval = std::function<bool(const GraphPattern&, const Binding&)>;
+  /// The EXISTS evaluator for expressions over rows of `vars` (which must
+  /// outlive it): joins the probe pattern against the row.
+  ExistsEval ExistsProbe(const VarTable& vars);
 
   /// Upper bound on BGP join runs captured per query: keeps plan entries
   /// for EXISTS-heavy queries (one run per probed row) from ballooning.

@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <thread>
+
 #include "analytics/session.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "fs/facets.h"
 #include "fs/session.h"
 #include "rdf/turtle.h"
@@ -16,6 +22,56 @@
 
 namespace rdfa {
 namespace {
+
+// ---------------- Morsel runner ----------------
+
+using MorselRange = std::pair<size_t, size_t>;
+
+TEST(MorselRunnerTest, ARunUsesNoMoreThreadsThanItsBudget) {
+  // The shared pool has at least 3 workers, so without the cap 8 sleeping
+  // morsels would spread over 4 threads.
+  ASSERT_GE(ThreadPool::Shared().worker_count(), 3u);
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  auto parts = RunMorsels<MorselRange>(
+      8, /*threads=*/2, /*min_grain=*/1,
+      [&](size_t lo, size_t hi, MorselRange* part) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          ids.insert(std::this_thread::get_id());
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        *part = {lo, hi};
+      });
+  ASSERT_EQ(parts.size(), 8u);
+  for (size_t m = 0; m < parts.size(); ++m) {
+    EXPECT_EQ(parts[m], MorselRange(m, m + 1)) << "parts in morsel order";
+  }
+  EXPECT_LE(ids.size(), 2u);
+}
+
+TEST(MorselRunnerTest, SerialAndSmallRunsStayOnTheCaller) {
+  // threads <= 1, or fewer than two grains of items: one inline call over
+  // the whole range.
+  for (auto [n, threads] : {std::pair<size_t, int>{1000, 1}, {127, 4}}) {
+    std::set<std::thread::id> ids;
+    auto parts = RunMorsels<MorselRange>(
+        n, threads, kMinMorselItems,
+        [&](size_t lo, size_t hi, MorselRange* part) {
+          ids.insert(std::this_thread::get_id());
+          *part = {lo, hi};
+        });
+    ASSERT_EQ(parts.size(), 1u);
+    EXPECT_EQ(parts[0], MorselRange(0, n));
+    EXPECT_EQ(ids, std::set<std::thread::id>{std::this_thread::get_id()});
+  }
+  // From two grains on, a parallel budget splits the items.
+  auto parts = RunMorsels<MorselRange>(
+      128, 4, kMinMorselItems,
+      [](size_t lo, size_t hi, MorselRange* part) { *part = {lo, hi}; });
+  ASSERT_EQ(parts.size(), 2u);
+  EXPECT_EQ(parts[1], MorselRange(64, 128));
+}
 
 // ---------------- Status / Result ----------------
 

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -1453,6 +1454,53 @@ TEST(ExplainTest, AnalyzeProfileReconcilesWithExecStats) {
       EXPECT_NEAR(stats.total_ms, SpanMs(*tracer, "execute"), 1e-6);
     }
   }
+}
+
+TEST(ExplainTest, ExistsProbeTimeIsChargedOnlyToItsFilter) {
+  rdf::Graph g;
+  workload::ProductKgOptions opt;
+  opt.laptops = 2000;
+  workload::GenerateProductKg(&g, opt);
+  auto parsed = sparql::ParseQuery(
+      kProductPfx +
+      std::string("SELECT ?l WHERE { ?l ex:price ?p . FILTER(EXISTS { "
+                  "?l ex:manufacturer ?m . ?m ex:origin ?c . "
+                  "FILTER(?c != ex:nowhere) }) }"));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  auto tracer = std::make_shared<Tracer>();
+  sparql::Executor exec(&g);
+  QueryContext ctx;
+  ctx.set_tracer(tracer);
+  exec.set_query_context(ctx);
+  auto table = exec.Execute(parsed.value());
+  ASSERT_TRUE(table.ok()) << table.status().message();
+  ASSERT_EQ(table.value().num_rows(), 2000u);
+
+  // The probes' nested filter and bgp spans stay in the trace, inside the
+  // outer filter span that is filter_ms's only clock.
+  std::map<int64_t, const Tracer::SpanRecord*> by_id;
+  const std::vector<Tracer::SpanRecord> spans = tracer->FinishedSpans();
+  for (const Tracer::SpanRecord& s : spans) by_id[s.id] = &s;
+  double outer_filter_ms = 0;
+  size_t nested_filters = 0;
+  for (const Tracer::SpanRecord& s : spans) {
+    if (s.name != "filter") continue;
+    bool nested = false;
+    for (int64_t p = s.parent; p >= 0 && !nested; p = by_id[p]->parent) {
+      nested = by_id[p]->name == "filter";
+    }
+    if (nested) {
+      ++nested_filters;
+    } else {
+      outer_filter_ms += s.dur_us / 1000.0;
+    }
+  }
+  EXPECT_EQ(nested_filters, 2000u);
+  const sparql::ExecStats& stats = exec.stats();
+  EXPECT_NEAR(stats.filter_ms, outer_filter_ms, 1e-6);
+  EXPECT_LE(stats.index_build_ms + stats.bgp_ms + stats.filter_ms +
+                stats.group_agg_ms + stats.projection_ms,
+            stats.total_ms + 1e-6);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "analytics/olap.h"
 #include "analytics/rollup_cache.h"
 #include "analytics/session.h"
+#include "common/query_context.h"
+#include "common/trace.h"
 #include "hifun/evaluator.h"
 #include "rdf/graph.h"
 #include "sparql/executor.h"
@@ -108,6 +113,242 @@ TEST_F(SparqlParallelEquivalenceTest, StatsReportParallelExecution) {
   EXPECT_GT(last_stats_.morsel_count, 0u);
   EXPECT_EQ(last_stats_.join_order.size(), 2u);
   EXPECT_GE(last_stats_.total_ms, 0.0);
+}
+
+TEST_F(SparqlParallelEquivalenceTest, ExistsInSelectExpressionsMatchesBind) {
+  // EXISTS read by projection, GROUP BY keys, HAVING and ORDER BY answers
+  // as the same EXISTS in BIND or FILTER does, serial and parallel.
+  const std::pair<const char*, const char*> kPairs[] = {
+      {"SELECT ?l (EXISTS { ?l ex:manufacturer ?m } AS ?has) "
+       "WHERE { ?l ex:price ?p }",
+       "SELECT ?l ?has WHERE { ?l ex:price ?p . "
+       "BIND(EXISTS { ?l ex:manufacturer ?m } AS ?has) }"},
+      {"SELECT ?m (COUNT(?l) AS ?n) WHERE { ?l ex:manufacturer ?m } "
+       "GROUP BY ?m HAVING (EXISTS { ?m ex:origin ?c })",
+       "SELECT ?m (COUNT(?l) AS ?n) WHERE { ?l ex:manufacturer ?m . "
+       "FILTER(EXISTS { ?m ex:origin ?c }) } GROUP BY ?m"},
+      {"SELECT (COUNT(?l) AS ?n) WHERE { ?l ex:price ?p } "
+       "GROUP BY (EXISTS { ?l ex:price ?q . FILTER(?q < 1000) })",
+       "SELECT (COUNT(?l) AS ?n) WHERE { ?l ex:price ?p . "
+       "BIND(EXISTS { ?l ex:price ?q . FILTER(?q < 1000) } AS ?cheap) } "
+       "GROUP BY ?cheap"},
+      {"SELECT ?l WHERE { ?l ex:price ?p } "
+       "ORDER BY DESC(EXISTS { ?l ex:price ?q . FILTER(?q < 1000) }) ?l",
+       "SELECT ?l WHERE { ?l ex:price ?p . "
+       "BIND(EXISTS { ?l ex:price ?q . FILTER(?q < 1000) } AS ?k) } "
+       "ORDER BY DESC(?k) ?l"},
+  };
+  for (const auto& [expr_form, bind_form] : kPairs) {
+    const std::string reference = RunTsv(std::string(kPfx) + bind_form, 1);
+    ASSERT_NE(reference.find('\n'), reference.rfind('\n')) << bind_form;
+    for (int threads : {1, 4}) {
+      EXPECT_EQ(RunTsv(std::string(kPfx) + expr_form, threads), reference)
+          << "threads=" << threads << ": " << expr_form;
+    }
+  }
+}
+
+// One case per parallel branch of the BGP join. Each query folds the join
+// into one ordered GROUP_CONCAT group, so the single answer row spells out
+// the join's row order, and the only morsels counted come from the join
+// (one group and one projected row never split).
+struct BranchCase {
+  const char* name;
+  const char* body;    // the WHERE body
+  const char* digest;  // per-row CONCAT arguments
+  bool use_dp;
+  bool reorder;
+  sparql::JoinStrategy strategy;
+  const char* strategies;  // expected ExecStats::join_strategy, in order
+};
+
+std::string DigestQuery(const BranchCase& c, bool with_rows) {
+  std::string select = "SELECT (COUNT(*) AS ?n)";
+  if (with_rows) {
+    select += std::string(" (GROUP_CONCAT(CONCAT(") + c.digest +
+              "); separator=\"|\") AS ?rows)";
+  }
+  return std::string(kPfx) + select + " WHERE { " + c.body + " }";
+}
+
+struct BranchRun {
+  std::string tsv;
+  sparql::ExecStats stats;
+  Status status;
+};
+
+BranchRun RunBranch(rdf::Graph* g, const BranchCase& c, int threads,
+                    QueryContext ctx = QueryContext(), bool with_rows = true) {
+  BranchRun run;
+  auto parsed = sparql::ParseQuery(DigestQuery(c, with_rows));
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) return run;
+  sparql::Executor exec(g, c.reorder);
+  exec.set_thread_count(threads);
+  exec.set_join_strategy(c.strategy);
+  exec.set_use_dp(c.use_dp);
+  exec.set_query_context(std::move(ctx));
+  auto res = exec.Execute(parsed.value());
+  run.status = res.status();
+  run.stats = exec.stats();
+  if (res.ok()) run.tsv = res.value().ToTsv();
+  return run;
+}
+
+const BranchCase kBranchCases[] = {
+    {"v1 one-row seed", "?l ex:price ?p .", "STR(?l), STR(?p)", false, false,
+     sparql::JoinStrategy::kAdaptive, "N"},
+    {"nested-loop row morsels", "?l ex:price ?p . ?l ex:manufacturer ?m .",
+     "STR(?l), STR(?p), STR(?m)", false, false,
+     sparql::JoinStrategy::kNestedLoop, "NN"},
+    {"hash probe", "?l ex:manufacturer ?m . ?m ex:origin ?c .",
+     "STR(?l), STR(?m), STR(?c)", false, false,
+     sparql::JoinStrategy::kAdaptive, "NH"},
+    {"DP seed and merge", "?l ex:price ?p . ?l ex:releaseDate ?d .",
+     "STR(?l), STR(?p), STR(?d)", true, false,
+     sparql::JoinStrategy::kAdaptive, "SM"},
+    {"seeded OPTIONAL",
+     "?m ex:origin ?c . OPTIONAL { ?l ex:manufacturer ?m . ?l ex:price ?p }",
+     "STR(?m), STR(?l), STR(?p)", false, false,
+     sparql::JoinStrategy::kAdaptive, nullptr},
+};
+
+// A product KG with few companies, so a seeded OPTIONAL run (one company
+// per seed row) joins hundreds of laptops.
+void BuildFewCompanyKg(rdf::Graph* g, size_t laptops) {
+  workload::ProductKgOptions opt;
+  opt.laptops = laptops;
+  opt.companies = 3;
+  workload::GenerateProductKg(g, opt);
+}
+
+TEST_F(SparqlParallelEquivalenceTest, EveryJoinBranchSplitsAndMatchesSerial) {
+  rdf::Graph few;
+  BuildFewCompanyKg(&few, 600);
+  for (const BranchCase& c : kBranchCases) {
+    rdf::Graph* g = c.strategies == nullptr ? &few : &g_;
+    BranchRun serial = RunBranch(g, c, 1);
+    BranchRun parallel = RunBranch(g, c, 4);
+    ASSERT_TRUE(serial.status.ok())
+        << c.name << ": " << serial.status.ToString();
+    ASSERT_TRUE(parallel.status.ok()) << c.name;
+    EXPECT_EQ(serial.tsv, parallel.tsv) << c.name;
+    EXPECT_GT(serial.tsv.size(), 1000u) << c.name;
+    EXPECT_EQ(serial.stats.morsel_count, 0u) << c.name;
+    EXPECT_GT(parallel.stats.morsel_count, 0u) << c.name;
+    if (c.strategies != nullptr) {
+      EXPECT_EQ(std::string(parallel.stats.join_strategy.begin(),
+                            parallel.stats.join_strategy.end()),
+                c.strategies)
+          << c.name;
+    }
+  }
+}
+
+TEST_F(SparqlParallelEquivalenceTest, SecondStepsSplitBeyondTheirSeed) {
+  // The two-step cases must split their second step too: they count more
+  // morsels than their seed pattern does alone.
+  const BranchCase seed_only[] = {
+      {"nlj seed", "?l ex:price ?p .", "STR(?l)", false, false,
+       sparql::JoinStrategy::kNestedLoop, "N"},
+      {"hash seed", "?l ex:manufacturer ?m .", "STR(?l)", false, false,
+       sparql::JoinStrategy::kAdaptive, "N"},
+      {"dp seed", "?l ex:price ?p .", "STR(?l)", true, false,
+       sparql::JoinStrategy::kAdaptive, "S"},
+  };
+  const BranchCase* two_step[] = {&kBranchCases[1], &kBranchCases[2],
+                                  &kBranchCases[3]};
+  for (size_t i = 0; i < 3; ++i) {
+    BranchRun seed = RunBranch(&g_, seed_only[i], 4);
+    BranchRun both = RunBranch(&g_, *two_step[i], 4);
+    ASSERT_TRUE(seed.status.ok() && both.status.ok()) << two_step[i]->name;
+    EXPECT_EQ(std::string(seed.stats.join_strategy.begin(),
+                          seed.stats.join_strategy.end()),
+              seed_only[i].strategies);
+    EXPECT_GT(seed.stats.morsel_count, 0u) << seed_only[i].name;
+    EXPECT_GT(both.stats.morsel_count, seed.stats.morsel_count)
+        << two_step[i]->name;
+  }
+}
+
+// Deadlines that expire inside a parallel join step, on a KG large enough
+// that each step runs for milliseconds.
+class ParallelDeadlineTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    graph_ = new rdf::Graph();
+    BuildFewCompanyKg(graph_, 20000);
+  }
+  static void TearDownTestSuite() {
+    delete graph_;
+    graph_ = nullptr;
+  }
+  static rdf::Graph* graph_;
+};
+
+rdf::Graph* ParallelDeadlineTest::graph_ = nullptr;
+
+// The query thread's bgp-join spans in creation order.
+std::vector<Tracer::SpanRecord> JoinSpans(const Tracer& tracer) {
+  std::vector<Tracer::SpanRecord> spans;
+  for (const Tracer::SpanRecord& s : tracer.FinishedSpans()) {
+    if (s.name == "bgp-join") spans.push_back(s);
+  }
+  std::sort(spans.begin(), spans.end(),
+            [](const auto& a, const auto& b) { return a.id < b.id; });
+  return spans;
+}
+
+uint64_t OutputRows(const Tracer::SpanRecord& span) {
+  for (const auto& [key, value] : span.args) {
+    if (key == "output_rows") return std::stoull(value);
+  }
+  return 0;
+}
+
+TEST_F(ParallelDeadlineTest, DeadlineInsideAMorselUnwindsTyped) {
+  for (const BranchCase& c : kBranchCases) {
+    // Warm run (index builds), then a traced reference run that times the
+    // last join step.
+    ASSERT_TRUE(RunBranch(graph_, c, 4, QueryContext(), false).status.ok());
+    auto ref_tracer = std::make_shared<Tracer>();
+    QueryContext ref_ctx;
+    ref_ctx.set_tracer(ref_tracer);
+    BranchRun full = RunBranch(graph_, c, 4, ref_ctx, false);
+    ASSERT_TRUE(full.status.ok()) << c.name;
+    const std::vector<Tracer::SpanRecord> ref = JoinSpans(*ref_tracer);
+    ASSERT_FALSE(ref.empty());
+    double exec_start_us = 0;
+    for (const Tracer::SpanRecord& s : ref_tracer->FinishedSpans()) {
+      if (s.name == "execute") exec_start_us = s.start_us;
+    }
+    ASSERT_GT(OutputRows(ref.back()), 1000u) << c.name;
+
+    // Deadlines spread over the reference run's length (a golden-ratio
+    // sequence, so each prefix covers it evenly): each run either answers
+    // in full or unwinds with the typed status, and some run is cut inside
+    // a join step with part of that step's output abandoned.
+    bool cut_inside_step = false;
+    for (int k = 1; k <= 48 && !cut_inside_step; ++k) {
+      const double at = std::fmod(k * 0.6180339887, 1.0);
+      QueryContext ctx = QueryContext::WithDeadlineMs(at * full.stats.total_ms);
+      auto tracer = std::make_shared<Tracer>();
+      ctx.set_tracer(tracer);
+      BranchRun run = RunBranch(graph_, c, 4, ctx, false);
+      if (run.status.ok()) {
+        EXPECT_EQ(run.tsv, full.tsv) << c.name;
+        continue;
+      }
+      EXPECT_EQ(run.status.code(), StatusCode::kDeadlineExceeded)
+          << c.name << ": " << run.status.ToString();
+      EXPECT_TRUE(run.stats.aborted) << c.name;
+      const std::vector<Tracer::SpanRecord> spans = JoinSpans(*tracer);
+      cut_inside_step = !spans.empty() && spans.size() <= ref.size() &&
+                        OutputRows(spans.back()) <
+                            OutputRows(ref[spans.size() - 1]);
+    }
+    EXPECT_TRUE(cut_inside_step) << c.name;
+  }
 }
 
 TEST_F(SparqlParallelEquivalenceTest, HifunEvaluatorMatchesSerial) {

@@ -8,6 +8,7 @@
 
 #include "server/http_server.h"
 
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -189,6 +190,25 @@ TEST_F(ServerProtocolTest, ExpiredDeadlineIs504) {
   EXPECT_EQ(resp.status, 504);
   EXPECT_NE(resp.body.find("\"code\":\"DeadlineExceeded\""),
             std::string::npos);
+}
+
+TEST(RequestHandlerTest, NonFiniteTimeoutTakesTheCap) {
+  // A timeout that is no number (timeout=nan on the wire) must not escape
+  // the cap: it is treated as absent, so the tiny cap expires the query.
+  auto store = test::SparqlStore(workload::BuildRunningExample);
+  endpoint::SimulatedEndpoint ep(store.get(),
+                                 endpoint::LatencyProfile::Local(),
+                                 /*enable_cache=*/false);
+  endpoint::AdmissionOptions adm;
+  adm.base_timeout_ms = 0;
+  ep.set_admission(adm);
+  endpoint::RequestHandler handler(&ep, /*max_timeout_ms=*/1e-6);
+  for (double timeout : {std::nan(""), 0.0}) {
+    endpoint::EndpointRequest req;
+    req.query = kLaptopQuery;
+    req.timeout_ms = timeout;
+    EXPECT_EQ(handler.Handle(req).http_status, 504) << timeout;
+  }
 }
 
 TEST_F(ServerProtocolTest, KeepAlivePipelinedRequestsAnswerInOrder) {
