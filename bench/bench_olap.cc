@@ -17,7 +17,13 @@
 //            iters, p50/p99, per-step ExecStats)
 //   --trace-out: write one Chrome trace-event JSON file per OLAP step
 //            (first iteration of each) under <dir>, Perfetto-loadable
+//
+// The roll-up reuse leg (§3.3 materialized-answer reuse) answers the brand
+// cube twice, serially: by re-querying the base KG, and by RollUpAnswer over
+// the materialized finer brand x month cube. It prints both medians and
+// exits non-zero unless the two answers are equal.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -292,6 +298,50 @@ int main(int argc, char** argv) {
               parallel_total > 0 ? serial_total / parallel_total : 0.0,
               identical ? "byte-identical" : "DIVERGED");
 
+  // --- roll-up reuse: base KG vs the materialized finer cube ---------------
+  std::printf("\n== roll-up reuse: re-query the base KG vs roll up the "
+              "brand x month cube ==\n\n");
+  rdfa::analytics::AnalyticsSession fine_session(&g);
+  rdfa::analytics::AnalyticsSession coarse_session(&g);
+  const rdfa::analytics::GroupingSpec by_brand{
+      {kInv + "delivers", kInv + "brand"}, ""};
+  const rdfa::analytics::GroupingSpec by_month{{kInv + "hasDate"}, "MONTH"};
+  for (auto* s : {&fine_session, &coarse_session}) {
+    if (!s->fs().ClickClass(kInv + "Invoice").ok() ||
+        !s->ClickGroupBy(by_brand).ok() || !s->ClickAggregate(measure).ok()) {
+      return 1;
+    }
+  }
+  if (!fine_session.ClickGroupBy(by_month).ok()) return 1;
+  auto fine = fine_session.Execute();
+  if (!fine.ok()) {
+    std::printf("FAILED: finer cube: %s\n", fine.status().ToString().c_str());
+    return 1;
+  }
+  const std::string brand_col = fine.value().table().columns()[0];
+  const std::string agg_col = fine.value().table().columns().back();
+  std::vector<double> requery_ms, rollup_ms;
+  bool reuse_equal = true;
+  for (int i = 0; i < std::max(g_iters, 5); ++i) {
+    auto start = std::chrono::steady_clock::now();
+    auto coarse = coarse_session.Execute();
+    requery_ms.push_back(MsSince(start));
+    start = std::chrono::steady_clock::now();
+    auto rolled = rdfa::analytics::RollUpAnswer(
+        fine.value(), {brand_col}, agg_col, rdfa::hifun::AggOp::kSum);
+    rollup_ms.push_back(MsSince(start));
+    reuse_equal = reuse_equal && coarse.ok() && rolled.ok() &&
+                  coarse.value().table().ToTsv() ==
+                      rolled.value().table().ToTsv();
+  }
+  const double requery_p50 = Percentile(requery_ms, 0.50);
+  const double rollup_p50 = Percentile(rollup_ms, 0.50);
+  std::printf("finer cube: %zu cells; brand cube over %zu runs: re-query "
+              "%.3f ms, roll-up %.3f ms (%.0fx), answers %s\n",
+              fine.value().table().num_rows(), requery_ms.size(), requery_p50,
+              rollup_p50, rollup_p50 > 0 ? requery_p50 / rollup_p50 : 0.0,
+              reuse_equal ? "equal" : "DIFFER");
+
   if (!json_path.empty()) {
     JsonObject top;
     top.AddString("bench", "bench_olap");
@@ -318,9 +368,18 @@ int main(int argc, char** argv) {
     top.AddInt("update_rounds", static_cast<uint64_t>(update_rounds));
     top.AddInt("update_hits", update_hits);
     top.AddInt("cache_mismatches", static_cast<uint64_t>(g_cache_mismatches));
+    {
+      JsonObject reuse;
+      reuse.AddInt("fine_cells", fine.value().table().num_rows());
+      reuse.AddInt("runs", requery_ms.size());
+      reuse.AddNumber("requery_p50_ms", requery_p50);
+      reuse.AddNumber("rollup_p50_ms", rollup_p50);
+      reuse.AddBool("equal", reuse_equal);
+      top.AddRaw("rollup_reuse", reuse.Render());
+    }
     top.AddRaw("runs", JsonArray(g_step_json));
     if (!WriteJsonFile(json_path, top.Render())) return 1;
     std::printf("wrote %s\n", json_path.c_str());
   }
-  return identical && g_cache_mismatches == 0 ? 0 : 1;
+  return identical && g_cache_mismatches == 0 && reuse_equal ? 0 : 1;
 }

@@ -5,7 +5,8 @@ One subcommand per gate, so every workflow job shares this file instead of
 carrying its own inline python:
 
   validate_bench.py bench-json NAME.json [NAME.json ...]
-      each file is a bench run whose "bench" key matches its stem
+      each file is a bench run whose "bench" key matches its stem; a
+      bench_olap run must also report its roll-up reuse leg equal
 
   validate_bench.py traces GLOB [GLOB ...] --query-log=FILE
       Chrome trace-event JSON (Perfetto-loadable) + JSONL query log
@@ -64,6 +65,10 @@ def cmd_bench_json(args):
         with open(path) as f:
             doc = json.load(f)
         assert doc["bench"] == name, (name, doc.get("bench"))
+        if name == "bench_olap":
+            # The roll-up reuse leg: rolling up the materialized finer cube
+            # must answer as re-querying the base KG does.
+            assert doc["rollup_reuse"]["equal"] is True, doc["rollup_reuse"]
         print(name, "ok:", len(doc["runs"]), "runs")
 
 

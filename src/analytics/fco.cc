@@ -4,6 +4,7 @@
 #include <set>
 #include <vector>
 
+#include "hifun/context.h"
 #include "rdf/namespaces.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
@@ -15,23 +16,6 @@ using rdf::Term;
 using rdf::TermId;
 
 namespace {
-
-/// The entities of `root_class` (every subject when empty).
-std::vector<TermId> Entities(const rdf::Graph& graph,
-                             const std::string& root_class) {
-  std::set<TermId> out;
-  if (root_class.empty()) {
-    for (const rdf::TripleId& t : graph.triples()) out.insert(t.s);
-  } else {
-    TermId type = graph.terms().FindIri(rdf::rdfns::kType);
-    TermId cls = graph.terms().FindIri(root_class);
-    if (type != kNoTermId && cls != kNoTermId) {
-      graph.ForEachMatch(kNoTermId, type, cls,
-                         [&](const rdf::TripleId& t) { out.insert(t.s); });
-    }
-  }
-  return {out.begin(), out.end()};
-}
 
 Result<TermId> RequireProperty(const rdf::Graph& graph,
                                const std::string& p) {
@@ -49,7 +33,7 @@ Result<size_t> FcoValue(rdf::Graph* graph, const std::string& root_class,
   RDFA_ASSIGN_OR_RETURN(TermId pid, RequireProperty(*graph, p));
   Term feature = Term::Iri(feature_iri);
   size_t added = 0;
-  for (TermId e : Entities(*graph, root_class)) {
+  for (TermId e : hifun::RootItems(*graph, {root_class})) {
     std::vector<rdf::TripleId> vals = graph->Match(e, pid, kNoTermId);
     if (vals.size() != 1) continue;  // missing or multi-valued: skip
     if (graph->Add(graph->terms().Get(e), feature,
@@ -66,7 +50,7 @@ Result<size_t> FcoExists(rdf::Graph* graph, const std::string& root_class,
   RDFA_ASSIGN_OR_RETURN(TermId pid, RequireProperty(*graph, p));
   Term feature = Term::Iri(feature_iri);
   size_t added = 0;
-  for (TermId e : Entities(*graph, root_class)) {
+  for (TermId e : hifun::RootItems(*graph, {root_class})) {
     bool exists = graph->CountMatch(e, pid, kNoTermId) > 0 ||
                   graph->CountMatch(kNoTermId, pid, e) > 0;
     if (graph->Add(graph->terms().Get(e), feature,
@@ -82,7 +66,7 @@ Result<size_t> FcoCount(rdf::Graph* graph, const std::string& root_class,
   RDFA_ASSIGN_OR_RETURN(TermId pid, RequireProperty(*graph, p));
   Term feature = Term::Iri(feature_iri);
   size_t added = 0;
-  for (TermId e : Entities(*graph, root_class)) {
+  for (TermId e : hifun::RootItems(*graph, {root_class})) {
     size_t n = graph->CountMatch(e, pid, kNoTermId);
     if (graph->Add(graph->terms().Get(e), feature,
                    Term::Integer(static_cast<int64_t>(n)))) {
@@ -106,7 +90,7 @@ Result<size_t> FcoValuesAsFeatures(rdf::Graph* graph,
     return pos == std::string::npos ? iri : iri.substr(pos + 1);
   };
   size_t added = 0;
-  std::vector<TermId> entities = Entities(*graph, root_class);
+  std::vector<TermId> entities = hifun::RootItems(*graph, {root_class});
   for (TermId v : values) {
     const Term& vt = graph->terms().Get(v);
     std::string name =
@@ -127,7 +111,7 @@ Result<size_t> FcoDegree(rdf::Graph* graph, const std::string& root_class,
                          const std::string& feature_iri) {
   Term feature = Term::Iri(feature_iri);
   size_t added = 0;
-  for (TermId e : Entities(*graph, root_class)) {
+  for (TermId e : hifun::RootItems(*graph, {root_class})) {
     size_t n = graph->CountMatch(e, kNoTermId, kNoTermId) +
                graph->CountMatch(kNoTermId, kNoTermId, e);
     if (graph->Add(graph->terms().Get(e), feature,
@@ -143,7 +127,7 @@ Result<size_t> FcoAverageDegree(rdf::Graph* graph,
                                 const std::string& feature_iri) {
   Term feature = Term::Iri(feature_iri);
   size_t added = 0;
-  for (TermId e : Entities(*graph, root_class)) {
+  for (TermId e : hifun::RootItems(*graph, {root_class})) {
     std::set<TermId> c;
     graph->ForEachMatch(e, kNoTermId, kNoTermId,
                         [&](const rdf::TripleId& t) { c.insert(t.o); });
@@ -183,7 +167,7 @@ Result<size_t> FcoPathExists(rdf::Graph* graph, const std::string& root_class,
   RDFA_ASSIGN_OR_RETURN(TermId p2id, RequireProperty(*graph, p2));
   Term feature = Term::Iri(feature_iri);
   size_t added = 0;
-  for (TermId e : Entities(*graph, root_class)) {
+  for (TermId e : hifun::RootItems(*graph, {root_class})) {
     bool exists = !PathEnds(*graph, e, p1id, p2id).empty();
     if (graph->Add(graph->terms().Get(e), feature,
                    Term::Integer(exists ? 1 : 0))) {
@@ -200,7 +184,7 @@ Result<size_t> FcoPathCount(rdf::Graph* graph, const std::string& root_class,
   RDFA_ASSIGN_OR_RETURN(TermId p2id, RequireProperty(*graph, p2));
   Term feature = Term::Iri(feature_iri);
   size_t added = 0;
-  for (TermId e : Entities(*graph, root_class)) {
+  for (TermId e : hifun::RootItems(*graph, {root_class})) {
     size_t n = PathEnds(*graph, e, p1id, p2id).size();
     if (graph->Add(graph->terms().Get(e), feature,
                    Term::Integer(static_cast<int64_t>(n)))) {
@@ -219,7 +203,7 @@ Result<size_t> FcoPathValueMaxFreq(rdf::Graph* graph,
   RDFA_ASSIGN_OR_RETURN(TermId p2id, RequireProperty(*graph, p2));
   Term feature = Term::Iri(feature_iri);
   size_t added = 0;
-  for (TermId e : Entities(*graph, root_class)) {
+  for (TermId e : hifun::RootItems(*graph, {root_class})) {
     // Count o2 frequencies with multiplicity (not distinct).
     std::map<TermId, size_t> freq;
     graph->ForEachMatch(e, p1id, kNoTermId, [&](const rdf::TripleId& t1) {

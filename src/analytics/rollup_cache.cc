@@ -3,7 +3,6 @@
 #include <map>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "sparql/value.h"
 
@@ -34,41 +33,13 @@ std::string GroupKey(const sparql::ResultTable& table, size_t row,
   return key;
 }
 
-/// Scans rows [0, n) into a keyed accumulator map. With `threads` > 1 the
-/// scan runs in morsels building partial tables, folded back in morsel
-/// order with `merge` — the same distributive-merge shape the roll-up
-/// itself relies on. `scan(row, &map)` must be safe to call concurrently
-/// on disjoint maps; errors propagate from the earliest row.
-template <typename Acc, typename ScanFn, typename MergeFn>
-Status AccumulateRows(size_t n, int threads, const QueryContext& ctx,
-                      const ScanFn& scan, const MergeFn& merge,
-                      std::map<std::string, Acc>* groups) {
-  if (threads <= 1) {
-    // The serial reference: a counted checkpoint every 128 rows.
-    for (size_t r = 0; r < n; ++r) {
-      if (r % 128 == 0) RDFA_RETURN_NOT_OK(ctx.Check("rollup-merge"));
-      RDFA_RETURN_NOT_OK(scan(r, groups));
-    }
-    return Status::OK();
-  }
-  struct Part {
-    std::map<std::string, Acc> groups;
-    Status status = Status::OK();
-  };
-  std::vector<Part> parts = RunMorsels<Part>(
-      n, threads, kMinMorselItems, [&](size_t lo, size_t hi, Part* part) {
-        part->status = ctx.Check("rollup-merge");
-        for (size_t r = lo; r < hi && part->status.ok(); ++r) {
-          part->status = scan(r, &part->groups);
-        }
-      });
-  if (parts.size() > 1) RDFA_RETURN_NOT_OK(ctx.Check("rollup-merge"));
-  for (const Part& part : parts) RDFA_RETURN_NOT_OK(part.status);
-  for (Part& part : parts) {
-    for (auto& [key, acc] : part.groups) {
-      auto [it, fresh] = groups->try_emplace(key, std::move(acc));
-      if (!fresh) merge(acc, &it->second);  // try_emplace left acc intact
-    }
+/// Runs `scan(row)` over rows [0, n) in order — the left fold — with a
+/// counted checkpoint every 128 rows; stops at the first error.
+template <typename ScanFn>
+Status ScanRows(size_t n, const QueryContext& ctx, const ScanFn& scan) {
+  for (size_t r = 0; r < n; ++r) {
+    if (r % 128 == 0) RDFA_RETURN_NOT_OK(ctx.Check("rollup-merge"));
+    RDFA_RETURN_NOT_OK(scan(r));
   }
   return Status::OK();
 }
@@ -78,8 +49,7 @@ Status AccumulateRows(size_t n, int threads, const QueryContext& ctx,
 Result<AnswerFrame> RollUpAnswer(const AnswerFrame& answer,
                                  const std::vector<std::string>& keep_columns,
                                  const std::string& agg_column,
-                                 AggOp op, int threads,
-                                 const QueryContext& ctx) {
+                                 AggOp op, const QueryContext& ctx) {
   if (op == AggOp::kAvg) {
     return Status::InvalidArgument(
         "AVG is not distributive; roll it up from its (sum, count) pair "
@@ -104,13 +74,13 @@ Result<AnswerFrame> RollUpAnswer(const AnswerFrame& answer,
     double best = 0;
   };
   std::map<std::string, Acc> groups;
-  auto scan = [&](size_t r, std::map<std::string, Acc>* out) -> Status {
+  auto scan = [&](size_t r) -> Status {
     auto v = Value::FromTerm(table.at(r, agg_idx)).AsNumeric();
     if (!v.has_value()) {
       return Status::TypeError("non-numeric aggregate cell in row " +
                                std::to_string(r));
     }
-    Acc& acc = (*out)[GroupKey(table, r, keep)];
+    Acc& acc = groups[GroupKey(table, r, keep)];
     if (acc.key_terms.empty()) {
       for (int c : keep) acc.key_terms.push_back(table.at(r, c));
     }
@@ -125,16 +95,7 @@ Result<AnswerFrame> RollUpAnswer(const AnswerFrame& answer,
     }
     return Status::OK();
   };
-  auto merge = [&](const Acc& src, Acc* dst) {
-    dst->sum += src.sum;
-    if (op == AggOp::kMin) {
-      dst->best = std::min(dst->best, src.best);
-    } else if (op == AggOp::kMax) {
-      dst->best = std::max(dst->best, src.best);
-    }
-  };
-  RDFA_RETURN_NOT_OK(AccumulateRows<Acc>(table.num_rows(), threads, ctx, scan,
-                                         merge, &groups));
+  RDFA_RETURN_NOT_OK(ScanRows(table.num_rows(), ctx, scan));
   span.Arg("output_groups", static_cast<uint64_t>(groups.size()));
 
   std::vector<std::string> columns = keep_columns;
@@ -158,7 +119,7 @@ Result<AnswerFrame> RollUpAverage(const AnswerFrame& answer,
                                   const std::vector<std::string>& keep_columns,
                                   const std::string& sum_column,
                                   const std::string& count_column,
-                                  int threads, const QueryContext& ctx) {
+                                  const QueryContext& ctx) {
   TraceSpan span(ctx.tracer(), "rollup-cache");
   MetricsRegistry::Global()
       .GetCounter("rdfa_rollup_reuse_total",
@@ -179,14 +140,14 @@ Result<AnswerFrame> RollUpAverage(const AnswerFrame& answer,
     double count = 0;
   };
   std::map<std::string, Acc> groups;
-  auto scan = [&](size_t r, std::map<std::string, Acc>* out) -> Status {
+  auto scan = [&](size_t r) -> Status {
     auto s = Value::FromTerm(table.at(r, sum_idx)).AsNumeric();
     auto n = Value::FromTerm(table.at(r, count_idx)).AsNumeric();
     if (!s.has_value() || !n.has_value()) {
       return Status::TypeError("non-numeric sum/count cell in row " +
                                std::to_string(r));
     }
-    Acc& acc = (*out)[GroupKey(table, r, keep)];
+    Acc& acc = groups[GroupKey(table, r, keep)];
     if (acc.key_terms.empty()) {
       for (int c : keep) acc.key_terms.push_back(table.at(r, c));
     }
@@ -194,12 +155,7 @@ Result<AnswerFrame> RollUpAverage(const AnswerFrame& answer,
     acc.count += *n;
     return Status::OK();
   };
-  auto merge = [&](const Acc& src, Acc* dst) {
-    dst->sum += src.sum;
-    dst->count += src.count;
-  };
-  RDFA_RETURN_NOT_OK(AccumulateRows<Acc>(table.num_rows(), threads, ctx, scan,
-                                         merge, &groups));
+  RDFA_RETURN_NOT_OK(ScanRows(table.num_rows(), ctx, scan));
   span.Arg("output_groups", static_cast<uint64_t>(groups.size()));
 
   std::vector<std::string> columns = keep_columns;
@@ -241,8 +197,7 @@ void RollupCache::Put(const std::string& key, uint64_t generation,
 Result<AnswerFrame> RollupCache::RollUp(
     const std::string& source_key, uint64_t generation,
     const AnswerFrame& answer, const std::vector<std::string>& keep_columns,
-    const std::string& agg_column, AggOp op, int threads,
-    const QueryContext& ctx) {
+    const std::string& agg_column, AggOp op, const QueryContext& ctx) {
   std::string key = source_key + "|rollup|agg=" + agg_column +
                     "|op=" + std::to_string(static_cast<int>(op)) + "|keep=";
   for (const std::string& c : keep_columns) key += c + ",";
@@ -250,7 +205,7 @@ Result<AnswerFrame> RollupCache::RollUp(
   if (hit != nullptr) return *hit;
   RDFA_ASSIGN_OR_RETURN(
       AnswerFrame rolled,
-      RollUpAnswer(answer, keep_columns, agg_column, op, threads, ctx));
+      RollUpAnswer(answer, keep_columns, agg_column, op, ctx));
   Put(key, generation, rolled);
   return rolled;
 }

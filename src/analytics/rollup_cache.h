@@ -26,27 +26,22 @@ namespace rdfa::analytics {
 /// partial counts), MIN, MAX. AVG is algebraic — use RollUpAverage with the
 /// (sum, count) pair.
 ///
-/// `threads` > 1 scans the answer in parallel morsels with per-thread
-/// partial accumulator tables, merged with the same distributive logic
-/// (sum of sums, min of mins, ...). Integer-valued cells merge exactly;
-/// for fractional doubles the partial-sum association may differ from the
-/// serial left fold in the last ulp.
-/// `ctx` (optional) is the deadline/cancellation context: the merge scan
-/// checks it per morsel and unwinds to DeadlineExceeded/Cancelled.
+/// The answer's rows are folded left to right in one serial scan.
+/// `ctx` (optional) is the deadline/cancellation context: the scan checks
+/// it every 128 rows and unwinds to DeadlineExceeded/Cancelled.
 Result<AnswerFrame> RollUpAnswer(const AnswerFrame& answer,
                                  const std::vector<std::string>& keep_columns,
                                  const std::string& agg_column,
-                                 hifun::AggOp op, int threads = 1,
+                                 hifun::AggOp op,
                                  const QueryContext& ctx = QueryContext());
 
 /// Rolls up an average from its (sum, count) decomposition: the result has
 /// the kept grouping columns plus columns "sum", "count", "avg".
-/// `threads` as in RollUpAnswer.
+/// Scanned and checked as in RollUpAnswer.
 Result<AnswerFrame> RollUpAverage(const AnswerFrame& answer,
                                   const std::vector<std::string>& keep_columns,
                                   const std::string& sum_column,
                                   const std::string& count_column,
-                                  int threads = 1,
                                   const QueryContext& ctx = QueryContext());
 
 /// Generation-aware memo of answer frames, making OLAP roll-up reuse safe
@@ -95,7 +90,6 @@ class RollupCache {
                              uint64_t generation, const AnswerFrame& answer,
                              const std::vector<std::string>& keep_columns,
                              const std::string& agg_column, hifun::AggOp op,
-                             int threads = 1,
                              const QueryContext& ctx = QueryContext());
 
   void Clear() { cache_.Clear(); }

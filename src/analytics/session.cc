@@ -85,40 +85,31 @@ Result<hifun::Query> AnalyticsSession::BuildHifunQuery() const {
   const fs::Intention& intent = fs_.current().intent;
   q.root_class = intent.root_class;
 
-  // FS conditions restrict the item set E (rg of §5.1 examples).
+  // FS conditions restrict the item set E (rg of §5.1 examples), one
+  // restriction each: a range's two bounds test one value of the path, as
+  // the FS range click does, while two value clicks on one path stay two
+  // restrictions ("has both values").
   for (const fs::Condition& c : intent.conditions) {
-    std::vector<std::string> path;
-    path.reserve(c.path.size());
+    hifun::Restriction r;
+    r.path.reserve(c.path.size());
     for (const fs::PropRef& p : c.path) {
       if (p.inverse) {
         return Status::Unsupported(
             "inverse properties in an analytic restriction are not "
             "supported; refocus the session instead");
       }
-      path.push_back(p.iri);
+      r.path.push_back(p.iri);
     }
     if (c.kind == fs::Condition::Kind::kValue) {
-      hifun::Restriction r;
-      r.path = path;
-      r.op = "=";
       r.value = c.value;
-      q.group_restrictions.push_back(std::move(r));
     } else {
-      if (c.min.has_value()) {
-        hifun::Restriction r;
-        r.path = path;
-        r.op = ">=";
-        r.value = rdf::Term::Double(*c.min);
-        q.group_restrictions.push_back(std::move(r));
-      }
-      if (c.max.has_value()) {
-        hifun::Restriction r;
-        r.path = path;
-        r.op = "<=";
-        r.value = rdf::Term::Double(*c.max);
-        q.group_restrictions.push_back(std::move(r));
+      r.op = c.min.has_value() ? ">=" : "<=";
+      r.value = rdf::Term::Double(c.min.has_value() ? *c.min : *c.max);
+      if (c.min.has_value() && c.max.has_value()) {
+        r.upper = rdf::Term::Double(*c.max);
       }
     }
+    q.group_restrictions.push_back(std::move(r));
   }
 
   // Grouping expression: the pairing of all G-button choices.
@@ -168,7 +159,7 @@ Result<AnswerFrame> AnalyticsSession::Execute() {
 
 Result<AnswerFrame> AnalyticsSession::ExecuteDirect() const {
   RDFA_ASSIGN_OR_RETURN(hifun::Query q, BuildHifunQuery());
-  hifun::Evaluator eval(*graph_, thread_count_);
+  hifun::Evaluator eval(*graph_);
   RDFA_ASSIGN_OR_RETURN(sparql::ResultTable table, eval.Evaluate(q, ctx_));
   return AnswerFrame(std::move(table));
 }

@@ -47,8 +47,8 @@ class AnalyticsSession {
   fs::Session& fs() { return fs_; }
   const fs::Session& fs() const { return fs_; }
 
-  /// Morsel-parallelism budget for Execute/ExecuteDirect (<=1 = serial;
-  /// parallel answers are byte-identical to serial).
+  /// Morsel-parallelism budget for Execute (<=1 = serial; parallel answers
+  /// are byte-identical to serial). ExecuteDirect is always serial.
   void set_thread_count(int threads) {
     thread_count_ = threads < 1 ? 1 : threads;
   }

@@ -93,6 +93,7 @@ std::string Restriction::ToString() const {
   }
   if (!out.empty()) out += " ";
   out += op + " " + value.ToNTriples();
+  if (upper.has_value()) out += " <= " + upper->ToNTriples();
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define RDFA_HIFUN_ATTR_EXPR_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,12 +54,15 @@ struct AttrExpr {
 /// with a URI or literal. An empty path restricts the attribute's own
 /// value. `derived_function`, when set, is applied to the path end before
 /// comparing — the paper's full example restricts by `month = 01`
-/// (FILTER(MONTH(?x6) = 01)).
+/// (FILTER(MONTH(?x6) = 01)). `upper`, when set, makes it a range: the
+/// one value the path reaches must also be <= upper (a faceted-search range
+/// click, `op` ">=" and `value` its lower bound).
 struct Restriction {
   std::vector<std::string> path;  ///< property IRIs walked from the attribute
   std::string derived_function;   ///< "" or YEAR/MONTH/DAY/... on the value
   std::string op = "=";           ///< "=", "!=", "<", "<=", ">", ">="
   rdf::Term value;
+  std::optional<rdf::Term> upper;  ///< inclusive upper bound of a range
 
   std::string ToString() const;
 };

@@ -1,5 +1,6 @@
 #include "hifun/context.h"
 
+#include <algorithm>
 #include <set>
 
 #include "rdf/namespaces.h"
@@ -9,16 +10,10 @@ namespace rdfa::hifun {
 using rdf::kNoTermId;
 using rdf::TermId;
 
-AnalysisContext::AnalysisContext(const rdf::Graph& graph,
-                                 std::string root_class)
-    : AnalysisContext(graph, std::vector<std::string>{std::move(root_class)}) {
-}
-
-AnalysisContext::AnalysisContext(const rdf::Graph& graph,
-                                 const std::vector<std::string>& root_classes)
-    : root_class_(root_classes.empty() ? "" : root_classes.front()) {
+std::vector<TermId> RootItems(const rdf::Graph& graph,
+                              const std::vector<std::string>& root_classes) {
   const rdf::TermTable& terms = graph.terms();
-  std::set<TermId> item_set;
+  std::vector<TermId> items;
   bool any_root = false;
   for (const std::string& root : root_classes) {
     if (root.empty()) continue;
@@ -27,14 +22,27 @@ AnalysisContext::AnalysisContext(const rdf::Graph& graph,
     TermId cls = terms.FindIri(root);
     if (type != kNoTermId && cls != kNoTermId) {
       graph.ForEachMatch(kNoTermId, type, cls,
-                         [&](const rdf::TripleId& t) { item_set.insert(t.s); });
+                         [&](const rdf::TripleId& t) { items.push_back(t.s); });
     }
   }
   if (!any_root) {
-    for (const rdf::TripleId& t : graph.triples()) item_set.insert(t.s);
+    for (const rdf::TripleId& t : graph.triples()) items.push_back(t.s);
   }
-  items_.assign(item_set.begin(), item_set.end());
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
+  return items;
+}
 
+AnalysisContext::AnalysisContext(const rdf::Graph& graph,
+                                 std::string root_class)
+    : AnalysisContext(graph, std::vector<std::string>{std::move(root_class)}) {
+}
+
+AnalysisContext::AnalysisContext(const rdf::Graph& graph,
+                                 const std::vector<std::string>& root_classes)
+    : root_class_(root_classes.empty() ? "" : root_classes.front()),
+      items_(RootItems(graph, root_classes)) {
+  const rdf::TermTable& terms = graph.terms();
   // Candidate attributes: properties used by items of D.
   std::set<TermId> props;
   TermId type = terms.FindIri(rdf::rdfns::kType);

@@ -25,6 +25,13 @@ struct AttributeReport {
   bool hifun_ready() const { return functional() && total(); }
 };
 
+/// The dataset D of an analysis context: the instances of the non-empty
+/// `root_classes` (IRIs), in id order without duplicates, or every subject
+/// of the graph when no root is named (the artificial initial state s0 of
+/// §5.3.2).
+std::vector<rdf::TermId> RootItems(
+    const rdf::Graph& graph, const std::vector<std::string>& root_classes);
+
 /// An analysis context (D, A): a root class whose instances form the
 /// dataset D, plus the candidate attributes applicable to D.
 class AnalysisContext {

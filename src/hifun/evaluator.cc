@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "hifun/context.h"
 #include "rdf/namespaces.h"
@@ -138,7 +137,26 @@ void FlattenComponents(const AttrExprPtr& attr,
   }
 }
 
-/// Checks one restriction against an item.
+/// `lhs op rhs` for a restriction operator; incomparable values do not
+/// match.
+Result<bool> Holds(const Value& lhs, const std::string& op, const Term& rhs) {
+  Value r = Value::FromTerm(rhs);
+  if (op == "=" || op == "!=") {
+    auto eq = Value::Equals(lhs, r);
+    if (!eq.has_value()) return false;
+    return op == "=" ? *eq : !*eq;
+  }
+  auto c = Value::Compare(lhs, r);
+  if (!c.has_value()) return false;
+  if (op == "<") return *c < 0;
+  if (op == "<=") return *c <= 0;
+  if (op == ">") return *c > 0;
+  if (op == ">=") return *c >= 0;
+  return Status::InvalidArgument("unknown restriction operator " + op);
+}
+
+/// Checks one restriction against an item: one walk to the value, then
+/// `op value` and, for a range, `<= upper` on that same value.
 Result<bool> CheckRestriction(const rdf::Graph& graph, TermId item,
                               const AttrExprPtr& attr, const Restriction& r) {
   std::optional<Term> value;
@@ -171,19 +189,9 @@ Result<bool> CheckRestriction(const rdf::Graph& graph, TermId item,
   }
 
   Value lhs = Value::FromTerm(*value);
-  Value rhs = Value::FromTerm(r.value);
-  if (r.op == "=" || r.op == "!=") {
-    auto eq = Value::Equals(lhs, rhs);
-    if (!eq.has_value()) return false;
-    return r.op == "=" ? *eq : !*eq;
-  }
-  auto c = Value::Compare(lhs, rhs);
-  if (!c.has_value()) return false;
-  if (r.op == "<") return *c < 0;
-  if (r.op == "<=") return *c <= 0;
-  if (r.op == ">") return *c > 0;
-  if (r.op == ">=") return *c >= 0;
-  return Status::InvalidArgument("unknown restriction operator " + r.op);
+  RDFA_ASSIGN_OR_RETURN(bool holds, Holds(lhs, r.op, r.value));
+  if (!holds || !r.upper.has_value()) return holds;
+  return Holds(lhs, "<=", *r.upper);
 }
 
 }  // namespace
@@ -199,7 +207,6 @@ Result<sparql::ResultTable> Evaluator::Evaluate(const Query& query,
   for (const std::string& extra : query.extra_root_classes) {
     roots.push_back(extra);
   }
-  AnalysisContext context(graph_, roots);
 
   std::vector<AttrExprPtr> group_components;
   if (query.grouping != nullptr) {
@@ -208,19 +215,13 @@ Result<sparql::ResultTable> Evaluator::Evaluate(const Query& query,
   AttrExprPtr measure =
       query.measuring != nullptr ? query.measuring : AttrExpr::Identity();
 
-  // Grouping + measuring. Evaluating one item touches only const graph
-  // state, so items are processed in parallel morsels; each morsel's
-  // results are merged back in item order, which keeps the per-group
-  // measure sequences (and thus SUM/AVG rounding) byte-identical to a
-  // serial run. Errors are reported from the earliest item, as serial would.
-  struct ItemOut {
-    bool has = false;  ///< survived restrictions and has key + measure
-    std::vector<std::string> key;
-    std::vector<Term> key_terms;
-    Term value;
-  };
-  auto eval_item = [&](TermId item, ItemOut* out) -> Status {
-    // Restrictions on both sides restrict the item set E.
+  // Grouping + measuring: restrictions on both sides restrict the item set
+  // E; an item that passes them and has a key and a measure value joins
+  // its group. Items are visited in id order, so each group's measure
+  // sequence (and thus SUM/AVG rounding) is fixed.
+  std::map<std::vector<std::string>, std::vector<Term>> groups;
+  std::map<std::vector<std::string>, std::vector<Term>> group_keys;
+  auto add_item = [&](TermId item) -> Status {
     for (const Restriction& r : query.group_restrictions) {
       RDFA_ASSIGN_OR_RETURN(bool ok,
                             CheckRestriction(graph_, item, query.grouping, r));
@@ -231,76 +232,30 @@ Result<sparql::ResultTable> Evaluator::Evaluate(const Query& query,
                             CheckRestriction(graph_, item, measure, r));
       if (!ok) return Status::OK();
     }
-
-    // Group key.
+    std::vector<std::string> key;
+    std::vector<Term> key_terms;
     for (const AttrExprPtr& g : group_components) {
       EvalOutcome o = EvalScalar(graph_, item, *g);
       RDFA_RETURN_NOT_OK(o.status);
       if (o.missing) return Status::OK();
-      out->key.push_back(o.value->ToNTriples());
-      out->key_terms.push_back(*o.value);
+      key.push_back(o.value->ToNTriples());
+      key_terms.push_back(*o.value);
     }
-
-    // Measure.
     EvalOutcome m = EvalScalar(graph_, item, *measure);
     RDFA_RETURN_NOT_OK(m.status);
     if (m.missing) return Status::OK();
-    out->value = *m.value;
-    out->has = true;
+    groups[key].push_back(std::move(*m.value));
+    group_keys.emplace(std::move(key), std::move(key_terms));
     return Status::OK();
   };
 
-  const std::vector<TermId>& items = context.items();
-  std::map<std::vector<std::string>, std::vector<Term>> groups;
-  std::map<std::vector<std::string>, std::vector<Term>> group_keys;
-  auto merge = [&](ItemOut& out) {
-    if (!out.has) return;
-    groups[out.key].push_back(std::move(out.value));
-    group_keys.emplace(std::move(out.key), std::move(out.key_terms));
-  };
-
+  const std::vector<TermId> items = RootItems(graph_, roots);
   std::optional<TraceSpan> gm_span;
   gm_span.emplace(ctx.tracer(), "hifun-group-measure");
   gm_span->Arg("items", static_cast<uint64_t>(items.size()));
-
-  if (threads_ <= 1) {
-    // The serial reference: a counted checkpoint every 256 items.
-    size_t since_check = 0;
-    for (TermId item : items) {
-      if (since_check++ % 256 == 0) {
-        RDFA_RETURN_NOT_OK(ctx.Check("hifun-group-measure"));
-      }
-      ItemOut out;
-      RDFA_RETURN_NOT_OK(eval_item(item, &out));
-      merge(out);
-    }
-  } else {
-    graph_.Freeze();  // one first-touch build, not a per-worker race to it
-    struct MorselOut {
-      std::vector<ItemOut> outs;
-      Status status = Status::OK();
-    };
-    std::vector<MorselOut> parts = RunMorsels<MorselOut>(
-        items.size(), threads_, kMinMorselItems,
-        [&](size_t lo, size_t hi, MorselOut* part) {
-          // Cooperative checkpoint per morsel of the group-measure pass.
-          part->status = ctx.Check("hifun-group-measure");
-          if (!part->status.ok()) return;
-          part->outs.resize(hi - lo);
-          for (size_t i = lo; i < hi; ++i) {
-            part->status = eval_item(items[i], &part->outs[i - lo]);
-            if (!part->status.ok()) return;  // the morsel's first error
-          }
-        });
-    if (parts.size() > 1) RDFA_RETURN_NOT_OK(ctx.Check("hifun-group-measure"));
-    // Items are contiguous per morsel, so the first failing morsel holds
-    // the globally earliest error — the one a serial run would return.
-    for (const MorselOut& part : parts) {
-      RDFA_RETURN_NOT_OK(part.status);
-    }
-    for (MorselOut& part : parts) {
-      for (ItemOut& out : part.outs) merge(out);
-    }
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i % 256 == 0) RDFA_RETURN_NOT_OK(ctx.Check("hifun-group-measure"));
+    RDFA_RETURN_NOT_OK(add_item(items[i]));
   }
 
   gm_span->Arg("groups", static_cast<uint64_t>(groups.size()));

@@ -21,15 +21,7 @@ namespace rdfa::hifun {
 /// (e.g. manufacturer.origin = ex:US).
 class Evaluator {
  public:
-  /// `threads` is the morsel-parallelism budget for the grouping/measuring
-  /// pass (<=1 = serial). Parallel results are byte-identical to serial:
-  /// items are split into contiguous morsels whose per-thread partial group
-  /// tables are merged back in item order.
-  explicit Evaluator(const rdf::Graph& graph, int threads = 1)
-      : graph_(graph), threads_(threads < 1 ? 1 : threads) {}
-
-  void set_thread_count(int threads) { threads_ = threads < 1 ? 1 : threads; }
-  int thread_count() const { return threads_; }
+  explicit Evaluator(const rdf::Graph& graph) : graph_(graph) {}
 
   /// Evaluates `query`. Returns Precondition when a traversed attribute is
   /// multi-valued on some item (HIFUN prerequisite §4.1.1 — apply an FCO
@@ -39,15 +31,14 @@ class Evaluator {
     return Evaluate(query, QueryContext());
   }
 
-  /// As above with a deadline/cancellation context, checked per item morsel
-  /// in the group-measure pass and per group in the reduction; a trip
+  /// As above with a deadline/cancellation context, checked every 256 items
+  /// in the group-measure pass and every 64 groups in the reduction; a trip
   /// unwinds to DeadlineExceeded/Cancelled.
   Result<sparql::ResultTable> Evaluate(const Query& query,
                                        const QueryContext& ctx) const;
 
  private:
   const rdf::Graph& graph_;
-  int threads_ = 1;
 };
 
 }  // namespace rdfa::hifun

@@ -403,10 +403,14 @@ class Parser {
         ConsumePunct(".");
         continue;
       }
-      // Triples block.
+      // Triples block. The '.' after it may be left out before '}' or a
+      // pattern that is not a triple (SPARQL 1.1 GroupGraphPatternSub).
       RDFA_RETURN_NOT_OK(ParseTriplesSameSubject(&gp));
-      if (!ConsumePunct(".")) {
-        if (!PeekPunct("}")) return Err("expected '.' between triples");
+      if (!ConsumePunct(".") && !PeekPunct("}") && !PeekPunct("{") &&
+          !PeekKeyword("FILTER") && !PeekKeyword("OPTIONAL") &&
+          !PeekKeyword("BIND") && !PeekKeyword("MINUS") &&
+          !PeekKeyword("VALUES")) {
+        return Err("expected '.' between triples");
       }
     }
     RDFA_RETURN_NOT_OK(ExpectPunct("}"));
@@ -553,6 +557,19 @@ class Parser {
         } else if (PeekPunct("(")) {
           Consume();
           RDFA_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
+          if (ConsumeKeyword("AS")) {
+            // (expr AS ?v): bind ?v to expr on every solution, as a BIND
+            // closing the WHERE group would, then group by ?v.
+            if (Peek().kind != TokenKind::kVar) {
+              return Err("expected variable after AS");
+            }
+            PatternElement bind;
+            bind.kind = PatternElement::Kind::kBind;
+            bind.bind_expr = std::move(e);
+            bind.bind_var = Consume().text;
+            e = Expr::MakeVar(bind.bind_var);
+            q.where.elements.push_back(std::move(bind));
+          }
           RDFA_RETURN_NOT_OK(ExpectPunct(")"));
           q.group_by.push_back(std::move(e));
         } else if (Peek().kind == TokenKind::kPName && PeekPunct("(", 1) &&

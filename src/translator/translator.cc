@@ -190,10 +190,17 @@ class Translation {
   /// 3-10 for restriction paths).
   Status TranslateRestriction(const Restriction& r, const AttrExprPtr& attr,
                               const std::string& attr_expr) {
-    auto wrap = [&](const std::string& expr) {
-      return r.derived_function.empty() ? expr
-                                        : r.derived_function + "(" + expr +
-                                              ")";
+    // `expr op value`, and for a range `&& expr <= upper` on the same
+    // variable: one walk, both bounds.
+    auto compare = [&](const std::string& expr) {
+      std::string lhs = r.derived_function.empty()
+                            ? expr
+                            : r.derived_function + "(" + expr + ")";
+      std::string out = lhs + " " + r.op + " " + RenderTerm(r.value);
+      if (r.upper.has_value()) {
+        out += " && " + lhs + " <= " + RenderTerm(*r.upper);
+      }
+      return out;
     };
     if (r.path.empty()) {
       if (attr != nullptr && attr->kind == AttrExpr::Kind::kPair) {
@@ -212,8 +219,7 @@ class Translation {
         filters_.push_back(attr_expr + " = " + RenderTerm(r.value));
         return Status::OK();
       }
-      filters_.push_back(wrap(attr_expr) + " " + r.op + " " +
-                         RenderTerm(r.value));
+      filters_.push_back(compare(attr_expr));
       return Status::OK();
     }
     // Restriction path: walk from the root (Alg. 4 Composition(rg.functions)).
@@ -230,7 +236,7 @@ class Translation {
       patterns_.push_back(cur + " <" + r.path[i] + "> " + next + " .");
       cur = next;
     }
-    filters_.push_back(wrap(cur) + " " + r.op + " " + RenderTerm(r.value));
+    filters_.push_back(compare(cur));
     return Status::OK();
   }
 

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "analytics/answer_frame.h"
+#include "rdf/namespaces.h"
 #include "rdf/rdfs.h"
 #include "sparql/value.h"
 #include "viz/table_render.h"
@@ -139,6 +140,44 @@ TEST_F(AnalyticsTest, ExecuteAndExecuteDirectAgree) {
   auto b = Rows(direct.value().table(), 0, 1);
   EXPECT_EQ(a.size(), b.size());
   for (const auto& [k, v] : a) EXPECT_NEAR(v, b.at(k), 1e-9);
+}
+
+TEST(AnalyticsRangeTest, RangeOnAMultiValuedPathAnswersOverTheFocus) {
+  // l1 has prices 100 and 900, neither in [400, 600]; l2 has 500. The
+  // range click keeps only l2, and the answer must count only l2: both
+  // bounds have to hold for one price, not one bound per price.
+  rdf::Graph g;
+  const rdf::Term type = rdf::Term::Iri(rdf::rdfns::kType);
+  const rdf::Term laptop = rdf::Term::Iri(kEx + "Laptop");
+  const rdf::Term price = rdf::Term::Iri(kEx + "price");
+  const rdf::Term made_by = rdf::Term::Iri(kEx + "manufacturer");
+  const rdf::Term l1 = rdf::Term::Iri(kEx + "l1");
+  const rdf::Term l2 = rdf::Term::Iri(kEx + "l2");
+  const rdf::Term m1 = rdf::Term::Iri(kEx + "m1");
+  for (const rdf::Term& l : {l1, l2}) {
+    g.Add(l, type, laptop);
+    g.Add(l, made_by, m1);
+  }
+  g.Add(l1, price, rdf::Term::Integer(100));
+  g.Add(l1, price, rdf::Term::Integer(900));
+  g.Add(l2, price, rdf::Term::Integer(500));
+
+  AnalyticsSession s(&g);
+  ASSERT_TRUE(s.fs().ClickClass(kEx + "Laptop").ok());
+  ASSERT_TRUE(s.fs().ClickRange({{kEx + "price"}}, 400, 600).ok());
+  ASSERT_EQ(s.fs().current().ext.size(), 1u);
+  GroupingSpec by_man;
+  by_man.path = {kEx + "manufacturer"};
+  ASSERT_TRUE(s.ClickGroupBy(by_man).ok());
+  MeasureSpec m;
+  m.ops = {hifun::AggOp::kCount};
+  ASSERT_TRUE(s.ClickAggregate(m).ok());
+  auto af = s.Execute();
+  ASSERT_TRUE(af.ok()) << af.status().ToString();
+  const auto& t = af.value().table();
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(viz::DisplayTerm(t.at(0, 0)), "m1");
+  EXPECT_EQ(*sparql::Value::FromTerm(t.at(0, 1)).AsNumeric(), 1);
 }
 
 TEST_F(AnalyticsTest, BuildHifunQueryRendering) {

@@ -271,14 +271,14 @@ TEST(RollUpDeadlineTest, RollUpHonorsTheContext) {
 
   auto expired =
       analytics::RollUpAnswer(frame, {"brand"}, "sales", hifun::AggOp::kSum,
-                              /*threads=*/1, QueryContext::WithDeadlineMs(0));
+                              QueryContext::WithDeadlineMs(0));
   ASSERT_FALSE(expired.ok());
   EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
 
   QueryContext cancelled;
   cancelled.Cancel();
   auto avg = analytics::RollUpAverage(frame, {"brand"}, "sales", "sales",
-                                      /*threads=*/4, cancelled);
+                                      cancelled);
   ASSERT_FALSE(avg.ok());
   EXPECT_EQ(avg.status().code(), StatusCode::kCancelled);
 }

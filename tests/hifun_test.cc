@@ -46,6 +46,28 @@ TEST_F(HifunEvalTest, SimpleQuerySumByBranch) {
   EXPECT_EQ(rows["b3"], 600);
 }
 
+TEST_F(HifunEvalTest, RangeRestrictionTestsBothBoundsOnOneValue) {
+  // inQuantity in [150, 300]: only d1 (b1, 200) and d3 (b2, 200).
+  Query q;
+  q.root_class = kInv + "Invoice";
+  q.grouping = AttrExpr::Property(kInv + "takesPlaceAt");
+  Restriction r;
+  r.path = {kInv + "inQuantity"};
+  r.op = ">=";
+  r.value = rdf::Term::Integer(150);
+  r.upper = rdf::Term::Integer(300);
+  q.group_restrictions.push_back(r);
+  q.ops = {AggOp::kCount};
+  auto res = Evaluator(g_).Evaluate(q);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  auto rows = Rows(res.value());
+  EXPECT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows["b1"], 1);
+  EXPECT_EQ(rows["b2"], 1);
+  EXPECT_EQ(r.ToString(), "inQuantity >= " + r.value.ToNTriples() + " <= " +
+                              r.upper->ToNTriples());
+}
+
 TEST_F(HifunEvalTest, AttributeRestrictedToUri) {
   // (takesPlaceAt/=b1, inQuantity, SUM): only branch b1.
   Query q;

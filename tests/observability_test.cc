@@ -296,7 +296,7 @@ TEST(TraceCoverageTest, TracedQueryCoversThePipelineStages) {
   }
   analytics::AnswerFrame frame(std::move(table));
   auto rolled = analytics::RollUpAnswer(frame, {"brand"}, "sales",
-                                        hifun::AggOp::kSum, 1, ctx);
+                                        hifun::AggOp::kSum, ctx);
   ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
 
   const char* kExpectedStages[] = {"admission-queue", "parse",   "plan",

@@ -1,9 +1,8 @@
 // Parallel execution is a pure performance knob: for every query the
 // morsel-parallel path must produce results byte-identical to the serial
 // path (DESIGN.md, threading model). This suite locks that contract in
-// across the SPARQL executor, the HIFUN evaluator, OLAP materialization
-// and the roll-up cache. The corpora are sized so the parallel paths
-// actually trigger (>= 128 seed rows / items).
+// across the SPARQL executor and OLAP materialization. The corpora are
+// sized so the parallel paths actually trigger (>= 128 seed rows / items).
 
 #include <gtest/gtest.h>
 
@@ -14,11 +13,9 @@
 #include <vector>
 
 #include "analytics/olap.h"
-#include "analytics/rollup_cache.h"
 #include "analytics/session.h"
 #include "common/query_context.h"
 #include "common/trace.h"
-#include "hifun/evaluator.h"
 #include "rdf/graph.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
@@ -144,6 +141,40 @@ TEST_F(SparqlParallelEquivalenceTest, ExistsInSelectExpressionsMatchesBind) {
     for (int threads : {1, 4}) {
       EXPECT_EQ(RunTsv(std::string(kPfx) + expr_form, threads), reference)
           << "threads=" << threads << ": " << expr_form;
+    }
+  }
+}
+
+TEST_F(SparqlParallelEquivalenceTest, ShortFormsMatchDottedAndBindForms) {
+  // A FILTER, BIND or OPTIONAL right after a triple (no '.'), and a GROUP BY
+  // key named with AS, answer as their dotted or BIND forms do.
+  const std::pair<const char*, const char*> kPairs[] = {
+      {"SELECT ?l WHERE { ?l ex:price ?p FILTER(?p < 1000) }",
+       "SELECT ?l WHERE { ?l ex:price ?p . FILTER(?p < 1000) }"},
+      {"SELECT ?l ?has WHERE { ?l ex:price ?p "
+       "BIND(EXISTS { ?l ex:manufacturer ?m } AS ?has) }",
+       "SELECT ?l ?has WHERE { ?l ex:price ?p . "
+       "BIND(EXISTS { ?l ex:manufacturer ?m } AS ?has) }"},
+      {"SELECT ?l ?c WHERE { ?l ex:price ?p "
+       "OPTIONAL { ?l ex:manufacturer ?m . ?m ex:origin ?c } }",
+       "SELECT ?l ?c WHERE { ?l ex:price ?p . "
+       "OPTIONAL { ?l ex:manufacturer ?m . ?m ex:origin ?c } }"},
+      {"SELECT ?cheap (COUNT(?l) AS ?n) WHERE { ?l ex:price ?p } "
+       "GROUP BY (?p < 1000 AS ?cheap)",
+       "SELECT ?cheap (COUNT(?l) AS ?n) WHERE { ?l ex:price ?p . "
+       "BIND(?p < 1000 AS ?cheap) } GROUP BY ?cheap"},
+      {"SELECT ?cheap (COUNT(?l) AS ?n) WHERE { ?l ex:price ?p } "
+       "GROUP BY (EXISTS { ?l ex:price ?q . FILTER(?q < 1000) } AS ?cheap)",
+       "SELECT ?cheap (COUNT(?l) AS ?n) WHERE { ?l ex:price ?p . "
+       "BIND(EXISTS { ?l ex:price ?q . FILTER(?q < 1000) } AS ?cheap) } "
+       "GROUP BY ?cheap"},
+  };
+  for (const auto& [short_form, long_form] : kPairs) {
+    const std::string reference = RunTsv(std::string(kPfx) + long_form, 1);
+    ASSERT_NE(reference.find('\n'), reference.rfind('\n')) << long_form;
+    for (int threads : {1, 4}) {
+      EXPECT_EQ(RunTsv(std::string(kPfx) + short_form, threads), reference)
+          << "threads=" << threads << ": " << short_form;
     }
   }
 }
@@ -351,35 +382,6 @@ TEST_F(ParallelDeadlineTest, DeadlineInsideAMorselUnwindsTyped) {
   }
 }
 
-TEST_F(SparqlParallelEquivalenceTest, HifunEvaluatorMatchesSerial) {
-  hifun::Query q;
-  q.root_class = kEx + "Laptop";
-  q.grouping = hifun::AttrExpr::Property(kEx + "manufacturer");
-  q.measuring = hifun::AttrExpr::Property(kEx + "price");
-  q.ops = {hifun::AggOp::kSum, hifun::AggOp::kCount, hifun::AggOp::kAvg};
-  auto serial = hifun::Evaluator(g_, 1).Evaluate(q);
-  auto parallel = hifun::Evaluator(g_, 4).Evaluate(q);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  EXPECT_EQ(serial.value().ToTsv(), parallel.value().ToTsv());
-}
-
-TEST_F(SparqlParallelEquivalenceTest, HifunRestrictionErrorsMatchSerial) {
-  // Error propagation must also be deterministic: the parallel evaluator
-  // reports the same (earliest) error the serial scan would hit.
-  hifun::Query q;
-  q.root_class = kEx + "Laptop";
-  q.grouping = hifun::AttrExpr::Property(kEx + "manufacturer");
-  q.measuring = hifun::AttrExpr::Property(kEx + "noSuchProperty");
-  q.ops = {hifun::AggOp::kSum};
-  auto serial = hifun::Evaluator(g_, 1).Evaluate(q);
-  auto parallel = hifun::Evaluator(g_, 4).Evaluate(q);
-  EXPECT_EQ(serial.ok(), parallel.ok());
-  if (!serial.ok() && !parallel.ok()) {
-    EXPECT_EQ(serial.status().ToString(), parallel.status().ToString());
-  }
-}
-
 TEST(OlapParallelEquivalenceTest, MaterializedCubeMatchesSerial) {
   rdf::Graph g;
   workload::InvoicesOptions opt;
@@ -427,45 +429,6 @@ TEST(OlapParallelEquivalenceTest, MaterializedCubeMatchesSerial) {
     (void)parallel_cube.RollUp("time");
   }
   EXPECT_EQ(parallel_cube.last_exec_stats().threads, 4);
-}
-
-TEST(RollupParallelEquivalenceTest, PartialTableMergeMatchesSerial) {
-  // Integer-valued measures merge exactly, so the parallel roll-up must be
-  // byte-identical to the serial left fold.
-  sparql::ResultTable table({"brand", "product", "qty"});
-  for (int r = 0; r < 500; ++r) {
-    table.AddRow({rdf::Term::Iri(kInv + "brand" + std::to_string(r % 7)),
-                  rdf::Term::Iri(kInv + "prod" + std::to_string(r % 40)),
-                  rdf::Term::Integer((r * 13) % 97)});
-  }
-  analytics::AnswerFrame answer(std::move(table));
-  for (hifun::AggOp op : {hifun::AggOp::kSum, hifun::AggOp::kMin,
-                          hifun::AggOp::kMax, hifun::AggOp::kCount}) {
-    auto serial = analytics::RollUpAnswer(answer, {"brand"}, "qty", op, 1);
-    auto parallel = analytics::RollUpAnswer(answer, {"brand"}, "qty", op, 4);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_EQ(serial.value().table().ToTsv(), parallel.value().table().ToTsv())
-        << "op " << static_cast<int>(op);
-  }
-}
-
-TEST(RollupParallelEquivalenceTest, AverageRollupMatchesSerial) {
-  sparql::ResultTable table({"brand", "product", "sum", "count"});
-  for (int r = 0; r < 400; ++r) {
-    table.AddRow({rdf::Term::Iri(kInv + "brand" + std::to_string(r % 5)),
-                  rdf::Term::Iri(kInv + "prod" + std::to_string(r % 20)),
-                  rdf::Term::Integer((r * 7) % 53),
-                  rdf::Term::Integer(1 + r % 3)});
-  }
-  analytics::AnswerFrame answer(std::move(table));
-  auto serial =
-      analytics::RollUpAverage(answer, {"brand"}, "sum", "count", 1);
-  auto parallel =
-      analytics::RollUpAverage(answer, {"brand"}, "sum", "count", 4);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  EXPECT_EQ(serial.value().table().ToTsv(), parallel.value().table().ToTsv());
 }
 
 }  // namespace

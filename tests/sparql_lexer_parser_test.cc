@@ -244,6 +244,48 @@ TEST(ParserTest, GroupByFunctionExpression) {
   EXPECT_EQ(q.value().select.group_by[0]->call_name, "MONTH");
 }
 
+TEST(ParserTest, DotBeforeNonTriplePatternIsOptional) {
+  for (const char* q :
+       {"SELECT ?x WHERE { ?x <urn:p> ?v FILTER(?v < 3) }",
+        "SELECT ?x ?b WHERE { ?x <urn:p> ?v BIND(?v + 1 AS ?b) }",
+        "SELECT ?x ?w WHERE { ?x <urn:p> ?v OPTIONAL { ?x <urn:q> ?w } }",
+        "SELECT ?x WHERE { ?x <urn:p> ?v MINUS { ?x <urn:q> ?w } }",
+        "SELECT ?x WHERE { ?x <urn:p> ?v VALUES ?v { 1 2 } }",
+        "SELECT ?x WHERE { ?x <urn:p> ?v { ?x <urn:q> ?w } }"}) {
+    auto parsed = ParseQuery(q);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << q;
+    EXPECT_EQ(parsed.value().select.where.elements.size(), 2u) << q;
+  }
+  // Two triples still need the '.' between them.
+  EXPECT_EQ(ParseQuery("SELECT ?x WHERE { ?x <urn:p> ?v ?x <urn:q> ?w }")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+}
+
+TEST(ParserTest, GroupByExpressionAsVariable) {
+  // (expr AS ?v) binds ?v at the end of WHERE and groups by ?v.
+  auto q = ParseQuery(
+      "SELECT ?cheap (COUNT(?x) AS ?n) WHERE { ?x <urn:p> ?v . } "
+      "GROUP BY (?v < 3 AS ?cheap)");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const SelectQuery& s = q.value().select;
+  ASSERT_EQ(s.group_by.size(), 1u);
+  EXPECT_EQ(s.group_by[0]->kind, Expr::Kind::kVar);
+  EXPECT_EQ(s.group_by[0]->var, "cheap");
+  ASSERT_EQ(s.where.elements.size(), 2u);
+  const PatternElement& bind = s.where.elements.back();
+  EXPECT_EQ(bind.kind, PatternElement::Kind::kBind);
+  EXPECT_EQ(bind.bind_var, "cheap");
+  ASSERT_NE(bind.bind_expr, nullptr);
+  EXPECT_EQ(bind.bind_expr->op, "<");
+  EXPECT_EQ(ParseQuery("SELECT (COUNT(?x) AS ?n) WHERE { ?x <urn:p> ?v } "
+                       "GROUP BY (?v AS 3)")
+                .status()
+                .code(),
+            StatusCode::kParseError);
+}
+
 TEST(ParserTest, GroupConcatSeparator) {
   auto q = ParseQuery(
       "SELECT (GROUP_CONCAT(?n ; SEPARATOR=\"|\") AS ?all) WHERE { ?x "

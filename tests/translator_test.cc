@@ -53,6 +53,29 @@ TEST(TranslatorTest, LiteralRestrictionBecomesFilter) {
   EXPECT_NE(s.find("FILTER(?x3 >= "), std::string::npos) << s;
 }
 
+TEST(TranslatorTest, RangeRestrictionIsOneVariableAndOneFilter) {
+  // Both bounds of a range test the same value: one path variable, one
+  // FILTER with &&.
+  Query q = ParseQ("(takesPlaceAt, ID, COUNT)");
+  hifun::Restriction r;
+  r.path = {kInv + "inQuantity"};
+  r.op = ">=";
+  r.value = rdf::Term::Integer(150);
+  r.upper = rdf::Term::Integer(300);
+  q.group_restrictions.push_back(r);
+  auto sparql = TranslateToSparql(q);
+  ASSERT_TRUE(sparql.ok()) << sparql.status().ToString();
+  const std::string& s = sparql.value();
+  const std::string pattern = "?x1 <" + kInv + "inQuantity> ?x3 .";
+  EXPECT_NE(s.find(pattern), std::string::npos) << s;
+  EXPECT_EQ(s.find("inQuantity>"), s.rfind("inQuantity>")) << s;
+  EXPECT_NE(s.find("FILTER(?x3 >= " + r.value.ToNTriples() + " && ?x3 <= " +
+                   r.upper->ToNTriples() + ")"),
+            std::string::npos)
+      << s;
+  EXPECT_TRUE(sparql::ParseQuery(s).ok()) << s;
+}
+
 TEST(TranslatorTest, ResultRestrictionBecomesHaving) {
   // §4.2.3.
   std::string s = Translate("(takesPlaceAt, inQuantity, SUM / > 1000)");
