@@ -39,13 +39,6 @@ AttrExprPtr AttrExpr::Derived(std::string function, AttrExprPtr arg) {
   return e;
 }
 
-size_t AttrExpr::Arity() const {
-  if (kind != Kind::kPair) return 1;
-  size_t n = 0;
-  for (const AttrExprPtr& a : args) n += a->Arity();
-  return n;
-}
-
 namespace {
 std::string LocalName(const std::string& iri) {
   size_t pos = iri.find_last_of("#/");

@@ -40,10 +40,6 @@ struct AttrExpr {
   static AttrExprPtr Pair(std::vector<AttrExprPtr> components);
   static AttrExprPtr Derived(std::string function, AttrExprPtr arg);
 
-  /// Number of output columns this expression produces when used as a
-  /// grouping function (pairings multiply out; everything else is 1).
-  size_t Arity() const;
-
   /// Human-readable form mirroring the paper's notation, e.g.
   /// "brand ∘ delivers" or "(takesPlaceAt ⊗ delivers)".
   std::string ToString() const;

@@ -12,7 +12,9 @@ namespace rdfa::hifun {
 /// Direct (SPARQL-free) evaluation of HIFUN queries following the
 /// three-step semantics of §2.5 — grouping, measuring, reduction. Serves as
 /// the reference implementation that the HIFUN→SPARQL translation is tested
-/// for equivalence against (Proposition 2, soundness).
+/// for equivalence against (Proposition 2, soundness). It walks ids
+/// (DESIGN.md §19) and shares no kernel with the SPARQL executor, so it
+/// stays an independent oracle for it.
 ///
 /// Restriction semantics (documented in DESIGN.md): a Restriction on the
 /// grouping/measuring side is a per-item condition. With an empty path it

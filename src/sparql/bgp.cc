@@ -579,11 +579,12 @@ bool BuildSieve(const std::vector<Binding>& rows, int head_slot,
 // entries decoded and seeks into *out. The cursor seeks straight to each
 // run's key (sideways information passing: whole blocks of non-candidates
 // are skipped undecoded). Each key group is buffered once and replayed
-// across its run's rows — the replay enumerates exactly the triples (in
-// exactly the order) a per-row NLJ probe of that key would, which is the
-// byte-identity argument.
+// across its run's rows through ExtendRowBy, as the NLJ kernel extends a
+// row, so each row moves into its last extension and is left unspecified.
+// The replay enumerates exactly the triples (in exactly the order) a
+// per-row NLJ probe of that key would, which is the byte-identity argument.
 Status MergeRuns(const rdf::Graph& graph, const CompiledPattern& p,
-                 rdf::Graph::Perm perm, const std::vector<Binding>& rows,
+                 rdf::Graph::Perm perm, std::vector<Binding>* rows,
                  const std::vector<SieveRun>& runs, size_t run_lo,
                  size_t run_hi, const QueryContext* ctx, StepPart* out) {
   rdf::Graph::MergeCursor cur = graph.OpenMergeCursor(
@@ -613,7 +614,7 @@ Status MergeRuns(const rdf::Graph& graph, const CompiledPattern& p,
       }
     }
     for (size_t r = run.begin; r < run.end; ++r) {
-      for (const rdf::TripleId& t : group) ExtendRow(p, rows[r], t, &out->rows);
+      ExtendRowBy(p, &(*rows)[r], group, &out->rows);
     }
   }
   count_cursor();
@@ -647,7 +648,7 @@ Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
                 if (lo < hi) {
                   part->rows.reserve(runs[hi - 1].end - runs[lo].begin);
                 }
-                part->status = MergeRuns(graph, p, step.perm, *rows, runs, lo,
+                part->status = MergeRuns(graph, p, step.perm, rows, runs, lo,
                                          hi, opts.ctx, part);
               });
         } else {

@@ -147,43 +147,24 @@ class Translation {
         return right;
       }
       case AttrExpr::Kind::kCompose: {
+        // Each step walks on from the previous step's expression; a derived
+        // step translates its argument from there and wraps it (Alg. 3).
         std::string cur = from_var;
         for (const AttrExprPtr& step : attr.args) {
-          if (step->kind == AttrExpr::Kind::kDerived) {
-            // Derived attribute in the middle/end of a composition: wrap
-            // the current expression; no triple pattern (Alg. 3).
-            RDFA_ASSIGN_OR_RETURN(cur, WrapDerived(*step, cur));
-          } else {
-            RDFA_ASSIGN_OR_RETURN(cur, TranslateScalar(*step, cur));
-          }
+          RDFA_ASSIGN_OR_RETURN(cur, TranslateScalar(*step, cur));
         }
         return cur;
       }
-      case AttrExpr::Kind::kDerived:
-        return WrapDerivedFromRoot(attr, from_var);
+      case AttrExpr::Kind::kDerived: {
+        RDFA_ASSIGN_OR_RETURN(std::string inner,
+                              TranslateScalar(*attr.args[0], from_var));
+        return attr.function + "(" + inner + ")";
+      }
       case AttrExpr::Kind::kPair:
         return Status::InvalidArgument(
             "pairing cannot appear nested inside a scalar position");
     }
     return Status::Internal("unhandled attribute kind");
-  }
-
-  /// Derived attribute whose argument still needs translation.
-  Result<std::string> WrapDerivedFromRoot(const AttrExpr& attr,
-                                          const std::string& from_var) {
-    RDFA_ASSIGN_OR_RETURN(std::string inner,
-                          TranslateScalar(*attr.args[0], from_var));
-    return attr.function + "(" + inner + ")";
-  }
-
-  /// Derived attribute applied to an already-translated expression.
-  Result<std::string> WrapDerived(const AttrExpr& attr,
-                                  const std::string& inner) {
-    if (!attr.args.empty() && attr.args[0]->kind != AttrExpr::Kind::kIdentity) {
-      // A derived step inside a composition takes the running value.
-      return attr.function + "(" + inner + ")";
-    }
-    return attr.function + "(" + inner + ")";
   }
 
   /// Restriction translation (Alg. 1 steps 1.1/1.2 & 2.1/2.2; Alg. 4 lines

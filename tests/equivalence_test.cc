@@ -169,6 +169,10 @@ INSTANTIATE_TEST_SUITE_P(
         EquivalenceCase{
             "products_year_group",
             "(YEAR(releaseDate), price, MAX) over Laptop",
+            workload::kExampleNs, 1},
+        EquivalenceCase{
+            "derived_in_composition",
+            "(STR(origin) o manufacturer, price, AVG+COUNT) over Laptop",
             workload::kExampleNs, 1}),
     [](const ::testing::TestParamInfo<EquivalenceCase>& info) {
       return info.param.name;

@@ -4,7 +4,10 @@
 #include "hifun/evaluator.h"
 #include "hifun/hifun_parser.h"
 #include "hifun/query.h"
+#include "rdf/namespaces.h"
+#include "sparql/executor.h"
 #include "sparql/value.h"
+#include "translator/translator.h"
 #include "viz/table_render.h"
 #include "workload/invoices.h"
 #include "workload/products.h"
@@ -226,6 +229,140 @@ TEST_F(HifunEvalTest, EmptyOpsRejected) {
   q.measuring = AttrExpr::Identity();
   auto res = Evaluator(g_).Evaluate(q);
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------- lowering edge cases ----------------
+
+// Four items of class C: each has a value v and a `p` to one of two
+// objects, and each object has a date `d` (2020 for a1, 2021 for a2).
+class HifunLoweringTest : public ::testing::Test {
+ protected:
+  static rdf::Term T(const std::string& local) {
+    return rdf::Term::Iri(kEx + local);
+  }
+  static AttrExprPtr P(const std::string& local) {
+    return AttrExpr::Property(kEx + local);
+  }
+
+  void SetUp() override {
+    const rdf::Term type = rdf::Term::Iri(rdf::rdfns::kType);
+    const char* const names[] = {"alpha", "Beta", "gamma", "Delta"};
+    for (int i = 1; i <= 4; ++i) {
+      rdf::Term item = T("i" + std::to_string(i));
+      g_.Add(item, type, T("C"));
+      g_.Add(item, T("p"), T(i <= 2 ? "a1" : "a2"));
+      g_.Add(item, T("v"), rdf::Term::Integer(i <= 2 ? 10 : 20));
+      g_.Add(item, T("name"), rdf::Term::Literal(names[i - 1]));
+      g_.Add(item, T("at"),
+             rdf::Term::DateTime("2021-03-0" + std::to_string(i) + "T0" +
+                                 std::to_string(i % 3) + ":30:00"));
+    }
+    g_.Add(T("a1"), T("d"), rdf::Term::DateTime("2020-05-01T00:00:00"));
+    g_.Add(T("a2"), T("d"), rdf::Term::DateTime("2021-05-01T00:00:00"));
+  }
+
+  Query SumOverC(AttrExprPtr grouping) {
+    Query q;
+    q.root_class = kEx + "C";
+    q.grouping = std::move(grouping);
+    q.measuring = P("v");
+    q.ops = {AggOp::kSum};
+    return q;
+  }
+
+  /// Group key (N-Triples, "|"-joined) -> the last aggregate's number.
+  static std::map<std::string, double> Keyed(const sparql::ResultTable& t) {
+    std::map<std::string, double> out;
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      std::string key;
+      for (size_t c = 0; c + 1 < t.num_columns(); ++c) {
+        key += t.at(r, c).ToNTriples() + "|";
+      }
+      out[key] = *sparql::Value::FromTerm(t.at(r, t.num_columns() - 1))
+                      .AsNumeric();
+    }
+    return out;
+  }
+
+  /// The direct answer, after checking the translated SPARQL's equals it.
+  std::map<std::string, double> BothRoutes(const Query& q) {
+    auto direct = Evaluator(g_).Evaluate(q);
+    EXPECT_TRUE(direct.ok()) << direct.status().ToString();
+    auto text = translator::TranslateToSparql(q);
+    EXPECT_TRUE(text.ok()) << text.status().ToString();
+    if (!direct.ok() || !text.ok()) return {};
+    auto via_sparql = sparql::ExecuteQueryString(&g_, text.value());
+    EXPECT_TRUE(via_sparql.ok()) << via_sparql.status().ToString();
+    if (!via_sparql.ok()) return {};
+    auto answer = Keyed(direct.value());
+    EXPECT_EQ(answer, Keyed(via_sparql.value())) << text.value();
+    return answer;
+  }
+
+  rdf::Graph g_;
+};
+
+TEST_F(HifunLoweringTest, DerivedAttributeInsideACompositionWalksItsArgument) {
+  // YEAR(d) o p: the year of p's object, not of p's object itself.
+  auto rows = BothRoutes(SumOverC(
+      AttrExpr::Compose({P("p"), AttrExpr::Derived("YEAR", P("d"))})));
+  const std::string year = std::string("^^<") + rdf::xsd::kInteger + ">|";
+  EXPECT_EQ(rows, (std::map<std::string, double>{{"\"2020\"" + year, 20},
+                                                 {"\"2021\"" + year, 40}}));
+}
+
+TEST_F(HifunLoweringTest, DerivedStepThenHopLooksTheLiteralUpAsAResource) {
+  // label o YEAR(d) o p: the year literal is a subject only for 2020.
+  g_.Add(rdf::Term::Integer(2020), T("label"), rdf::Term::Literal("twenty"));
+  Query q = SumOverC(AttrExpr::Compose(
+      {P("p"), AttrExpr::Derived("YEAR", P("d")), P("label")}));
+  auto res = Evaluator(g_).Evaluate(q);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  ASSERT_EQ(res.value().num_rows(), 1u);
+  EXPECT_EQ(res.value().at(0, 0), rdf::Term::Literal("twenty"));
+  EXPECT_EQ(res.value().at(0, 1).lexical(), "20");
+}
+
+TEST_F(HifunLoweringTest, EmptyPathRestrictionOnAPairingFailsOnlyOnAnItem) {
+  Query q = SumOverC(AttrExpr::Pair({P("p"), P("v")}));
+  Restriction r;
+  r.value = T("a1");
+  q.group_restrictions.push_back(r);
+  q.root_class = kEx + "NoSuchClass";  // D is empty: nothing is walked
+  auto empty = Evaluator(g_).Evaluate(q);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty.value().num_rows(), 0u);
+  q.root_class = kEx + "C";
+  auto res = Evaluator(g_).Evaluate(q);
+  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(res.status().message(),
+            "a restriction with an empty path cannot apply to a pairing");
+}
+
+TEST_F(HifunLoweringTest, MultiValuedFirstHopAheadOfAMissingProperty) {
+  g_.Add(T("i3"), T("p"), T("a1"));
+  auto res = Evaluator(g_).Evaluate(
+      SumOverC(AttrExpr::Compose({P("p"), P("notInTheGraph")})));
+  EXPECT_EQ(res.status().code(), StatusCode::kPrecondition);
+  EXPECT_EQ(res.status().message(),
+            "property <" + kEx +
+                "p> is multi-valued on an item; apply a feature-creation "
+                "operator (Table 4.1) before analysis");
+}
+
+TEST_F(HifunLoweringTest, HoursStrAndUcaseGroupKeysMatchTheSparqlRoute) {
+  auto hours = BothRoutes(SumOverC(AttrExpr::Derived("HOURS", P("at"))));
+  EXPECT_EQ(hours.size(), 3u);  // hours 1, 2 and 0 (twice)
+  auto str = BothRoutes(SumOverC(AttrExpr::Derived("STR", P("p"))));
+  EXPECT_EQ(str, (std::map<std::string, double>{
+                     {"\"" + kEx + "a1\"|", 20}, {"\"" + kEx + "a2\"|", 40}}));
+  auto ucase = BothRoutes(SumOverC(AttrExpr::Pair(
+      {AttrExpr::Derived("UCASE", P("name")), AttrExpr::Derived("YEAR",
+       AttrExpr::Compose({P("p"), P("d")}))})));
+  EXPECT_EQ(ucase.size(), 4u);
+  EXPECT_EQ(ucase.count(std::string("\"BETA\"|\"2020\"^^<") +
+                        rdf::xsd::kInteger + ">|"),
+            1u);
 }
 
 // ---------------- context / prerequisites ----------------
