@@ -46,7 +46,11 @@ carrying its own inline python:
       stages across the directory; an analyze line's filter_ms and a
       capture's filter/group-aggregate/projection exec_stats times must
       equal the sums of their outermost profile nodes, and an analyze
-      line's stage times must not sum past its total
+      line's stage times must not sum past its total; an analyze line's
+      bgp-join steps must fit inside their BGP runs, whose time less the
+      filters and index builds inside them is its bgp_ms, and an analyze
+      line without planner v2 must show a star step listing its patterns
+      and their rows as ExecStats reports them
 
 Exits non-zero (via assert) on any violated gate.
 """
@@ -317,6 +321,62 @@ def _check_stage_field(stats, profile, field, op, where):
         % (where, field, stats[field], len(nodes), op, summed))
 
 
+def _outer_bgp_nodes(nodes, out):
+    """Collects the "bgp" nodes of a profile tree that lie outside any
+    "filter" node: the BGP runs bgp_ms times (an EXISTS probe's runs are
+    timed in its filter)."""
+    for node in nodes:
+        if node["op"] == "bgp":
+            out.append(node)
+        elif node["op"] != "filter":
+            _outer_bgp_nodes(node.get("children", []), out)
+
+
+def _check_join_steps(stats, profile, where):
+    """Asserts the join-step spans reconcile with bgp_ms: each BGP run's
+    bgp-join steps fit inside it, and bgp_ms is the runs' time less the
+    filters and index builds they ran, up to the %.3f print rounding.
+    Returns the run's star steps."""
+    runs = []
+    _outer_bgp_nodes(profile, runs)
+    own_ms = 0.0
+    printed = 1
+    stars = []
+    for run in runs:
+        children = run.get("children", [])
+        steps = [c for c in children if c["op"] == "bgp-join"]
+        inner = [c for c in children
+                 if c["op"] == "filter" or c["op"].startswith("index-build")]
+        slack = 0.0005 * (len(steps) + 1)
+        assert sum(c["ms"] for c in steps) <= run["ms"] + slack, (
+            "%s: join steps sum past their bgp span" % where)
+        own_ms += run["ms"] - sum(c["ms"] for c in inner)
+        printed += 1 + len(inner)
+        stars += [c for c in steps if c["args"].get("strategy") == "star"]
+    assert abs(stats["bgp_ms"] - own_ms) <= 0.0005 * printed, (
+        "%s: bgp_ms %.3f vs %.3f ms from %d bgp spans"
+        % (where, stats["bgp_ms"], own_ms, len(runs)))
+    return stars
+
+
+def _check_star_steps(stats, stars, where):
+    """Asserts a star step's span lists its patterns and each pattern's
+    rows, and that they are the ExecStats rows of those patterns."""
+    assert stars, "%s: the greedy pipeline ran no star step" % where
+    starred = [(p, r) for p, r, k in zip(stats["join_order"],
+                                         stats["rows_scanned"],
+                                         stats["join_strategy"]) if k == "*"]
+    listed = []
+    for star in stars:
+        patterns = [int(x) for x in star["args"]["patterns"].split(",")]
+        rows = [int(x) for x in star["args"]["pattern_rows"].split(",")]
+        assert len(patterns) >= 2 and len(rows) <= len(patterns), star
+        assert sum(rows) == int(star["args"]["rows_scanned"]), star
+        listed += list(zip(patterns, rows))
+    assert listed == starred, (
+        "%s: star spans list %s, ExecStats %s" % (where, listed, starred))
+
+
 def cmd_obs_gates(args):
     # Gate 1: the profiled leg of the bench must return byte-identical
     # answers with bounded overhead. The epsilon absorbs timer noise on the
@@ -339,7 +399,7 @@ def cmd_obs_gates(args):
     # Gate 2: every EXPLAIN / EXPLAIN ANALYZE line the shell printed must
     # match the plan-JSON schema (analyze lines nest the plan under "plan"
     # and add a "profile" tree).
-    plans = analyzed = 0
+    plans = analyzed = greedy = 0
     for line in open(args.explain):
         line = line.strip()
         while line.startswith("rdfa>"):  # interactive prompt prefix
@@ -363,6 +423,13 @@ def cmd_obs_gates(args):
             stats = obj["stats"]
             _check_stage_field(stats, obj["profile"], "filter_ms", "filter",
                                "analyze line %d" % (analyzed + 1))
+            where = "analyze line %d" % (analyzed + 1)
+            stars = _check_join_steps(stats, obj["profile"], where)
+            if not obj["plan"]["use_dp"]:
+                # The greedy pipeline runs the script's star on ?x1 (type,
+                # manufacturer, price) as one star step.
+                _check_star_steps(stats, stars, where)
+                greedy += 1
             staged = sum(stats[f] for f in _STAGE_TIMES)
             slack = 0.0005 * (len(_STAGE_TIMES) + 1)
             assert staged <= stats["total_ms"] + slack, (
@@ -374,6 +441,8 @@ def cmd_obs_gates(args):
             plans += 1
     assert plans > 0, "no EXPLAIN output found in %s" % args.explain
     assert analyzed > 0, "no EXPLAIN ANALYZE output in %s" % args.explain
+    assert greedy > 0, "no EXPLAIN ANALYZE without planner v2 in %s" % (
+        args.explain)
 
     # Gate 3: every slow-query capture parses, and across the ring the
     # embedded operator profiles name enough distinct stages to triage with.
@@ -400,10 +469,11 @@ def cmd_obs_gates(args):
         % (len(stages), sorted(stages), args.min_stages))
 
     print("obs gates ok: overhead %.2f -> %.2f ms p50 (budget %.2f), "
-          "%d/%d byte-identical, %d explain + %d analyze lines, "
+          "%d/%d byte-identical, %d explain + %d analyze lines "
+          "(%d with star steps), "
           "%d captures naming %d stages, %d reconciled with exec_stats"
           % (obs["off_p50_ms"], obs["on_p50_ms"], budget,
-             obs["byte_identical"], obs["pairs"], plans, analyzed,
+             obs["byte_identical"], obs["pairs"], plans, analyzed, greedy,
              len(files), len(stages), reconciled))
 
 

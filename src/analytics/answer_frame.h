@@ -1,6 +1,7 @@
 #ifndef RDFA_ANALYTICS_ANSWER_FRAME_H_
 #define RDFA_ANALYTICS_ANSWER_FRAME_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,13 +18,15 @@ inline constexpr char kAfNamespace[] = "urn:rdfa:af#";
 /// The Answer Frame (AF) of §5.1: holds the result table of the current
 /// analytic query and supports reloading it as a new RDF dataset so that
 /// further faceted restrictions express HAVING clauses and arbitrarily
-/// nested analytic queries.
+/// nested analytic queries. The table is immutable and shared: copies of a
+/// frame (the session keeps one, Execute returns one) share it.
 class AnswerFrame {
  public:
-  AnswerFrame() = default;
-  explicit AnswerFrame(sparql::ResultTable table) : table_(std::move(table)) {}
+  AnswerFrame() : table_(std::make_shared<const sparql::ResultTable>()) {}
+  explicit AnswerFrame(sparql::ResultTable table)
+      : table_(std::make_shared<const sparql::ResultTable>(std::move(table))) {}
 
-  const sparql::ResultTable& table() const { return table_; }
+  const sparql::ResultTable& table() const { return *table_; }
 
   /// Loads the answer as a new dataset into `*out` (paper §5.3.3): each
   /// tuple t_i gets a fresh row resource typed `urn:rdfa:af#Row`, and k
@@ -46,7 +49,7 @@ class AnswerFrame {
   }
 
  private:
-  sparql::ResultTable table_;
+  std::shared_ptr<const sparql::ResultTable> table_;
 };
 
 }  // namespace rdfa::analytics

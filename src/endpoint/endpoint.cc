@@ -310,6 +310,7 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
             case 'M': rec.join_strategies += "merge"; break;
             case 'H': rec.join_strategies += "hash"; break;
             case 'N': rec.join_strategies += "nested-loop"; break;
+            case '*': rec.join_strategies += "star"; break;
             default: rec.join_strategies += c; break;
           }
         }

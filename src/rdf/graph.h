@@ -7,12 +7,14 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/footprint.h"
+#include "common/gallop.h"
 #include "rdf/graph_stats.h"
 #include "rdf/mapped_graph.h"
 #include "rdf/term.h"
@@ -567,6 +569,52 @@ class Graph::ProbeCursor {
     last_low_ = low;
     last_lo_ = lo;
     ScanRange(index, lo, hi, key, perm, fn);
+  }
+
+  /// One pass over subject `s`'s SPO run: calls fn(i, t) for every match t
+  /// of (s, keys[i].first, keys[i].second), with kNoTermId for a free
+  /// object, key by key and each key's matches in SPO order — exactly
+  /// ForEachMatch's for each key. `keys` must ascend (predicate, then a
+  /// free object as 0), so each key's search gallops forward from the
+  /// last one's; the cursor resumes from the first key's, as ForEachMatch.
+  template <typename Fn>
+  void ForEachStarMatch(TermId s,
+                        std::span<const std::pair<TermId, TermId>> keys,
+                        Fn&& fn) {
+    const Graph& g = *graph_;
+    if (g.view_ != nullptr) {
+      for (size_t i = 0; i < keys.size(); ++i) {
+        g.view_->ForEachInPerm(static_cast<int>(kPermSPO), s, keys[i].first,
+                               keys[i].second,
+                               [&](const TripleId& t) { fn(i, t); });
+      }
+      return;
+    }
+    const std::vector<Key>& index = g.IndexFor(kPermSPO);
+    size_t pos = 0;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const auto [p, o] = keys[i];
+      const Key low{s, p, o == kNoTermId ? 0 : o};
+      if (i == 0) {
+        const bool resume = perm_ == kPermSPO && !(low < last_low_);
+        pos = resume ? last_lo_ : 0;
+      }
+      pos = static_cast<size_t>(
+          GallopPartition(index.begin() + static_cast<ptrdiff_t>(pos),
+                          index.end(),
+                          [&low](const Key& k) { return k < low; }) -
+          index.begin());
+      if (i == 0) {
+        perm_ = kPermSPO;
+        last_low_ = low;
+        last_lo_ = pos;
+      }
+      for (size_t j = pos; j < index.size(); ++j) {
+        const Key& k = index[j];
+        if (k.a != s || k.b != p || (o != kNoTermId && k.c != o)) break;
+        fn(i, TripleId{s, p, k.c});
+      }
+    }
   }
 
  private:

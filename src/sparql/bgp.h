@@ -43,8 +43,10 @@ double CalibratedRowEstimate(const rdf::Graph& graph, const CompiledPattern& p,
 enum class JoinStrategy {
   /// Per-pattern cost-based choice (the default and the only served mode):
   /// an order-preserving hash join when one build pays for many probes, one
-  /// index range scan per input row otherwise. With JoinOptions::use_dp,
-  /// planner-v2 runs also take the merge steps the plan marks qualified.
+  /// index range scan per input row otherwise, and one star step for a run
+  /// of constant-predicate patterns on a subject every row binds (bgp.cc).
+  /// With JoinOptions::use_dp, planner-v2 runs take the merge steps the
+  /// plan marks qualified instead of star steps.
   kAdaptive,
   /// One index range scan per input row, everywhere — the test oracle.
   /// Planner-v2 merge steps demote to it in place.
@@ -83,18 +85,20 @@ struct JoinOptions {
   /// Plan-cache capture: when set, receives the order actually executed
   /// (whether replayed, greedily chosen, or source order).
   std::vector<int>* capture_order = nullptr;
-  /// A planner-v2 pipeline calls this between steps with the slots the
-  /// steps so far bind, so the caller can run the FILTERs those slots make
-  /// ready on `*rows` before later steps extend them. Filtering a row early
-  /// drops exactly the extensions that filtering after the join would, and
-  /// keeps the order of the rest. Other joins never call it.
+  /// A top-level run (one all-unbound row), in either pipeline, calls this
+  /// between steps with the slots the steps so far bind, so the caller can
+  /// run the FILTERs those slots make ready on `*rows` before later steps
+  /// extend them. Filtering a row early drops exactly the extensions that
+  /// filtering after the join would, and keeps the order of the rest.
+  /// Seeded runs (OPTIONAL / UNION / EXISTS) never call it.
   std::function<void(const std::set<int>& bound)> after_step;
 };
 
 /// Extends every binding in `*rows` through all `patterns` by index
-/// nested-loop joins. When `reorder` is set, patterns are greedily ordered
-/// by estimated selectivity given the variables bound so far (the ablation
-/// benchmark toggles this). `rows` bindings are grown to `slot_count`.
+/// joins. When `reorder` is set, patterns are greedily ordered by estimated
+/// selectivity given the variables bound so far, a newly bound subject's
+/// single-valued and filtering patterns first (the ablation benchmark
+/// toggles this). `rows` bindings are grown to `slot_count`.
 /// Returns non-OK only when `opts.ctx` trips (DeadlineExceeded/Cancelled).
 Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
                size_t slot_count, bool reorder, const JoinOptions& opts,

@@ -35,7 +35,8 @@ struct ExecStats {
   std::vector<int> join_order;
   /// Join strategy per executed pattern, parallel to join_order:
   /// 'N' = index nested-loop, 'H' = order-preserving hash join,
-  /// 'M' = planner-v2 streaming merge join.
+  /// '*' = one pattern of a star step (one entry per pattern of the run),
+  /// 'S' = planner-v2 seed scan, 'M' = planner-v2 streaming merge join.
   std::vector<char> join_strategy;
   size_t hash_builds = 0;      ///< patterns executed via the hash strategy
   size_t hash_build_rows = 0;  ///< build-side index rows enumerated

@@ -141,8 +141,15 @@ class Translation {
       case AttrExpr::Kind::kIdentity:
         return from_var;
       case AttrExpr::Kind::kProperty: {
+        // A hop after a derived step walks from a variable bound to the
+        // derived value: a built-in call cannot be a triple's subject.
+        std::string subject = from_var;
+        if (subject.front() != '?') {
+          subject = FreshVar();
+          patterns_.push_back("BIND(" + from_var + " AS " + subject + ") .");
+        }
         std::string right = FreshVar();
-        patterns_.push_back(from_var + " <" + attr.property + "> " + right +
+        patterns_.push_back(subject + " <" + attr.property + "> " + right +
                             " .");
         return right;
       }
