@@ -1,8 +1,8 @@
 // Ablation study over the BGP query-path knobs: join reordering (source vs
 // greedy order from GraphStats-calibrated estimates), the join strategy
 // (index nested-loop vs adaptive order-preserving hash join), and planner
-// v2 (DP join ordering + order-aware merge joins with sideways information
-// passing). Every configuration must return the same result set; what
+// v2 (DP join ordering and a seed scan sorted on the join key the later
+// steps probe). Every configuration must return the same result set; what
 // changes is the work done, reported as total index rows enumerated
 // (rows_scanned) and wall time.
 //
@@ -70,7 +70,7 @@ struct QuerySpec {
 // big-range-first so the no-reorder runs exercise the probe-many shape the
 // hash join targets; the reordered runs show what the cost model picks; the
 // chains give the DP planner orders whose intermediates stay sorted on the
-// join variable, which is where the merge join earns its keep.
+// join variable, where an NLJ step probes each repeated key once.
 const QuerySpec kSuite[] = {
     {"Q1", "laptop -> company origin",
      "SELECT ?l ?m ?c WHERE { ?l ex:manufacturer ?m . ?m ex:origin ?c . }"},
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
       // Adaptive hash join.
       {"adaptive/source", false, adaptive},
       {"adaptive/reorder", true, adaptive},
-      // Planner v2: DP join ordering + merge joins. DP *is* the reorderer,
+      // Planner v2: DP join ordering + seed scan. DP *is* the reorderer,
       // so it ignores the reorder flag and one plan covers both orders.
       {"dp", true, JoinStrategy::kAdaptive, true},
   };
@@ -376,7 +376,7 @@ int main(int argc, char** argv) {
   }
   const bool dp_won = dp_scanned < adaptive_scanned;
   if (!ablate_hash && !dp_won) {
-    std::printf("FAILED: planner v2 (DP+merge) did not reduce rows scanned\n");
+    std::printf("FAILED: planner v2 (DP) did not reduce rows scanned\n");
   }
 
   if (!json_path.empty()) {

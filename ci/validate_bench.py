@@ -24,7 +24,7 @@ carrying its own inline python:
       byte-identical across the heap and mapped backends
 
   validate_bench.py planner-gates --heap=F --mmap=F [--min-ratio=1.3]
-      the planner-v2 gates: the DP+merge configuration must scan at least
+      the planner-v2 gates: the DP configuration must scan at least
       min-ratio x fewer rows than the adaptive one over the suite, and every
       (query, config) result-set hash must agree between the heap and mmap
       runs
@@ -199,7 +199,7 @@ def cmd_planner_gates(args):
     for doc, name in ((heap, "heap"), (mmap_, "mmap")):
         assert doc["byte_identical"], "%s run diverged across configs" % name
 
-    # Gate 1: the DP+merge planner must beat the adaptive configuration on
+    # Gate 1: the DP planner must beat the adaptive configuration on
     # total rows scanned by min-ratio x (the heap run is authoritative).
     ratio = heap["planner_ratio"]
     assert ratio >= args.min_ratio, (
@@ -219,7 +219,7 @@ def cmd_planner_gates(args):
     diverged = [k for k in h_heap if h_heap[k] != h_mmap[k]]
     assert not diverged, "heap/mmap result hashes diverge: %s" % diverged
 
-    print("planner gates ok: dp+merge %.2fx fewer rows than adaptive "
+    print("planner gates ok: dp %.2fx fewer rows than adaptive "
           "(>= %.2fx), %d (query, config) hashes identical across backends"
           % (ratio, args.min_ratio, len(h_heap)))
 
@@ -262,8 +262,7 @@ def cmd_server_gates(args):
 def _check_plan_json(plan):
     """Asserts `plan` matches the EXPLAIN plan-JSON schema."""
     assert plan["form"] in ("select", "ask", "construct", "describe"), plan
-    assert plan["strategy"] in ("adaptive", "nested-loop", "hash", "merge"), (
-        plan["strategy"])
+    assert plan["strategy"] in ("adaptive", "nested-loop"), plan["strategy"]
     assert isinstance(plan["use_dp"], bool), plan
     assert isinstance(plan["threads"], int) and plan["threads"] >= 1, plan
     assert plan["backend"] in ("heap", "mmap"), plan["backend"]
@@ -273,7 +272,7 @@ def _check_plan_json(plan):
         assert isinstance(bgp["steps"], list) and bgp["steps"], bgp
         for step in bgp["steps"]:
             assert isinstance(step["pattern"], int), step
-            assert step["strategy"] in ("S", "M", "A"), step
+            assert step["strategy"] in ("S", "A"), step
             assert re.fullmatch(r"[SPO]{3}", step["perm"]), step
             assert step["est_rows"] >= 0, step
             assert step["est_cost"] >= 0, step

@@ -78,8 +78,6 @@ std::string FormatQueryLogLine(const QueryLogRecord& rec) {
   }
   out += ",\"dp_used\":";
   out += rec.dp_used ? "true" : "false";
-  out += ",\"sieve_builds\":" + std::to_string(rec.sieve_builds);
-  out += ",\"merge_joins\":" + std::to_string(rec.merge_joins);
   if (!rec.storage_backend.empty()) {
     out += ",\"storage_backend\":\"" + JsonEscape(rec.storage_backend) + "\"";
   }

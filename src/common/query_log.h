@@ -22,12 +22,10 @@ struct QueryLogRecord {
   std::string exec_stats_json;  ///< ExecStats::ToJson() output, verbatim
   std::string trace_file;       ///< path of the Chrome trace, if one was written
   /// Comma-joined join strategies the BGP steps actually ran with
-  /// ("merge,hash" etc.), from ExecStats::join_strategies. Empty when the
+  /// ("seed,hash" etc.), from ExecStats::join_strategy. Empty when the
   /// query had no BGP joins.
   std::string join_strategies;
   bool dp_used = false;         ///< DP join ordering produced the plan order
-  int64_t sieve_builds = 0;     ///< bitmap sieves built across BGP steps
-  int64_t merge_joins = 0;      ///< merge-join steps executed
   std::string storage_backend;  ///< "heap" or "mmap" ("" when unknown)
   std::string profile_json;     ///< Tracer::ProfileJson(), embedded verbatim
 };

@@ -307,7 +307,6 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
           if (!rec.join_strategies.empty()) rec.join_strategies += ",";
           switch (c) {
             case 'S': rec.join_strategies += "seed"; break;
-            case 'M': rec.join_strategies += "merge"; break;
             case 'H': rec.join_strategies += "hash"; break;
             case 'N': rec.join_strategies += "nested-loop"; break;
             case '*': rec.join_strategies += "star"; break;
@@ -315,8 +314,6 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
           }
         }
         rec.dp_used = resp.exec_stats.dp_plans > 0;
-        rec.sieve_builds = static_cast<int64_t>(resp.exec_stats.sieve_keys);
-        rec.merge_joins = static_cast<int64_t>(resp.exec_stats.merge_joins);
       }
       rec.storage_backend = storage_backend;
       rec.trace_file = trace_path;

@@ -1,7 +1,6 @@
 #include "rdf/graph.h"
 
 #include <mutex>
-#include <tuple>
 
 #include "common/gallop.h"
 
@@ -269,80 +268,6 @@ void Graph::EnsureSecondaryIndexes() const {
   std::sort(sop_.begin(), sop_.end());
   std::sort(ops_.begin(), ops_.end());
   sec_dirty_.store(false, std::memory_order_release);
-}
-
-Graph::MergeCursor Graph::OpenMergeCursor(Perm perm, TermId s, TermId p,
-                                          TermId o) const {
-  MergeCursor cur;
-  cur.perm_ = perm;
-  const Key probe = PermuteKey(perm, s, p, o);
-  cur.merge_lane_ = probe.a == kNoTermId ? 0 : probe.b == kNoTermId ? 1 : 2;
-  cur.prefix_ = Key{probe.a == kNoTermId ? 0 : probe.a,
-                    probe.b == kNoTermId ? 0 : probe.b,
-                    probe.c == kNoTermId ? 0 : probe.c};
-  size_t lo = 0, hi = 0;
-  if (view_ != nullptr && perm <= kPermOSP) {
-    cur.view_ = view_.get();
-    std::tie(lo, hi) = view_->Range(static_cast<int>(perm),
-                                    MappedGraphView::PermKey{probe.a, probe.b,
-                                                             probe.c});
-  } else {
-    const std::vector<Key>& index = IndexFor(perm);
-    cur.index_ = &index;
-    std::tie(lo, hi) = Range(index, probe);
-  }
-  cur.lo_ = cur.pos_ = lo;
-  cur.hi_ = hi;
-  if (cur.pos_ < cur.hi_) cur.decoded_ = 1;
-  return cur;
-}
-
-Graph::Key Graph::MergeCursor::Entry() const {
-  if (index_ != nullptr) return (*index_)[pos_];
-  const size_t b = pos_ / MappedGraphView::kPermBlock;
-  if (b != block_id_) {
-    block_.resize(MappedGraphView::kPermBlock);
-    view_->DecodeKeyBlock(static_cast<int>(perm_), b, block_.data());
-    block_id_ = b;
-  }
-  const MappedGraphView::PermKey& k =
-      block_[pos_ % MappedGraphView::kPermBlock];
-  return Key{k.a, k.b, k.c};
-}
-
-void Graph::MergeCursor::SeekGE(TermId v) {
-  ++seeks_;
-  if (at_end() || key() >= v) return;
-  Key probe = prefix_;
-  switch (merge_lane_) {
-    case 0: probe.a = v; probe.b = 0; probe.c = 0; break;
-    case 1: probe.b = v; probe.c = 0; break;
-    default: probe.c = v; break;
-  }
-  size_t target;
-  if (index_ != nullptr) {
-    target = static_cast<size_t>(
-        std::lower_bound(index_->begin() + pos_, index_->begin() + hi_,
-                         probe) -
-        index_->begin());
-  } else {
-    // The global lower bound is monotone with the seek keys, so it can
-    // never land before the current position.
-    target = view_->LowerBoundPos(
-        static_cast<int>(perm_),
-        MappedGraphView::PermKey{probe.a, probe.b, probe.c});
-    target = std::max(target, pos_);
-    // Credit posting-list blocks the seek jumped over without decoding
-    // (the SIP win the observability layer surfaces per query).
-    const size_t from_block = pos_ / MappedGraphView::kPermBlock;
-    const size_t to_block =
-        std::min(target, hi_) / MappedGraphView::kPermBlock;
-    if (to_block > from_block) {
-      view_->AddBlocksSkipped(to_block - from_block);
-    }
-  }
-  pos_ = std::min(target, hi_);
-  if (pos_ < hi_) ++decoded_;
 }
 
 void Graph::ComputeStatsLocked() const {

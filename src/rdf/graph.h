@@ -136,7 +136,7 @@ class Graph {
   /// As above, but considers all six permutations and — among those with
   /// the longest bound prefix — prefers the one whose first *free* lane is
   /// `prefer_lane` (0 = s, 1 = p, 2 = o; -1 = no preference). The planner
-  /// uses this to pick scan orders that feed downstream merge joins: ties
+  /// uses this to pick seed scan orders sorted on a downstream join key: ties
   /// the 3-arg overload resolves by enum order (forfeiting the interesting
   /// order) resolve here toward the requested sort lane. Primaries win
   /// remaining ties, then enum order, so with no (or an unsatisfiable)
@@ -347,24 +347,6 @@ class Graph {
     return {pred_gens_.begin(), pred_gens_.end()};
   }
 
-  /// Streaming cursor over one narrowed permutation range, the scan half of
-  /// the merge join. The constant lanes of the pattern must form a complete
-  /// prefix of `perm`; the merge lane is the first free lane after them, so
-  /// entries stream in ascending merge-key order. SeekGE is the sideways-
-  /// information-passing hook: it binary-searches forward to the next
-  /// candidate key, and on the mapped backend skips whole posting-list
-  /// blocks without decoding them. decoded() counts entries actually
-  /// materialized (the merge join's rows-scanned contribution); seeks()
-  /// counts SeekGE calls separately — a seek is a binary search, not a row
-  /// enumeration, so the two are never conflated in ExecStats.
-  class MergeCursor;
-
-  /// Opens a cursor over `perm` narrowed to the pattern's constant lanes
-  /// (kNoTermId = free). Primaries are served off the mapped view when one
-  /// is attached (lazy per-block decode); secondaries and heap graphs use
-  /// the sorted in-memory index.
-  MergeCursor OpenMergeCursor(Perm perm, TermId s, TermId p, TermId o) const;
-
   /// Lazily builds the three secondary permutations (PSO, SOP, OPS) from
   /// the triple list. Not persisted in snapshots: the planner pays this
   /// build on first use of a sort order the primaries cannot provide, and
@@ -467,7 +449,7 @@ class Graph {
 
   // The sorted index vector for `perm`, built on demand. Callers on a
   // mapped graph should prefer the view for primaries; this is the heap /
-  // secondary fallback the merge cursor uses.
+  // secondary fallback.
   const std::vector<Key>& IndexFor(Perm perm) const;
 
   // Recomputes stats_ from the freshly sorted indexes. Caller must hold
@@ -628,50 +610,6 @@ template <typename Fn>
 void Graph::ForEachMatch(TermId s, TermId p, TermId o, Fn&& fn) const {
   ProbeCursor(*this).ForEachMatch(s, p, o, std::forward<Fn>(fn));
 }
-
-class Graph::MergeCursor {
- public:
-  MergeCursor() = default;
-
-  bool at_end() const { return pos_ >= hi_; }
-  /// Merge-lane value (the sort key) of the current entry.
-  TermId key() const { return Lane(Entry(), merge_lane_); }
-  /// The current entry as a triple.
-  TripleId triple() const { return Graph::Unpermute(Entry(), perm_); }
-  /// Advances one entry; the new entry (if any) counts as decoded.
-  void Next() {
-    ++pos_;
-    if (pos_ < hi_) ++decoded_;
-  }
-  /// Jumps to the first entry at or past merge key `v` (keys must be sought
-  /// in ascending order). Entries skipped over are never decoded — on the
-  /// mapped backend only the per-block index is touched.
-  void SeekGE(TermId v);
-
-  /// Entries materialized so far (rows-scanned accounting).
-  size_t decoded() const { return decoded_; }
-  /// SeekGE calls so far (reported separately from decoded entries).
-  size_t seeks() const { return seeks_; }
-
- private:
-  friend class Graph;
-  Key Entry() const;
-  static TermId Lane(const Key& k, int lane) {
-    return lane == 0 ? k.a : lane == 1 ? k.b : k.c;
-  }
-
-  Perm perm_ = kPermSPO;
-  int merge_lane_ = 0;  ///< key lane holding the merge variable (0..2)
-  Key prefix_{0, 0, 0};  ///< constant lanes; zero elsewhere (seek probes)
-  const std::vector<Key>* index_ = nullptr;  ///< heap / secondary backend
-  const MappedGraphView* view_ = nullptr;    ///< mapped primary backend
-  size_t lo_ = 0, hi_ = 0, pos_ = 0;
-  size_t decoded_ = 0, seeks_ = 0;
-  // Mapped flavor: the one block the cursor position lies in, decoded
-  // lazily (kPermBlock keys at a time, same as ForEachInPerm).
-  mutable std::vector<MappedGraphView::PermKey> block_;
-  mutable size_t block_id_ = static_cast<size_t>(-1);
-};
 
 }  // namespace rdfa::rdf
 

@@ -99,15 +99,6 @@ class MappedGraphView : public TermDictSource {
   /// returns the number of keys decoded.
   size_t DecodeKeyBlock(int perm, size_t block, PermKey* out) const;
 
-  /// Global position of the first key >= `probe` (a fully-bound permuted
-  /// key) — the public twin of the internal binary search. Streaming merge
-  /// cursors use it to seek past non-matching keys (sideways information
-  /// passing) touching only the per-block index entries, never the skipped
-  /// posting-list blocks themselves.
-  size_t LowerBoundPos(int perm, const PermKey& probe) const {
-    return LowerBound(perm, probe);
-  }
-
   /// Enumerates matches in the permutation's sort order, decoding only the
   /// blocks overlapping the narrowed range — the mapped twin of the heap
   /// Graph's ScanIndex, including the inline filter on non-prefix lanes.
@@ -143,19 +134,12 @@ class MappedGraphView : public TermDictSource {
     uint64_t key_blocks_decoded = 0;
     uint64_t term_blocks_decoded = 0;
     uint64_t dict_lookups = 0;
-    uint64_t blocks_skipped = 0;  ///< merge-cursor SeekGE block skips
   };
   DecodeCounters decode_counters() const {
     return DecodeCounters{
         key_blocks_decoded_.load(std::memory_order_relaxed),
         term_blocks_decoded_.load(std::memory_order_relaxed),
-        dict_lookups_.load(std::memory_order_relaxed),
-        blocks_skipped_.load(std::memory_order_relaxed)};
-  }
-  /// Credits block skips a merge cursor's SeekGE achieved (graph.cc calls
-  /// this from the mapped cursor flavor).
-  void AddBlocksSkipped(uint64_t n) const {
-    blocks_skipped_.fetch_add(n, std::memory_order_relaxed);
+        dict_lookups_.load(std::memory_order_relaxed)};
   }
 
   /// Permutes a pattern into `perm`'s lane order (wildcards preserved).
@@ -225,7 +209,6 @@ class MappedGraphView : public TermDictSource {
   mutable std::atomic<uint64_t> key_blocks_decoded_{0};
   mutable std::atomic<uint64_t> term_blocks_decoded_{0};
   mutable std::atomic<uint64_t> dict_lookups_{0};
-  mutable std::atomic<uint64_t> blocks_skipped_{0};
 };
 
 }  // namespace rdfa::rdf

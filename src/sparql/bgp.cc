@@ -183,6 +183,14 @@ void ExtendRowBy(const CompiledPattern& p, Binding* row,
   if (BindTriple(p, matches.back(), row)) out->push_back(std::move(*row));
 }
 
+// The (s, p, o) a probe of `p` under `row` looks up: the constants and the
+// row's bindings, kNoTermId on a free lane.
+inline rdf::TripleId ProbeKey(const CompiledPattern& p, const Binding& row) {
+  return {p.s_var < 0 ? p.s_id : row[p.s_var],
+          p.p_var < 0 ? p.p_id : row[p.p_var],
+          p.o_var < 0 ? p.o_id : row[p.o_var]};
+}
+
 // A scan's matches, collected with the cheap stop flag polled every
 // kCheckEveryRows rows enumerated (counted across every scan collected).
 // Once the flag trips, scans drain without collecting; the caller turns
@@ -202,13 +210,10 @@ struct ScanMatches {
     out->push_back(t);
   }
 
-  // Replaces the collected triples with the matches of `p` under `row`.
-  void Probe(rdf::Graph::ProbeCursor* cursor, const CompiledPattern& p,
-             const Binding& row) {
+  // Replaces the collected triples with the matches of probe key `key`.
+  void Probe(rdf::Graph::ProbeCursor* cursor, const rdf::TripleId& key) {
     triples.clear();
-    cursor->ForEachMatch(p.s_var < 0 ? p.s_id : row[p.s_var],
-                         p.p_var < 0 ? p.p_id : row[p.p_var],
-                         p.o_var < 0 ? p.o_id : row[p.o_var],
+    cursor->ForEachMatch(key.s, key.p, key.o,
                          [this](const rdf::TripleId& t) { Add(t); });
   }
 
@@ -222,14 +227,26 @@ struct ScanMatches {
 // results (in row order) to `*out` and leaving the input rows unspecified.
 // Returns the number of index rows enumerated. One probe cursor serves the
 // range: input sorted on the probed lane (a seed scan's order) gallops
-// from probe to probe.
+// from probe to probe. With `reuse`, a row whose probe key equals the
+// previous row's replays that row's matches instead of probing again, so
+// sorted input decodes each repeated join key once; the kNestedLoop oracle
+// probes every row.
 size_t ExtendRange(const rdf::Graph& graph, const CompiledPattern& p,
-                   std::vector<Binding>* rows, size_t begin, size_t end,
-                   const QueryContext* ctx, std::vector<Binding>* out) {
+                   bool reuse, std::vector<Binding>* rows, size_t begin,
+                   size_t end, const QueryContext* ctx,
+                   std::vector<Binding>* out) {
   rdf::Graph::ProbeCursor cursor(graph);
   ScanMatches scan{ctx};
+  rdf::TripleId last{};
   for (size_t r = begin; r < end && !scan.stopped; ++r) {
-    scan.Probe(&cursor, p, (*rows)[r]);
+    const rdf::TripleId key = ProbeKey(p, (*rows)[r]);
+    if (!reuse || r == begin || key != last) {
+      scan.Probe(&cursor, key);
+      last = key;
+    } else if (ctx != nullptr && (r - begin) % kCheckEveryRows == 0 &&
+               ctx->ShouldStop()) {
+      break;  // replays enumerate nothing; poll the stop flag by rows
+    }
     ExtendRowBy(p, &(*rows)[r], scan.triples, out);
   }
   return scan.scanned;
@@ -384,7 +401,7 @@ size_t ProbeHashRange(const rdf::Graph& graph, const CompiledPattern& p,
       }
       ExtendRowBy(p, &row, {bucket.data(), hits}, out);
     } else {
-      fallback.Probe(&cursor, p, row);
+      fallback.Probe(&cursor, ProbeKey(p, row));
       ExtendRowBy(p, &row, fallback.triples, out);
     }
   }
@@ -400,9 +417,8 @@ Tracer* TracerOf(const JoinOptions& opts) {
 // morsel order, into the whole step's.
 struct StepPart {
   std::vector<Binding> rows;
-  size_t scanned = 0;     ///< index rows enumerated (merge: entries decoded)
+  size_t scanned = 0;     ///< index rows enumerated
   size_t probe_hits = 0;  ///< hash bucket entries probed
-  size_t seeks = 0;       ///< merge cursor seeks
   /// Star step: per run pattern, the index rows its NLJ step would
   /// enumerate, up to the last pattern an NLJ step would reach (the steps
   /// after an empty output never run).
@@ -433,7 +449,6 @@ StepPart RunStepMorsels(size_t n, const JoinOptions& opts,
   for (StepPart& part : parts) {
     all.scanned += part.scanned;
     all.probe_hits += part.probe_hits;
-    all.seeks += part.seeks;
     all.pattern_scanned.resize(
         std::max(all.pattern_scanned.size(), part.pattern_scanned.size()));
     for (size_t j = 0; j < part.pattern_scanned.size(); ++j) {
@@ -521,10 +536,9 @@ StepPart ExtendSeed(const CompiledPattern& p, const Binding& row,
   return step;
 }
 
-// Executes one pattern step through the v1 hash/NLJ machinery — shared by
-// the classic pattern loop and planner-v2 non-merge (or demoted) steps.
-// Replaces *rows with the extended set; empty output short-circuits in the
-// caller.
+// Executes one pattern step as a hash join or an NLJ, whichever PlanHash
+// picks. Replaces *rows with the extended set; empty output short-circuits
+// in the caller.
 Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
                            int source_pattern, const JoinOptions& opts,
                            std::vector<Binding>* rows) {
@@ -566,14 +580,15 @@ Status ExecuteAdaptiveStep(const rdf::Graph& graph, const CompiledPattern& p,
         } else if (rows->size() == 1) {
           rdf::Graph::ProbeCursor cursor(graph);
           ScanMatches seed{opts.ctx};
-          seed.Probe(&cursor, p, rows->front());
+          seed.Probe(&cursor, ProbeKey(p, rows->front()));
           step = ExtendSeed(p, rows->front(), seed, opts);
         } else {
           step = RunStepMorsels(
               rows->size(), opts, [&](size_t lo, size_t hi, StepPart* part) {
                 part->rows.reserve(hi - lo);
-                part->scanned = ExtendRange(graph, p, rows, lo, hi, opts.ctx,
-                                            &part->rows);
+                part->scanned = ExtendRange(
+                    graph, p, opts.strategy == JoinStrategy::kAdaptive, rows,
+                    lo, hi, opts.ctx, &part->rows);
               });
         }
         span->Arg("strategy", plan.use_hash ? "hash" : "nested-loop");
@@ -709,20 +724,20 @@ Status ExecuteStarStep(const rdf::Graph& graph,
   });
 }
 
-// ---- planner v2: seed scan / sieve / merge steps -------------------------
+// ---- seed scan -------------------------------------------------------------
 
-// Planner-v2 seed step: enumerate the first pattern's constant-narrowed
-// range in the plan's permutation, so the intermediate comes out sorted on
-// the interesting-order variable, then extend the seed row through the
-// seed kernel.
+// The first step of a DP-seeded run: enumerate the first pattern's
+// constant-narrowed range in `perm`, so the intermediate comes out sorted on
+// the plan's interesting-order variable and the later steps probe sorted
+// input, then extend the seed row through the seed kernel.
 Status ExecuteSeedStep(const rdf::Graph& graph, const CompiledPattern& p,
-                       int source_pattern, const PlannedStep& step,
+                       int source_pattern, rdf::Graph::Perm perm,
                        const JoinOptions& opts, std::vector<Binding>* rows) {
   return JoinStep('S', {&source_pattern, 1}, opts, rows, [&](TraceSpan* span) {
     span->Arg("strategy", "seed-scan");
-    span->Arg("perm", PermName(step.perm));
+    span->Arg("perm", PermName(perm));
     ScanMatches seed{opts.ctx};
-    graph.ForEachInPerm(step.perm, p.s_var < 0 ? p.s_id : kNoTermId,
+    graph.ForEachInPerm(perm, p.s_var < 0 ? p.s_id : kNoTermId,
                         p.p_var < 0 ? p.p_id : kNoTermId,
                         p.o_var < 0 ? p.o_id : kNoTermId,
                         [&](const rdf::TripleId& t) { seed.Add(t); });
@@ -730,145 +745,16 @@ Status ExecuteSeedStep(const rdf::Graph& graph, const CompiledPattern& p,
   });
 }
 
-// A contiguous run of input rows sharing one interesting-order key — the
-// sieve a merge step pushes into its cursor.
-struct SieveRun {
-  TermId key;
-  size_t begin, end;  // input-row extent [begin, end)
-};
-
-// Builds the sieve: distinct head-slot values of the (sorted) input with
-// their run extents. Returns false when a row leaves the head unbound or
-// breaks the sort order — the caller then demotes the step to the adaptive
-// machinery, which is byte-identical. A tripped counted check is reported
-// through *status with the sieve left partial.
-bool BuildSieve(const std::vector<Binding>& rows, int head_slot,
-                const QueryContext* ctx, std::vector<SieveRun>* runs,
-                Status* status) {
-  runs->clear();
-  size_t polled = 0;
-  for (size_t r = 0; r < rows.size(); ++r) {
-    const TermId v = rows[r][head_slot];
-    if (v == kNoTermId) return false;
-    if (!runs->empty() && v < runs->back().key) return false;
-    if (ctx != nullptr && ++polled % kCheckEveryRows == 0) {
-      Status check = ctx->Check("sieve-build");
-      if (!check.ok()) {
-        *status = check;
-        return true;
-      }
-    }
-    if (runs->empty() || v != runs->back().key) {
-      runs->push_back({v, r, r + 1});
-    } else {
-      runs->back().end = r + 1;
-    }
-  }
-  return true;
-}
-
-// Streams one merge cursor against the sieve runs [run_lo, run_hi),
-// appending extensions in input-row order to out->rows and counting the
-// entries decoded and seeks into *out. The cursor seeks straight to each
-// run's key (sideways information passing: whole blocks of non-candidates
-// are skipped undecoded). Each key group is buffered once and replayed
-// across its run's rows through ExtendRowBy, as the NLJ kernel extends a
-// row, so each row moves into its last extension and is left unspecified.
-// The replay enumerates exactly the triples (in exactly the order) a
-// per-row NLJ probe of that key would, which is the byte-identity argument.
-Status MergeRuns(const rdf::Graph& graph, const CompiledPattern& p,
-                 rdf::Graph::Perm perm, std::vector<Binding>* rows,
-                 const std::vector<SieveRun>& runs, size_t run_lo,
-                 size_t run_hi, const QueryContext* ctx, StepPart* out) {
-  rdf::Graph::MergeCursor cur = graph.OpenMergeCursor(
-      perm, p.s_var < 0 ? p.s_id : kNoTermId,
-      p.p_var < 0 ? p.p_id : kNoTermId, p.o_var < 0 ? p.o_id : kNoTermId);
-  auto count_cursor = [&] {
-    out->scanned += cur.decoded();
-    out->seeks += cur.seeks();
-  };
-  std::vector<rdf::TripleId> group;
-  size_t advances = 0;
-  for (size_t ri = run_lo; ri < run_hi && !cur.at_end(); ++ri) {
-    const SieveRun& run = runs[ri];
-    cur.SeekGE(run.key);
-    if (cur.at_end()) break;
-    if (cur.key() != run.key) continue;
-    group.clear();
-    while (!cur.at_end() && cur.key() == run.key) {
-      group.push_back(cur.triple());
-      cur.Next();
-      if (ctx != nullptr && ++advances % kCheckEveryRows == 0) {
-        Status check = ctx->Check("merge-advance");
-        if (!check.ok()) {
-          count_cursor();
-          return check;
-        }
-      }
-    }
-    for (size_t r = run.begin; r < run.end; ++r) {
-      ExtendRowBy(p, &(*rows)[r], group, &out->rows);
-    }
-  }
-  count_cursor();
-  return Status::OK();
-}
-
-// Planner-v2 merge step: sieve the input's interesting-order keys, stream
-// an order-agreeing cursor against them. Parallel execution splits the
-// *runs* into morsels, each with its own cursor; concatenation in morsel
-// order equals the serial output.
-Status ExecuteMergeStep(const rdf::Graph& graph, const CompiledPattern& p,
-                        int source_pattern, const PlannedStep& step,
-                        int head_slot, const JoinOptions& opts,
-                        std::vector<Binding>* rows) {
-  std::vector<SieveRun> runs;
-  Status sieve_status = Status::OK();
-  if (!BuildSieve(*rows, head_slot, opts.ctx, &runs, &sieve_status)) {
-    // Head unbound or input unsorted — impossible for trivial-seed
-    // pipelines, but the demotion is byte-identical regardless.
-    return ExecuteAdaptiveStep(graph, p, source_pattern, opts, rows);
-  }
-  return JoinStep(
-      'M', {&source_pattern, 1}, opts, rows, [&](TraceSpan* span) {
-        span->Arg("strategy", "merge");
-        span->Arg("perm", PermName(step.perm));
-        span->Arg("sieve_keys", static_cast<uint64_t>(runs.size()));
-        StepPart merged;
-        if (sieve_status.ok()) {
-          merged = RunStepMorsels(
-              runs.size(), opts, [&](size_t lo, size_t hi, StepPart* part) {
-                if (lo < hi) {
-                  part->rows.reserve(runs[hi - 1].end - runs[lo].begin);
-                }
-                part->status = MergeRuns(graph, p, step.perm, rows, runs, lo,
-                                         hi, opts.ctx, part);
-              });
-        } else {
-          merged.status = sieve_status;
-        }
-        if (opts.stats != nullptr) {
-          ++opts.stats->merge_joins;
-          opts.stats->merge_rows_decoded += merged.scanned;
-          opts.stats->sieve_seeks += merged.seeks;
-          opts.stats->sieve_keys += runs.size();
-        }
-        span->Arg("sieve_seeks", static_cast<uint64_t>(merged.seeks));
-        return merged;
-      });
-}
-
-// Planner-v2 pipeline: annotate the execution-ordered patterns, surface the
-// plan shape, run the seed scan in the interesting-order permutation, then
-// each later step as a merge (when qualified and not forced to NLJ) or
-// through the adaptive machinery. Annotation is a pure function of the
-// order, so a plan-cache replay of the captured order reproduces the plan
-// bit-for-bit.
-Status ExecuteBgpV2(const rdf::Graph& graph,
-                    const std::vector<CompiledPattern>& patterns,
-                    const std::vector<int>& source_index, bool dp_ordered,
-                    const JoinOptions& opts, std::vector<Binding>* rows) {
-  BgpPlan plan = AnnotateBgpPlan(graph, patterns);
+// Plans a DP-seeded run's seed: annotates the execution-ordered patterns,
+// surfaces the plan shape and builds the secondary permutations first, in
+// their own stage, when the seed scans one. Returns the seed permutation.
+// Annotation is a pure function of the order, so a plan-cache replay of the
+// captured order reproduces the plan bit-for-bit.
+rdf::Graph::Perm PlanSeed(const rdf::Graph& graph,
+                          const std::vector<CompiledPattern>& patterns,
+                          const std::vector<int>& source_index,
+                          bool dp_ordered, const JoinOptions& opts) {
+  BgpPlan plan = AnnotateBgpPlan(graph, patterns, /*seeded=*/true);
   plan.used_dp = dp_ordered;
   {
     TraceSpan plan_span(TracerOf(opts), "plan-v2");
@@ -880,52 +766,20 @@ Status ExecuteBgpV2(const rdf::Graph& graph,
     opts.stats->plan_shapes.push_back(plan.ToJson(source_index));
     if (dp_ordered) ++opts.stats->dp_plans;
   }
-  // kNestedLoop demotes qualified merge steps to the NLJ oracle —
-  // byte-identical by the order argument in MergeRuns.
-  const bool merge_enabled = opts.strategy == JoinStrategy::kAdaptive;
-  // A plan that streams a secondary permutation builds the secondaries
-  // first, in their own stage, so the build is not charged to the join.
-  bool needs_secondary = plan.steps[0].perm >= rdf::Graph::kPermPSO;
-  for (size_t pi = 1; pi < patterns.size(); ++pi) {
-    needs_secondary = needs_secondary ||
-                      (merge_enabled && plan.steps[pi].strategy == 'M' &&
-                       plan.steps[pi].perm >= rdf::Graph::kPermPSO);
-  }
-  if (needs_secondary && !graph.secondary_indexes_built()) {
+  const rdf::Graph::Perm perm = plan.steps[0].perm;
+  if (perm >= rdf::Graph::kPermPSO && !graph.secondary_indexes_built()) {
     TraceSpan build_span(
         TracerOf(opts), "index-build-secondary",
         opts.stats != nullptr ? &opts.stats->index_build_ms : nullptr);
     graph.EnsureSecondaryIndexes();
   }
-  std::set<int> bound;
-  auto after_step = [&](size_t pi) {
-    MarkBound(patterns[pi], &bound);
-    if (opts.after_step && pi + 1 < patterns.size()) opts.after_step(bound);
-  };
-  RDFA_RETURN_NOT_OK(ExecuteSeedStep(graph, patterns[0], source_index[0],
-                                     plan.steps[0], opts, rows));
-  after_step(0);
-  if (rows->empty()) return Status::OK();
-  for (size_t pi = 1; pi < patterns.size(); ++pi) {
-    const PlannedStep& step = plan.steps[pi];
-    if (step.strategy == 'M' && merge_enabled) {
-      RDFA_RETURN_NOT_OK(ExecuteMergeStep(graph, patterns[pi],
-                                          source_index[pi], step,
-                                          plan.head_slot, opts, rows));
-    } else {
-      RDFA_RETURN_NOT_OK(ExecuteAdaptiveStep(graph, patterns[pi],
-                                             source_index[pi], opts, rows));
-    }
-    after_step(pi);
-    if (rows->empty()) return Status::OK();
-  }
-  return Status::OK();
+  return perm;
 }
 
-/// A top-level run: one all-unbound seed row. Planner v2 engages only on
-/// these — its interesting-order and seed-scan reasoning assumes the first
-/// pattern produces the intermediate. Seeded re-entries (OPTIONAL / UNION /
-/// EXISTS) run the v1 machinery.
+/// A top-level run: one all-unbound seed row. Only these start with a seed
+/// scan under use_dp, since its interesting order assumes the first pattern
+/// produces the intermediate; seeded re-entries (OPTIONAL / UNION / EXISTS)
+/// probe from their input rows.
 bool TopLevelRun(const std::vector<Binding>& rows) {
   if (rows.size() != 1) return false;
   for (TermId v : rows.front()) {
@@ -963,7 +817,8 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
 
   Tracer* tracer = TracerOf(opts);
 
-  const bool v2 = opts.use_dp && !patterns.empty() && TopLevelRun(*rows);
+  const bool top_level = TopLevelRun(*rows);
+  const bool seeded = opts.use_dp && !patterns.empty() && top_level;
   // "This plan's order came from the DP search" — deterministic across
   // capture and replay (a replayed DP order still reports dp=true).
   const bool dp_ordered = DpOrders(opts, *rows, patterns.size());
@@ -1015,17 +870,21 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
     opts.capture_order->assign(source_index.begin(), source_index.end());
   }
 
-  if (v2) {
-    return ExecuteBgpV2(graph, patterns, source_index, dp_ordered, opts,
-                        rows);
-  }
-  // A star run executes as one step, every other pattern as its own; on a
+  // A DP-seeded run starts with a seed scan in the plan's permutation. Then
+  // a star run executes as one step, every other pattern as its own; on a
   // top-level run the FILTERs the steps so far make ready run in between.
-  const bool top_level = TopLevelRun(*rows);
+  const rdf::Graph::Perm seed_perm =
+      seeded ? PlanSeed(graph, patterns, source_index, dp_ordered, opts)
+             : rdf::Graph::kPermSPO;
   std::set<int> bound;
   for (size_t pi = 0; pi < patterns.size();) {
-    const size_t end = StarRunEnd(graph, patterns, pi, opts, *rows);
-    if (end > pi) {
+    const bool seed = seeded && pi == 0;
+    const size_t end =
+        seed ? pi : StarRunEnd(graph, patterns, pi, opts, *rows);
+    if (seed) {
+      RDFA_RETURN_NOT_OK(ExecuteSeedStep(graph, patterns[0], source_index[0],
+                                         seed_perm, opts, rows));
+    } else if (end > pi) {
       RDFA_RETURN_NOT_OK(ExecuteStarStep(
           graph, std::span(patterns).subspan(pi, end - pi),
           std::span(source_index).subspan(pi, end - pi), opts, rows));

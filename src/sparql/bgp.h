@@ -45,11 +45,10 @@ enum class JoinStrategy {
   /// an order-preserving hash join when one build pays for many probes, one
   /// index range scan per input row otherwise, and one star step for a run
   /// of constant-predicate patterns on a subject every row binds (bgp.cc).
-  /// With JoinOptions::use_dp, planner-v2 runs take the merge steps the
-  /// plan marks qualified instead of star steps.
+  /// An NLJ step reuses the previous row's matches when the row's probe key
+  /// repeats it, so input sorted on the join key probes each key once.
   kAdaptive,
   /// One index range scan per input row, everywhere — the test oracle.
-  /// Planner-v2 merge steps demote to it in place.
   kNestedLoop,
 };
 
@@ -68,13 +67,15 @@ struct JoinOptions {
   const QueryContext* ctx = nullptr;
   /// kAdaptive decides per pattern; kNestedLoop forces the NLJ oracle.
   JoinStrategy strategy = JoinStrategy::kAdaptive;
-  /// Planner v2, engaged on trivial-seed BGP runs: replaces the greedy
+  /// Planner v2, engaged on top-level BGP runs: replaces the greedy
   /// reorderer with an exhaustive DP search over subsets (<= 8 patterns;
-  /// order-aware greedy above that), costed from the calibrated GraphStats
-  /// and aware of which orders enable merge joins, then executes the plan
-  /// with a seed scan and merge steps. When set, it overrides a false
-  /// `reorder` flag — DP *is* the reorderer, so it is immune to source-order
-  /// accidents. Orders only change performance, never the result set.
+  /// greedy above that), costed from the calibrated GraphStats, and starts
+  /// the run with a seed scan in the permutation AnnotateBgpPlan picks, so
+  /// the intermediate comes out sorted on the plan's interesting order. The
+  /// later steps are the same star, hash and NLJ steps as without it. When
+  /// set, it overrides a false `reorder` flag — DP *is* the reorderer, so it
+  /// is immune to source-order accidents. Orders only change performance,
+  /// never the result set.
   bool use_dp = false;
   /// Plan-cache replay: a join order previously chosen for this BGP (source
   /// indexes in execution order, the ExecStats::join_order format). When it

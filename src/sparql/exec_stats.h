@@ -36,16 +36,12 @@ struct ExecStats {
   /// Join strategy per executed pattern, parallel to join_order:
   /// 'N' = index nested-loop, 'H' = order-preserving hash join,
   /// '*' = one pattern of a star step (one entry per pattern of the run),
-  /// 'S' = planner-v2 seed scan, 'M' = planner-v2 streaming merge join.
+  /// 'S' = the seed scan of a DP-seeded run (JoinOptions::use_dp).
   std::vector<char> join_strategy;
   size_t hash_builds = 0;      ///< patterns executed via the hash strategy
   size_t hash_build_rows = 0;  ///< build-side index rows enumerated
   size_t hash_probe_hits = 0;  ///< bucket entries probed across all rows
-  size_t merge_joins = 0;        ///< patterns executed via the merge strategy
-  size_t merge_rows_decoded = 0; ///< index entries merge cursors decoded
-  size_t sieve_seeks = 0;        ///< SeekGE calls issued by merge cursors
-  size_t sieve_keys = 0;         ///< distinct join-key runs sieved from input
-  size_t dp_plans = 0;           ///< BGP runs ordered by the DP search
+  size_t dp_plans = 0;         ///< BGP runs ordered by the DP search
   /// Planner-v2 plan shape per BGP run (BgpPlan::ToJson: strategies,
   /// permutations, expected rows) — the explainable-plan surface.
   std::vector<std::string> plan_shapes;
@@ -103,12 +99,6 @@ struct ExecStats {
            " hash_build_rows=" + std::to_string(hash_build_rows) +
            " hash_probe_hits=" + std::to_string(hash_probe_hits);
     }
-    if (merge_joins > 0) {
-      s += " merge_joins=" + std::to_string(merge_joins) +
-           " merge_rows_decoded=" + std::to_string(merge_rows_decoded) +
-           " sieve_seeks=" + std::to_string(sieve_seeks) +
-           " sieve_keys=" + std::to_string(sieve_keys);
-    }
     if (dp_plans > 0) s += " dp_plans=" + std::to_string(dp_plans);
     return s;
   }
@@ -146,10 +136,6 @@ struct ExecStats {
     s += "],\"hash_builds\":" + std::to_string(hash_builds);
     s += ",\"hash_build_rows\":" + std::to_string(hash_build_rows);
     s += ",\"hash_probe_hits\":" + std::to_string(hash_probe_hits);
-    s += ",\"merge_joins\":" + std::to_string(merge_joins);
-    s += ",\"merge_rows_decoded\":" + std::to_string(merge_rows_decoded);
-    s += ",\"sieve_seeks\":" + std::to_string(sieve_seeks);
-    s += ",\"sieve_keys\":" + std::to_string(sieve_keys);
     s += ",\"dp_plans\":" + std::to_string(dp_plans);
     // Plan shapes are already JSON objects; embed them verbatim.
     s += ",\"plans\":[";

@@ -1290,13 +1290,11 @@ Result<ResultTable> Executor::Execute(const ParsedQuery& query) {
     const uint64_t term_blocks =
         mm.term_blocks_decoded - mm_before.term_blocks_decoded;
     const uint64_t dict_lookups = mm.dict_lookups - mm_before.dict_lookups;
-    const uint64_t blocks_skipped = mm.blocks_skipped - mm_before.blocks_skipped;
     {
       TraceSpan decode_span(ctx_.tracer(), "mmap-decode");
       decode_span.Arg("key_blocks", key_blocks);
       decode_span.Arg("term_blocks", term_blocks);
       decode_span.Arg("dict_lookups", dict_lookups);
-      decode_span.Arg("blocks_skipped", blocks_skipped);
     }
     auto& reg = MetricsRegistry::Global();
     reg.GetCounter("rdfa_mmap_key_blocks_decoded_total",
@@ -1308,9 +1306,6 @@ Result<ResultTable> Executor::Execute(const ParsedQuery& query) {
     reg.GetCounter("rdfa_mmap_dict_lookups_total",
                    "Mapped-snapshot dictionary term lookups")
         .Increment(dict_lookups);
-    reg.GetCounter("rdfa_mmap_blocks_skipped_total",
-                   "Mapped-snapshot permutation blocks skipped via SeekGE")
-        .Increment(blocks_skipped);
   }
   StatusCode code = result.status().code();
   if (code == StatusCode::kDeadlineExceeded || code == StatusCode::kCancelled) {
@@ -1388,7 +1383,8 @@ std::string Executor::ExplainJson(const ParsedQuery& query) {
       impossible = impossible || compiled[idx].impossible;
       ordered.push_back(compiled[idx]);
     }
-    BgpPlan plan = AnnotateBgpPlan(*graph_, ordered);
+    // Under use_dp a top-level run starts with a seed scan (JoinBgp).
+    BgpPlan plan = AnnotateBgpPlan(*graph_, ordered, /*seeded=*/use_dp_);
     plan.used_dp = used_dp;
     if (!first) out += ",";
     first = false;

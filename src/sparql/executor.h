@@ -43,17 +43,18 @@ class Executor {
   int thread_count() const { return threads_; }
 
   /// Join strategy for subsequent queries: kAdaptive (default) chooses per
-  /// pattern between index NLJ and the order-preserving hash join (plus
-  /// planner-v2 merge steps under use_dp); kNestedLoop forces the NLJ test
-  /// oracle. Either yields byte-identical results.
+  /// pattern between index NLJ, the order-preserving hash join and star
+  /// steps; kNestedLoop forces the NLJ test oracle. Either yields
+  /// byte-identical results.
   void set_join_strategy(JoinStrategy strategy) { join_strategy_ = strategy; }
   JoinStrategy join_strategy() const { return join_strategy_; }
 
   /// Planner-v2 DP join ordering (default off): replaces the greedy
   /// reorderer with an exhaustive subset-DP search for top-level BGPs of up
-  /// to kMaxDpPatterns patterns, and annotates each run with an explainable
-  /// plan (stats().plan_shapes). Result bytes for a given plan are
-  /// unchanged; only join order / permutation choices move.
+  /// to kMaxDpPatterns patterns, starts each top-level run with a seed scan
+  /// sorted on the plan's interesting order, and annotates the run with an
+  /// explainable plan (stats().plan_shapes). It picks only the order and
+  /// the seed permutation; every later step runs as without it.
   void set_use_dp(bool on) { use_dp_ = on; }
   bool use_dp() const { return use_dp_; }
 

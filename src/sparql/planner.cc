@@ -19,7 +19,7 @@ int LaneVar(const CompiledPattern& p, int lane) {
 }
 
 // Constant-narrowed index range width of a pattern: the exact number of
-// index rows a hash build (or an unseeked merge cursor) over it decodes.
+// index rows a hash build over it decodes.
 double ConstWidth(const rdf::Graph& graph, const CompiledPattern& p) {
   return static_cast<double>(
       graph.EstimateMatch(p.s_var < 0 ? p.s_id : kNoTermId,
@@ -35,8 +35,8 @@ void MarkBoundSlots(const CompiledPattern& p, std::set<int>* bound) {
 }
 
 // Counts the pattern's bound-variable lanes under `bound(slot)`; when the
-// count is 1, `*only_lane` names that lane. A step merge-qualifies iff the
-// count is 1 and the lane's variable is the interesting order.
+// count is 1, `*only_lane` names that lane. A step probes on the interesting
+// order iff the count is 1 and the lane's variable is the interesting order.
 template <typename BoundFn>
 int BoundVarLanes(const CompiledPattern& p, BoundFn bound, int* only_lane) {
   int n = 0;
@@ -48,32 +48,6 @@ int BoundVarLanes(const CompiledPattern& p, BoundFn bound, int* only_lane) {
     }
   }
   return n;
-}
-
-// The permutation a merge step streams: constant lanes first (narrowing the
-// cursor range), then the merge lane — so within the constant prefix the
-// cursor is sorted by the merge key. With no constant lanes the primary
-// ChoosePerm of the merge lane is used, which is exactly the permutation a
-// per-row NLJ probe would pick; with constants, at most one lane trails the
-// merge key, so every decoded group replays in that probe's order too.
-rdf::Graph::Perm MergePerm(const CompiledPattern& p, int merge_lane) {
-  const bool c[3] = {p.s_var < 0, p.p_var < 0, p.o_var < 0};
-  const int nc = (c[0] ? 1 : 0) + (c[1] ? 1 : 0) + (c[2] ? 1 : 0);
-  if (nc == 0) {
-    return rdf::Graph::ChoosePerm(merge_lane == 0, merge_lane == 1,
-                                  merge_lane == 2);
-  }
-  for (int perm = 0; perm < rdf::Graph::kNumPerms; ++perm) {
-    bool prefix_const = true;
-    for (int i = 0; i < nc; ++i) {
-      prefix_const = prefix_const && c[rdf::Graph::kPermLanes[perm][i]];
-    }
-    if (prefix_const && nc < 3 &&
-        rdf::Graph::kPermLanes[perm][nc] == merge_lane) {
-      return static_cast<rdf::Graph::Perm>(perm);
-    }
-  }
-  return rdf::Graph::ChoosePerm(c[0], c[1], c[2]);
 }
 
 }  // namespace
@@ -195,10 +169,11 @@ std::vector<int> PlanBgpOrderDp(const rdf::Graph& graph,
         const double per_row =
             CalibratedRowEstimate(graph, patterns[j], lb[0], lb[1], lb[2]);
         const double nlj = s.rows * per_row;
-        // NLJ decodes rows x fanout; a hash build (or merge cursor, which
-        // costs no less) decodes the constant-narrowed width once. Either
-        // alternative needs a bound join key; without one only NLJ (a
-        // full-width scan per row) exists.
+        // NLJ decodes rows x fanout; a hash build decodes the
+        // constant-narrowed width once, and so does an NLJ over input
+        // sorted on the join key, which probes each key once. Either needs
+        // a bound join key; without one only NLJ (a full-width scan per
+        // row) exists.
         const double cost =
             lb[0] || lb[1] || lb[2] ? std::min(width[j], nlj) : nlj;
         std::vector<int> order = s.order;
@@ -220,19 +195,21 @@ std::vector<int> PlanBgpOrderDp(const rdf::Graph& graph,
 }
 
 BgpPlan AnnotateBgpPlan(const rdf::Graph& graph,
-                        const std::vector<CompiledPattern>& ordered) {
+                        const std::vector<CompiledPattern>& ordered,
+                        bool seeded) {
   BgpPlan plan;
   plan.steps.resize(ordered.size());
   if (ordered.empty()) return plan;
   const CompiledPattern& first = ordered.front();
 
-  // Interesting order: the first pattern's free lane whose variable
-  // merge-qualifies the most downstream steps. Zero qualifiers keeps the
-  // head unset and the seed scan on the default (3-arg ChoosePerm)
-  // permutation — identical enumeration order to the v1 engine.
+  // Interesting order: the first pattern's free lane whose variable is the
+  // only bound lane of the most downstream steps, so their probes walk the
+  // sorted intermediate key by key. Zero such steps (or an unseeded run)
+  // keeps the head unset and the first step on the default (3-arg
+  // ChoosePerm) permutation, the one a probe of its constants reads.
   int head_lane = -1;
   int best_score = 0;
-  for (int lane = 0; lane < 3; ++lane) {
+  for (int lane = 0; seeded && lane < 3; ++lane) {
     const int v = LaneVar(first, lane);
     if (v < 0) continue;
     std::set<int> bound;
@@ -254,7 +231,7 @@ BgpPlan AnnotateBgpPlan(const rdf::Graph& graph,
 
   const bool c0[3] = {first.s_var < 0, first.p_var < 0, first.o_var < 0};
   PlannedStep& seed = plan.steps.front();
-  seed.strategy = 'S';
+  seed.strategy = seeded ? 'S' : 'A';
   seed.perm = head_lane >= 0
                   ? rdf::Graph::ChoosePerm(c0[0], c0[1], c0[2], head_lane)
                   : rdf::Graph::ChoosePerm(c0[0], c0[1], c0[2]);
@@ -267,24 +244,18 @@ BgpPlan AnnotateBgpPlan(const rdf::Graph& graph,
   plan.est_cost = seed.est_cost;
   for (size_t i = 1; i < ordered.size(); ++i) {
     const CompiledPattern& p = ordered[i];
-    int only = -1;
-    const int nb = BoundVarLanes(
-        p, [&bound](int s) { return bound.count(s) > 0; }, &only);
-    const double per_row = CalibratedRowEstimate(
-        graph, p, p.s_var >= 0 && bound.count(p.s_var) > 0,
-        p.p_var >= 0 && bound.count(p.p_var) > 0,
-        p.o_var >= 0 && bound.count(p.o_var) > 0);
+    const bool lb[3] = {p.s_var >= 0 && bound.count(p.s_var) > 0,
+                        p.p_var >= 0 && bound.count(p.p_var) > 0,
+                        p.o_var >= 0 && bound.count(p.o_var) > 0};
     PlannedStep& step = plan.steps[i];
-    const double nlj = rows * per_row;
-    const double w = ConstWidth(graph, p);
-    if (plan.head_slot >= 0 && nb == 1 && LaneVar(p, only) == plan.head_slot) {
-      step.strategy = 'M';
-      step.perm = MergePerm(p, only);
-      step.est_cost = std::min(w, nlj);
-    } else {
-      step.strategy = 'A';
-      step.est_cost = nb > 0 ? std::min(w, nlj) : nlj;
-    }
+    const double nlj =
+        rows * CalibratedRowEstimate(graph, p, lb[0], lb[1], lb[2]);
+    step.strategy = 'A';
+    step.perm = rdf::Graph::ChoosePerm(p.s_var < 0 || lb[0],
+                                       p.p_var < 0 || lb[1],
+                                       p.o_var < 0 || lb[2]);
+    step.est_cost =
+        lb[0] || lb[1] || lb[2] ? std::min(ConstWidth(graph, p), nlj) : nlj;
     step.est_rows = nlj;
     rows = nlj;
     plan.est_cost += step.est_cost;

@@ -20,22 +20,23 @@ inline bool DpSearches(size_t n) { return n > 1 && n <= kMaxDpPatterns; }
 /// One step of an annotated left-deep plan, 1:1 with the execution-ordered
 /// pattern vector.
 struct PlannedStep {
-  /// 'S' — seed scan (the first pattern, enumerated in `perm`'s order).
-  /// 'M' — streaming merge join on the plan's interesting-order variable,
-  ///       consuming `perm` (whose sort order agrees with the input rows).
-  /// 'A' — adaptive: the runtime hash-vs-NLJ machinery decides per step.
+  /// 'S' — seed scan (the first pattern of a DP-seeded run, enumerated in
+  ///       `perm`'s order).
+  /// 'A' — adaptive: a star, hash or NLJ step, decided at run time.
   char strategy = 'A';
-  rdf::Graph::Perm perm = rdf::Graph::kPermSPO;  ///< for 'S' and 'M' steps
+  /// The permutation the seed scans, or the one an 'A' step's probe of its
+  /// constant and bound lanes reads (a hash build may scan another).
+  rdf::Graph::Perm perm = rdf::Graph::kPermSPO;
   double est_rows = 0;  ///< estimated intermediate rows after this step
   double est_cost = 0;  ///< estimated index rows this step decodes
 };
 
 /// An annotated left-deep BGP plan: the interesting order (the variable the
-/// intermediate stays sorted by — set by the first pattern's scan
-/// permutation and preserved by every later operator, since all of them
-/// extend rows in input order) plus per-step strategy and permutation
-/// choices. Derived deterministically from the execution order alone, so a
-/// plan-cache replay of the captured order reproduces it bit-for-bit.
+/// intermediate stays sorted by — set by the seed scan's permutation and
+/// preserved by every later step, since all of them extend rows in input
+/// order) plus per-step strategy and permutation choices. Derived
+/// deterministically from the execution order alone, so a plan-cache replay
+/// of the captured order reproduces it bit-for-bit.
 struct BgpPlan {
   std::vector<PlannedStep> steps;  ///< one per pattern, execution order
   int head_slot = -1;              ///< interesting-order binding slot
@@ -62,28 +63,27 @@ struct DpStats {
 /// DP join-order search (DPsize over subsets) for BGPs of up to
 /// kMaxDpPatterns patterns: enumerates every connected left-deep order and
 /// every first-pattern sort order, costing steps in estimated index rows
-/// decoded — NLJ as rows x calibrated per-row fanout, hash as its build
-/// width, merge (when the step joins exactly on the seeded interesting
-/// order) as the cheaper of the two — and returns the cheapest order as
-/// source indexes. Deterministic: ties keep the earliest-enumerated state.
-/// Returns source order unless DpSearches(patterns.size()); callers handle
-/// larger BGPs with the greedy fallback. `stats` (nullable) receives the
-/// search-space counters.
+/// decoded — NLJ as rows x calibrated per-row fanout, a step with a bound
+/// join key as the cheaper of that and its build width — and returns the
+/// cheapest order as source indexes. Deterministic: ties keep the
+/// earliest-enumerated state. Returns source order unless
+/// DpSearches(patterns.size()); callers handle larger BGPs with the greedy
+/// fallback. `stats` (nullable) receives the search-space counters.
 std::vector<int> PlanBgpOrderDp(const rdf::Graph& graph,
                                 const std::vector<CompiledPattern>& patterns,
                                 DpStats* stats = nullptr);
 
-/// Annotates an execution-ordered pattern sequence: picks the interesting
-/// order (the first pattern's free lane that qualifies the most downstream
-/// merge steps; ties prefer the s/p/o lane order, zero qualifiers means no
-/// preferred order), the first step's scan permutation, and each later
-/// step's merge qualification + permutation. A step merge-qualifies iff its
-/// only bound-variable lane is the interesting-order variable — then its
-/// group replay enumerates exactly the per-row NLJ ranges, in the same
-/// order, which is the byte-identity argument for demoting 'M' steps to
-/// hash or NLJ.
+/// Annotates an execution-ordered pattern sequence. A `seeded` run (a
+/// DP-seeded top-level run, JoinBgp) gets an interesting order: the first
+/// pattern's free lane that is the only bound lane of the most downstream
+/// steps (ties prefer the s/p/o lane order, zero such steps means no
+/// preferred order), and the first step is an 'S' seed scan sorted on it,
+/// so those steps' probes walk their keys in order and reuse a repeated
+/// key's matches. An unseeded run's first step is an 'A' probe of its
+/// constants (head_slot -1, the 3-arg ChoosePerm). Every later step is 'A'.
 BgpPlan AnnotateBgpPlan(const rdf::Graph& graph,
-                        const std::vector<CompiledPattern>& ordered);
+                        const std::vector<CompiledPattern>& ordered,
+                        bool seeded);
 
 }  // namespace rdfa::sparql
 

@@ -311,9 +311,9 @@ TEST(TraceCoverageTest, TracedQueryCoversThePipelineStages) {
   EXPECT_TRUE(JsonChecker::Valid(tracer->ToChromeJson()));
 }
 
-// The first merge-join query on a fresh graph builds the secondary
-// permutations in their own span, charged to index_build_ms rather than to
-// the join; later queries find them built.
+// The first DP-seeded query whose seed scans a secondary permutation builds
+// the secondaries in their own span, charged to index_build_ms rather than
+// to the join; later queries find them built.
 TEST(TraceCoverageTest, SecondaryIndexBuildHasItsOwnSpan) {
   rdf::Graph g;
   workload::ProductKgOptions opt;
@@ -321,11 +321,11 @@ TEST(TraceCoverageTest, SecondaryIndexBuildHasItsOwnSpan) {
   workload::GenerateProductKg(&g, opt);
   auto parsed = sparql::ParseQuery(
       "PREFIX ex: <http://www.ics.forth.gr/example#>\n"
-      "SELECT ?l ?m ?c WHERE { ?l ex:manufacturer ?m . ?m ex:origin ?c . }");
+      "SELECT ?l ?m ?p WHERE { ?l ex:manufacturer ?m . ?l ex:price ?p . }");
   ASSERT_TRUE(parsed.ok());
   auto run = [&](const std::shared_ptr<Tracer>& tracer) {
     sparql::Executor exec(&g);
-    exec.set_use_dp(true);  // planner v2, whose merge steps stream PSO
+    exec.set_use_dp(true);  // the seed scans PSO, sorted on ?l
     QueryContext ctx;
     ctx.set_tracer(tracer);
     exec.set_query_context(ctx);
@@ -337,7 +337,12 @@ TEST(TraceCoverageTest, SecondaryIndexBuildHasItsOwnSpan) {
   auto first = std::make_shared<Tracer>();
   const sparql::ExecStats stats = run(first);
   EXPECT_TRUE(g.secondary_indexes_built());
-  ASSERT_GT(stats.merge_joins, 0u);
+  ASSERT_FALSE(stats.join_strategy.empty());
+  EXPECT_EQ(stats.join_strategy[0], 'S');
+  ASSERT_EQ(stats.plan_shapes.size(), 1u);
+  EXPECT_NE(stats.plan_shapes[0].find("\"strategy\":\"S\",\"perm\":\"PSO\""),
+            std::string::npos)
+      << stats.plan_shapes[0];
   ASSERT_TRUE(first->HasSpan("index-build-secondary"));
   const auto spans = first->FinishedSpans();
   for (const auto& span : spans) {
@@ -1026,7 +1031,7 @@ TEST(TracerTest, ProfileJsonNestsSpansByContainment) {
     }
     {
       TraceSpan join(&tracer, "bgp-join");
-      { TraceSpan seek(&tracer, "sieve-seek"); }
+      { TraceSpan build(&tracer, "hash-build"); }
     }
   }
   { TraceSpan tail(&tracer, "rollup-cache"); }
@@ -1040,19 +1045,19 @@ TEST(TracerTest, ProfileJsonNestsSpansByContainment) {
   ASSERT_NE(tail_pos, std::string::npos) << profile;
   EXPECT_LT(exec_pos, tail_pos);
   // plan and bgp-join sit inside execute's children array, siblings in
-  // creation order; sieve-seek nests one level further down.
+  // creation order; hash-build nests one level further down.
   const size_t children_pos = profile.find("\"children\":", exec_pos);
   ASSERT_NE(children_pos, std::string::npos) << profile;
   const size_t plan_pos = profile.find("\"op\":\"plan\"");
   const size_t join_pos = profile.find("\"op\":\"bgp-join\"");
-  const size_t seek_pos = profile.find("\"op\":\"sieve-seek\"");
+  const size_t build_pos = profile.find("\"op\":\"hash-build\"");
   ASSERT_NE(plan_pos, std::string::npos);
   ASSERT_NE(join_pos, std::string::npos);
-  ASSERT_NE(seek_pos, std::string::npos);
+  ASSERT_NE(build_pos, std::string::npos);
   EXPECT_LT(children_pos, plan_pos);
   EXPECT_LT(plan_pos, join_pos);
-  EXPECT_LT(join_pos, seek_pos);
-  EXPECT_LT(seek_pos, tail_pos);
+  EXPECT_LT(join_pos, build_pos);
+  EXPECT_LT(build_pos, tail_pos);
   // Span args ride along on the profile node.
   EXPECT_NE(profile.find("\"patterns\":3"), std::string::npos) << profile;
   // Every node carries a duration.
@@ -1272,6 +1277,8 @@ TEST(SlowQueryCaptureTest, EndpointCapturesForensicRecordWithProfile) {
     EXPECT_NE(content.find("\"storage_backend\":\"heap\""),
               std::string::npos);
     EXPECT_NE(content.find("\"join_strategies\":"), std::string::npos);
+    EXPECT_EQ(content.find("\"sieve_builds\":"), std::string::npos);
+    EXPECT_EQ(content.find("\"merge_joins\":"), std::string::npos);
     EXPECT_NE(content.find("\"profile\":"), std::string::npos);
     EXPECT_NE(content.find("\"op\":\"execute\""), std::string::npos);
     EXPECT_NE(content.find("\"op\":\"bgp-join\""), std::string::npos);
@@ -1365,7 +1372,7 @@ TEST(ExplainTest, AnalyzeProfileReconcilesWithExecStats) {
   auto parsed = sparql::ParseQuery(kProductPfx + std::string(kGroupQuery));
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
 
-  // The two strategies, plus planner v2 (seed scan and merge steps).
+  // The two strategies, plus planner v2 (DP order and seed scan).
   const struct {
     sparql::JoinStrategy strategy;
     bool use_dp;
@@ -1616,8 +1623,6 @@ TEST(StorageSpanTest, MappedExecutionEmitsDecodeSpanAndCounters) {
     EXPECT_NE(std::find(keys.begin(), keys.end(), "key_blocks"), keys.end());
     EXPECT_NE(std::find(keys.begin(), keys.end(), "term_blocks"), keys.end());
     EXPECT_NE(std::find(keys.begin(), keys.end(), "dict_lookups"),
-              keys.end());
-    EXPECT_NE(std::find(keys.begin(), keys.end(), "blocks_skipped"),
               keys.end());
     saw_args = true;
   }

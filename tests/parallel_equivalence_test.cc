@@ -235,9 +235,9 @@ const BranchCase kBranchCases[] = {
     {"hash probe", "?l ex:manufacturer ?m . ?m ex:origin ?c .",
      "STR(?l), STR(?m), STR(?c)", false, false,
      sparql::JoinStrategy::kAdaptive, "NH"},
-    {"DP seed and merge", "?l ex:price ?p . ?l ex:releaseDate ?d .",
+    {"DP seed and NLJ", "?l ex:price ?p . ?l ex:releaseDate ?d .",
      "STR(?l), STR(?p), STR(?d)", true, false,
-     sparql::JoinStrategy::kAdaptive, "SM"},
+     sparql::JoinStrategy::kAdaptive, "SN"},
     {"seeded OPTIONAL",
      "?m ex:origin ?c . OPTIONAL { ?l ex:manufacturer ?m . ?l ex:price ?p }",
      "STR(?m), STR(?l), STR(?p)", false, false,
