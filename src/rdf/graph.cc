@@ -19,8 +19,6 @@ void Graph::AttachMapped(std::shared_ptr<const MappedGraphView> view) {
   }
   triples_ready_.store(false, std::memory_order_release);
   // The snapshot *is* the index: nothing to rebuild, stats came with it.
-  // Secondaries are not in the format — they rebuild lazily off the view.
-  sec_dirty_.store(true, std::memory_order_release);
   stats_dirty_.store(false, std::memory_order_release);
   dirty_.store(false, std::memory_order_release);
 }
@@ -60,7 +58,6 @@ bool Graph::AddIds(TripleId t) {
     pred_gens_[t.p] = gen;
   }
   stats_dirty_.store(true, std::memory_order_relaxed);
-  sec_dirty_.store(true, std::memory_order_relaxed);
   dirty_.store(true, std::memory_order_release);
   return true;
 }
@@ -101,7 +98,6 @@ size_t Graph::RemoveMatching(TermId s, TermId p, TermId o) {
     for (TermId pred : touched_preds) pred_gens_[pred] = gen;
   }
   stats_dirty_.store(true, std::memory_order_relaxed);
-  sec_dirty_.store(true, std::memory_order_relaxed);
   dirty_.store(true, std::memory_order_release);
   return before - triples_.size();
 }
@@ -160,22 +156,16 @@ size_t Graph::EstimateMatch(TermId s, TermId p, TermId o) const {
   if (s == kNoTermId && p == kNoTermId && o == kNoTermId) {
     return size();
   }
-  if (view_ != nullptr) {
-    // Exact on both backends, so join orders (and thus result byte order)
-    // never depend on which backend serves the query.
-    return view_->EstimateInPerm(
-        ChoosePerm(s != kNoTermId, p != kNoTermId, o != kNoTermId), s, p, o);
-  }
-  EnsureIndexes();
   // Longest-bound-prefix selection: every subset of {s, p, o} is a complete
-  // prefix of one permutation (3-arg ChoosePerm only picks primaries), so
-  // the range width is the exact match count.
+  // prefix of one permutation, so the range width is the exact match count
+  // on both backends, and join orders (and thus result byte order) never
+  // depend on which backend serves the query.
   return EstimateInPerm(
       ChoosePerm(s != kNoTermId, p != kNoTermId, o != kNoTermId), s, p, o);
 }
 
 size_t Graph::EstimateInPerm(Perm perm, TermId s, TermId p, TermId o) const {
-  if (view_ != nullptr && perm <= kPermOSP) {
+  if (view_ != nullptr) {
     return view_->EstimateInPerm(perm, s, p, o);
   }
   auto [lo, hi] = Range(IndexFor(perm), PermuteKey(perm, s, p, o));
@@ -183,14 +173,6 @@ size_t Graph::EstimateInPerm(Perm perm, TermId s, TermId p, TermId o) const {
 }
 
 const std::vector<Graph::Key>& Graph::IndexFor(Perm perm) const {
-  if (perm >= kPermPSO) {
-    EnsureSecondaryIndexes();
-    switch (perm) {
-      case kPermSOP: return sop_;
-      case kPermOPS: return ops_;
-      default: return pso_;
-    }
-  }
   EnsureIndexes();
   switch (perm) {
     case kPermPOS: return pos_;
@@ -244,30 +226,6 @@ void Graph::EnsureIndexes() const {
     stats_dirty_.store(false, std::memory_order_relaxed);
   }
   dirty_.store(false, std::memory_order_release);
-}
-
-void Graph::EnsureSecondaryIndexes() const {
-  if (!sec_dirty_.load(std::memory_order_acquire)) return;
-  // triples() may materialize a mapped graph's list (its own mutex); taken
-  // before sec_mu_ so the two locks never nest the other way.
-  const std::vector<TripleId>& ts = triples();
-  std::unique_lock<std::shared_mutex> lock(sec_mu_);
-  if (!sec_dirty_.load(std::memory_order_relaxed)) return;
-  pso_.clear();
-  sop_.clear();
-  ops_.clear();
-  pso_.reserve(ts.size());
-  sop_.reserve(ts.size());
-  ops_.reserve(ts.size());
-  for (const TripleId& t : ts) {
-    pso_.push_back({t.p, t.s, t.o});
-    sop_.push_back({t.s, t.o, t.p});
-    ops_.push_back({t.o, t.p, t.s});
-  }
-  std::sort(pso_.begin(), pso_.end());
-  std::sort(sop_.begin(), sop_.end());
-  std::sort(ops_.begin(), ops_.end());
-  sec_dirty_.store(false, std::memory_order_release);
 }
 
 void Graph::ComputeStatsLocked() const {

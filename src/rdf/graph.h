@@ -63,11 +63,6 @@ class Graph {
       spo_ = std::move(other.spo_);
       pos_ = std::move(other.pos_);
       osp_ = std::move(other.osp_);
-      pso_ = std::move(other.pso_);
-      sop_ = std::move(other.sop_);
-      ops_ = std::move(other.ops_);
-      sec_dirty_.store(other.sec_dirty_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
       index_generation_ = other.index_generation_;
       stats_ = std::move(other.stats_);
       // The destination graph's content changed wholesale: merge to a stamp
@@ -99,62 +94,48 @@ class Graph {
     return *this;
   }
 
-  /// Index permutations. The first three (SPO, POS, OSP) are the primaries:
-  /// maintained lazily by EnsureIndexes, persisted in snapshots, and served
-  /// straight off a mapped RDFA3 view. The last three (PSO, SOP, OPS) are
-  /// secondaries: built in memory on first use so the planner can obtain any
-  /// (bound-prefix, sort-lane) combination — every subset of {s, p, o}
-  /// followed by any free lane is a complete prefix of one of the six. Each
-  /// stores every triple re-ordered into the named lane order, sorted
+  /// Index permutations, maintained lazily by EnsureIndexes, persisted in
+  /// snapshots and served straight off a mapped RDFA3 view. Each stores
+  /// every triple re-ordered into the named lane order, sorted
   /// lexicographically, so any *prefix* of bound lanes narrows to a
-  /// contiguous range by binary search.
-  enum Perm { kPermSPO, kPermPOS, kPermOSP, kPermPSO, kPermSOP, kPermOPS };
-  static constexpr int kNumPerms = 6;
+  /// contiguous range by binary search. Every subset of {s, p, o} is a
+  /// complete prefix of one of the three, and the other three orders are
+  /// transpositions of theirs: PSO is SPO, SOP is OSP and OPS is POS with
+  /// the first two lanes swapped, so with the first lane bound a scan of
+  /// the transposed permutation that filters it inline yields the same rows
+  /// in the same order.
+  enum Perm { kPermSPO, kPermPOS, kPermOSP };
+  static constexpr int kNumPerms = 3;
   /// Lane order of each permutation: kPermLanes[perm][i] is the triple lane
   /// (0 = s, 1 = p, 2 = o) stored in key lane i.
   static constexpr int kPermLanes[kNumPerms][3] = {
-      {0, 1, 2}, {1, 2, 0}, {2, 0, 1}, {1, 0, 2}, {0, 2, 1}, {2, 1, 0}};
+      {0, 1, 2}, {1, 2, 0}, {2, 0, 1}};
 
-  /// Picks the permutation with the longest *bound prefix* for the given
-  /// boundness pattern (e.g. s+o bound -> OSP, whose (o, s) prefix covers
-  /// both, rather than SPO narrowed on s alone). Ties break SPO > POS > OSP
-  /// for determinism, and only the three primaries are considered — this is
-  /// the scan-order contract every pre-planner call site (and the hash
-  /// join's byte-identity argument) relies on. Every subset of {s, p, o} is
-  /// a complete prefix of one of the three permutations, so the chosen
-  /// range contains exactly the matching triples whenever all bound lanes
-  /// fall in the prefix.
-  static Perm ChoosePerm(bool s_bound, bool p_bound, bool o_bound) {
-    const int spo = s_bound ? (p_bound ? (o_bound ? 3 : 2) : 1) : 0;
-    const int pos = p_bound ? (o_bound ? (s_bound ? 3 : 2) : 1) : 0;
-    const int osp = o_bound ? (s_bound ? (p_bound ? 3 : 2) : 1) : 0;
-    if (spo >= pos && spo >= osp) return kPermSPO;
-    if (pos >= osp) return kPermPOS;
-    return kPermOSP;
-  }
-
-  /// As above, but considers all six permutations and — among those with
-  /// the longest bound prefix — prefers the one whose first *free* lane is
-  /// `prefer_lane` (0 = s, 1 = p, 2 = o; -1 = no preference). The planner
-  /// uses this to pick seed scan orders sorted on a downstream join key: ties
-  /// the 3-arg overload resolves by enum order (forfeiting the interesting
-  /// order) resolve here toward the requested sort lane. Primaries win
-  /// remaining ties, then enum order, so with no (or an unsatisfiable)
-  /// preference the choice degrades to the 3-arg overload's.
+  /// Picks the permutation to scan for the given boundness pattern. With a
+  /// free `prefer_lane` (0 = s, 1 = p, 2 = o) only the permutations whose
+  /// first free lane it is qualify, so the matches come out sorted on it:
+  /// the planner's seed scans ask for a downstream join key (e.g. p bound,
+  /// sorted on s -> SPO, filtering p inline). Among the qualifying ones the
+  /// longest *bound prefix* wins (e.g. s+o bound -> OSP, whose (o, s) prefix
+  /// covers both, rather than SPO narrowed on s alone); ties break
+  /// SPO > POS > OSP for determinism. With no (or a bound) preference every
+  /// permutation qualifies — the scan-order contract every probe (and the
+  /// hash join's byte-identity argument) relies on — and the chosen range
+  /// contains exactly the matching triples, since every bound lane falls in
+  /// the prefix.
   static Perm ChoosePerm(bool s_bound, bool p_bound, bool o_bound,
-                         int prefer_lane) {
+                         int prefer_lane = -1) {
     const bool bound[3] = {s_bound, p_bound, o_bound};
-    int best = 0, best_prefix = -1, best_pref = -1;
+    const bool prefer = prefer_lane >= 0 && !bound[prefer_lane];
+    int best = 0, best_prefix = -1;
     for (int perm = 0; perm < kNumPerms; ++perm) {
+      const int* lanes = kPermLanes[perm];
       int prefix = 0;
-      while (prefix < 3 && bound[kPermLanes[perm][prefix]]) ++prefix;
-      const int pref =
-          prefix < 3 && kPermLanes[perm][prefix] == prefer_lane ? 1 : 0;
-      if (prefix > best_prefix ||
-          (prefix == best_prefix && pref > best_pref)) {
+      while (prefix < 3 && bound[lanes[prefix]]) ++prefix;
+      if (prefer && lanes[prefix] != prefer_lane) continue;
+      if (prefix > best_prefix) {
         best = perm;
         best_prefix = prefix;
-        best_pref = pref;
       }
     }
     return static_cast<Perm>(best);
@@ -271,27 +252,12 @@ class Graph {
   /// a per-row NLJ scan over the same permutation would.
   template <typename Fn>
   void ForEachInPerm(Perm perm, TermId s, TermId p, TermId o, Fn&& fn) const {
-    if (view_ != nullptr && perm <= kPermOSP) {
+    if (view_ != nullptr) {
       view_->ForEachInPerm(static_cast<int>(perm), s, p, o,
                            std::forward<Fn>(fn));
       return;
     }
-    // Secondary permutations are not part of the snapshot format; a mapped
-    // graph serves them from the in-memory secondaries, built off the
-    // materialized triple list so enumeration order matches a heap load.
-    if (perm >= kPermPSO) {
-      EnsureSecondaryIndexes();
-    } else {
-      EnsureIndexes();
-    }
-    switch (perm) {
-      case kPermSPO: ScanIndex(spo_, {s, p, o}, kPermSPO, fn); break;
-      case kPermPOS: ScanIndex(pos_, {p, o, s}, kPermPOS, fn); break;
-      case kPermOSP: ScanIndex(osp_, {o, s, p}, kPermOSP, fn); break;
-      case kPermPSO: ScanIndex(pso_, {p, s, o}, kPermPSO, fn); break;
-      case kPermSOP: ScanIndex(sop_, {s, o, p}, kPermSOP, fn); break;
-      case kPermOPS: ScanIndex(ops_, {o, p, s}, kPermOPS, fn); break;
-    }
+    ScanIndex(IndexFor(perm), PermuteKey(perm, s, p, o), perm, fn);
   }
 
   /// Collects matches into a vector.
@@ -347,19 +313,6 @@ class Graph {
     return {pred_gens_.begin(), pred_gens_.end()};
   }
 
-  /// Lazily builds the three secondary permutations (PSO, SOP, OPS) from
-  /// the triple list. Not persisted in snapshots: the planner pays this
-  /// build on first use of a sort order the primaries cannot provide, and
-  /// calls this up front so the build is timed as its own stage. Same
-  /// publication discipline as the primaries (atomic fast path + mutex
-  /// double-check), behind its own flag so primary-only workloads never
-  /// pay.
-  void EnsureSecondaryIndexes() const;
-  /// True once the secondary permutations are built and current.
-  bool secondary_indexes_built() const {
-    return !sec_dirty_.load(std::memory_order_acquire);
-  }
-
  private:
   // A permuted triple used as an index entry; lexicographic order.
   struct Key {
@@ -376,9 +329,6 @@ class Graph {
       case kPermSPO: return {k.a, k.b, k.c};
       case kPermPOS: return {k.c, k.a, k.b};
       case kPermOSP: return {k.b, k.c, k.a};
-      case kPermPSO: return {k.b, k.a, k.c};
-      case kPermSOP: return {k.a, k.c, k.b};
-      case kPermOPS: return {k.c, k.b, k.a};
     }
     return {};
   }
@@ -447,9 +397,8 @@ class Graph {
   // of `dirty_` publishes the built indexes to later lock-free readers.
   void EnsureIndexes() const;
 
-  // The sorted index vector for `perm`, built on demand. Callers on a
-  // mapped graph should prefer the view for primaries; this is the heap /
-  // secondary fallback.
+  // The sorted heap index vector for `perm`, built on demand. A mapped
+  // graph serves every permutation from its view instead.
   const std::vector<Key>& IndexFor(Perm perm) const;
 
   // Recomputes stats_ from the freshly sorted indexes. Caller must hold
@@ -490,12 +439,6 @@ class Graph {
   mutable std::vector<Key> spo_;
   mutable std::vector<Key> pos_;
   mutable std::vector<Key> osp_;
-  // Secondary permutations; see EnsureSecondaryIndexes.
-  mutable std::atomic<bool> sec_dirty_{true};
-  mutable std::shared_mutex sec_mu_;
-  mutable std::vector<Key> pso_;
-  mutable std::vector<Key> sop_;
-  mutable std::vector<Key> ops_;
   mutable GraphStats stats_;
 
   // RDFA3 snapshot backend; null for a plain heap graph. Detached (under
@@ -512,7 +455,7 @@ class Graph {
 /// otherwise it falls back to a full search. Results are exactly
 /// ForEachMatch's whatever the key order; ascending keys (a sorted
 /// extension, or join input sorted on the probed lane) only make the probes
-/// cheaper. A mapped graph serves primaries straight off its view, as
+/// cheaper. A mapped graph serves probes straight off its view, as
 /// ForEachMatch always has. The cursor reads the index in place, so it must
 /// not outlive a mutation of the graph; one cursor is not thread-safe, so
 /// parallel callers keep one per morsel.

@@ -745,11 +745,10 @@ Status ExecuteSeedStep(const rdf::Graph& graph, const CompiledPattern& p,
   });
 }
 
-// Plans a DP-seeded run's seed: annotates the execution-ordered patterns,
-// surfaces the plan shape and builds the secondary permutations first, in
-// their own stage, when the seed scans one. Returns the seed permutation.
-// Annotation is a pure function of the order, so a plan-cache replay of the
-// captured order reproduces the plan bit-for-bit.
+// Plans a DP-seeded run's seed: annotates the execution-ordered patterns
+// and surfaces the plan shape. Returns the seed permutation. Annotation is
+// a pure function of the order, so a plan-cache replay of the captured
+// order reproduces the plan bit-for-bit.
 rdf::Graph::Perm PlanSeed(const rdf::Graph& graph,
                           const std::vector<CompiledPattern>& patterns,
                           const std::vector<int>& source_index,
@@ -766,14 +765,7 @@ rdf::Graph::Perm PlanSeed(const rdf::Graph& graph,
     opts.stats->plan_shapes.push_back(plan.ToJson(source_index));
     if (dp_ordered) ++opts.stats->dp_plans;
   }
-  const rdf::Graph::Perm perm = plan.steps[0].perm;
-  if (perm >= rdf::Graph::kPermPSO && !graph.secondary_indexes_built()) {
-    TraceSpan build_span(
-        TracerOf(opts), "index-build-secondary",
-        opts.stats != nullptr ? &opts.stats->index_build_ms : nullptr);
-    graph.EnsureSecondaryIndexes();
-  }
-  return perm;
+  return plan.steps[0].perm;
 }
 
 /// A top-level run: one all-unbound seed row. Only these start with a seed

@@ -115,9 +115,9 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
 /// of a size DpSearches (planner.h), else the greedy reorderer from the
 /// slots bound in `rows.front()` when `reorder`, else source order.
 /// Returns source indexes in execution order; `*used_dp` (nullable) reports
-/// whether DP chose. EXPLAIN passes one empty row and pairs this with
-/// AnnotateBgpPlan (planner.h) to render the plan shape without touching
-/// any data.
+/// whether DP chose. EXPLAIN passes one row binding the slots the run's
+/// input rows bind and pairs this with AnnotateBgpPlan (planner.h) to
+/// render the plan shape without touching any data.
 std::vector<int> PlanBgpOrder(const rdf::Graph& graph,
                               const std::vector<CompiledPattern>& patterns,
                               const JoinOptions& opts, bool reorder,

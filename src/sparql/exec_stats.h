@@ -16,9 +16,8 @@ namespace rdfa::sparql {
 /// summed duration of the trace spans named beside it (DESIGN.md §10).
 struct ExecStats {
   int threads = 1;             ///< thread budget the query ran with
-  double index_build_ms = 0;   ///< Graph::Freeze and secondary permutation
-                               ///< builds: "index-build(-secondary)"
-  double bgp_ms = 0;           ///< "bgp" minus the filter/build time inside
+  double index_build_ms = 0;   ///< Graph::Freeze: "index-build"
+  double bgp_ms = 0;           ///< "bgp" minus the filter time inside
   /// FILTER evaluation: the outermost "filter" spans. A filter's EXISTS
   /// probes are charged here only: their nested filter, bgp and index-build
   /// spans stay in the trace but add nothing to these fields.

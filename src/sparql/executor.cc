@@ -527,9 +527,8 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
           if (capture_orders_ != nullptr && seq < kMaxCachedBgpOrders) {
             jopts.capture_order = &chosen;
           }
-          // Secondary-index builds and filters inside the join are
-          // charged to index_build_ms and filter_ms, not to bgp_ms.
-          const double build_before = stats_.index_build_ms;
+          // Filters inside the join are charged to filter_ms, not to
+          // bgp_ms.
           const double filter_before = stats_.filter_ms;
           double run_ms = 0;
           Status join_status;
@@ -544,9 +543,7 @@ Result<std::vector<Binding>> Executor::EvalPattern(const GraphPattern& pattern,
             }
             (*capture_orders_)[seq] = std::move(chosen);
           }
-          stats_.bgp_ms += run_ms -
-                           (stats_.index_build_ms - build_before) -
-                           (stats_.filter_ms - filter_before);
+          stats_.bgp_ms += run_ms - (stats_.filter_ms - filter_before);
           RDFA_RETURN_NOT_OK(join_status);
         }
         certainly_bound.insert(run_vars.begin(), run_vars.end());
@@ -1359,11 +1356,22 @@ std::string Executor::ExplainJson(const ParsedQuery& query) {
   opts.strategy = join_strategy_;
   opts.use_dp = use_dp_;
   VarTable vars;
+  // The slots every row binds when a run starts. EvalPattern runs a triple
+  // run after an earlier run, a BIND or a VALUES (a FILTER splits runs) over
+  // rows that bind theirs, so such a run is planned from one such row: it
+  // is greedy-ordered from those slots and never DP-seeded.
+  std::set<int> bound;
   bool first = true;
   const auto& body = where->elements;
   size_t i = 0;
   while (i < body.size()) {
-    if (body[i].kind != PatternElement::Kind::kTriple) {
+    const PatternElement& el = body[i];
+    if (el.kind != PatternElement::Kind::kTriple) {
+      if (el.kind == PatternElement::Kind::kBind) {
+        bound.insert(vars.IdOf(el.bind_var));
+      } else if (el.kind == PatternElement::Kind::kValues) {
+        bound.insert(vars.IdOf(el.values_var));
+      }
       ++i;
       continue;
     }
@@ -1372,10 +1380,12 @@ std::string Executor::ExplainJson(const ParsedQuery& query) {
       compiled.push_back(CompileTriple(body[i].triple, &vars, *graph_));
       ++i;
     }
+    // Only boundness plans, so any term id stands in for the bound values.
+    Binding row(vars.size(), kNoTermId);
+    for (int slot : bound) row[slot] = 0;
     bool used_dp = false;
-    const std::vector<int> order =
-        PlanBgpOrder(*graph_, compiled, opts, reorder_joins_,
-                     std::vector<Binding>(1), &used_dp);
+    const std::vector<int> order = PlanBgpOrder(
+        *graph_, compiled, opts, reorder_joins_, {std::move(row)}, &used_dp);
     std::vector<CompiledPattern> ordered;
     ordered.reserve(order.size());
     bool impossible = false;
@@ -1384,8 +1394,14 @@ std::string Executor::ExplainJson(const ParsedQuery& query) {
       ordered.push_back(compiled[idx]);
     }
     // Under use_dp a top-level run starts with a seed scan (JoinBgp).
-    BgpPlan plan = AnnotateBgpPlan(*graph_, ordered, /*seeded=*/use_dp_);
+    BgpPlan plan =
+        AnnotateBgpPlan(*graph_, ordered, use_dp_ && bound.empty(), bound);
     plan.used_dp = used_dp;
+    for (const CompiledPattern& p : compiled) {
+      for (int v : {p.s_var, p.p_var, p.o_var}) {
+        if (v >= 0) bound.insert(v);
+      }
+    }
     if (!first) out += ",";
     first = false;
     if (impossible) {

@@ -52,9 +52,11 @@ class Executor {
   /// Planner-v2 DP join ordering (default off): replaces the greedy
   /// reorderer with an exhaustive subset-DP search for top-level BGPs of up
   /// to kMaxDpPatterns patterns, starts each top-level run with a seed scan
-  /// sorted on the plan's interesting order, and annotates the run with an
-  /// explainable plan (stats().plan_shapes). It picks only the order and
-  /// the seed permutation; every later step runs as without it.
+  /// sorted on the plan's interesting order (one of the graph's three
+  /// permutations, filtering a bound lane inline when the sort lane must
+  /// precede it), and annotates the run with an explainable plan
+  /// (stats().plan_shapes). It picks only the order and the seed
+  /// permutation; every later step runs as without it.
   void set_use_dp(bool on) { use_dp_ = on; }
   bool use_dp() const { return use_dp_; }
 
@@ -106,7 +108,10 @@ class Executor {
   /// table). Each contiguous run of triple patterns in the WHERE clause is
   /// compiled, ordered exactly as Execute() would order it (DP search,
   /// greedy reorderer, or source order, per the executor's knobs), and
-  /// annotated into a plan shape. Returns a JSON object:
+  /// annotated into a plan shape. A run after an earlier run, a BIND or a
+  /// VALUES is planned from a row binding their slots, as Execute() runs
+  /// it: greedy-ordered from those slots and not seeded. Returns a JSON
+  /// object:
   ///   {"form":"select","use_dp":bool,"strategy":"adaptive","threads":N,
   ///    "bgps":[{"dp":...,"head_slot":...,"steps":[...]}]}
   /// Freezes the graph's indexes (same eager build as Execute).

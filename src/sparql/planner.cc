@@ -53,8 +53,8 @@ int BoundVarLanes(const CompiledPattern& p, BoundFn bound, int* only_lane) {
 }  // namespace
 
 const char* PermName(rdf::Graph::Perm perm) {
-  static constexpr const char* kNames[rdf::Graph::kNumPerms] = {
-      "SPO", "POS", "OSP", "PSO", "SOP", "OPS"};
+  static constexpr const char* kNames[rdf::Graph::kNumPerms] = {"SPO", "POS",
+                                                                 "OSP"};
   return kNames[static_cast<int>(perm)];
 }
 
@@ -196,7 +196,7 @@ std::vector<int> PlanBgpOrderDp(const rdf::Graph& graph,
 
 BgpPlan AnnotateBgpPlan(const rdf::Graph& graph,
                         const std::vector<CompiledPattern>& ordered,
-                        bool seeded) {
+                        bool seeded, std::set<int> bound) {
   BgpPlan plan;
   plan.steps.resize(ordered.size());
   if (ordered.empty()) return plan;
@@ -212,15 +212,16 @@ BgpPlan AnnotateBgpPlan(const rdf::Graph& graph,
   for (int lane = 0; seeded && lane < 3; ++lane) {
     const int v = LaneVar(first, lane);
     if (v < 0) continue;
-    std::set<int> bound;
-    MarkBoundSlots(first, &bound);
+    std::set<int> scored = bound;
+    MarkBoundSlots(first, &scored);
     int score = 0;
     for (size_t i = 1; i < ordered.size(); ++i) {
       int only = -1;
       const int nb = BoundVarLanes(
-          ordered[i], [&bound](int s) { return bound.count(s) > 0; }, &only);
+          ordered[i], [&scored](int s) { return scored.count(s) > 0; },
+          &only);
       if (nb == 1 && LaneVar(ordered[i], only) == v) ++score;
-      MarkBoundSlots(ordered[i], &bound);
+      MarkBoundSlots(ordered[i], &scored);
     }
     if (score > best_score) {
       best_score = score;
@@ -229,20 +230,9 @@ BgpPlan AnnotateBgpPlan(const rdf::Graph& graph,
   }
   plan.head_slot = head_lane >= 0 ? LaneVar(first, head_lane) : -1;
 
-  const bool c0[3] = {first.s_var < 0, first.p_var < 0, first.o_var < 0};
-  PlannedStep& seed = plan.steps.front();
-  seed.strategy = seeded ? 'S' : 'A';
-  seed.perm = head_lane >= 0
-                  ? rdf::Graph::ChoosePerm(c0[0], c0[1], c0[2], head_lane)
-                  : rdf::Graph::ChoosePerm(c0[0], c0[1], c0[2]);
-  seed.est_rows = ConstWidth(graph, first);
-  seed.est_cost = seed.est_rows;
-
-  std::set<int> bound;
-  MarkBoundSlots(first, &bound);
-  double rows = seed.est_rows;
-  plan.est_cost = seed.est_cost;
-  for (size_t i = 1; i < ordered.size(); ++i) {
+  // Every step extends the rows before it, the first step one input row.
+  double rows = 1;
+  for (size_t i = 0; i < ordered.size(); ++i) {
     const CompiledPattern& p = ordered[i];
     const bool lb[3] = {p.s_var >= 0 && bound.count(p.s_var) > 0,
                         p.p_var >= 0 && bound.count(p.p_var) > 0,
@@ -250,10 +240,11 @@ BgpPlan AnnotateBgpPlan(const rdf::Graph& graph,
     PlannedStep& step = plan.steps[i];
     const double nlj =
         rows * CalibratedRowEstimate(graph, p, lb[0], lb[1], lb[2]);
-    step.strategy = 'A';
+    step.strategy = seeded && i == 0 ? 'S' : 'A';
     step.perm = rdf::Graph::ChoosePerm(p.s_var < 0 || lb[0],
                                        p.p_var < 0 || lb[1],
-                                       p.o_var < 0 || lb[2]);
+                                       p.o_var < 0 || lb[2],
+                                       i == 0 ? head_lane : -1);
     step.est_cost =
         lb[0] || lb[1] || lb[2] ? std::min(ConstWidth(graph, p), nlj) : nlj;
     step.est_rows = nlj;

@@ -1,6 +1,7 @@
 #ifndef RDFA_SPARQL_PLANNER_H_
 #define RDFA_SPARQL_PLANNER_H_
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,7 @@ struct BgpPlan {
   std::string ToJson(const std::vector<int>& source_order) const;
 };
 
-/// Human-readable permutation name ("SPO" ... "OPS").
+/// Human-readable permutation name ("SPO", "POS" or "OSP").
 const char* PermName(rdf::Graph::Perm perm);
 
 /// Observability counters one DP search fills (when the caller passes a
@@ -80,10 +81,13 @@ std::vector<int> PlanBgpOrderDp(const rdf::Graph& graph,
 /// preferred order), and the first step is an 'S' seed scan sorted on it,
 /// so those steps' probes walk their keys in order and reuse a repeated
 /// key's matches. An unseeded run's first step is an 'A' probe of its
-/// constants (head_slot -1, the 3-arg ChoosePerm). Every later step is 'A'.
+/// constant and bound lanes (head_slot -1, the 3-arg ChoosePerm). Every
+/// later step is 'A'. `bound` holds the slots the run's input rows already
+/// bind (a run after a FILTER split, a BIND or a VALUES); a seeded run has
+/// none.
 BgpPlan AnnotateBgpPlan(const rdf::Graph& graph,
                         const std::vector<CompiledPattern>& ordered,
-                        bool seeded);
+                        bool seeded, std::set<int> bound = {});
 
 }  // namespace rdfa::sparql
 

@@ -1,6 +1,6 @@
-// Coverage for planner v2: the six-permutation index layer (secondary
-// in-memory permutations, sort-aware 4-arg ChoosePerm), the DP join-order
-// search and plan annotation, and the DP-seeded run — byte-identity
+// Coverage for planner v2: sort-aware ChoosePerm over the three
+// permutations and the seed order it scans, the DP join-order search, plan
+// annotation and EXPLAIN, and the DP-seeded run — byte-identity
 // against the NLJ oracle across seeds, thread counts and backends, the
 // seed scan on both backends, deterministic cancellation at the seed step's
 // exit, probe reuse over sorted input (DP-seeded, greedy and seeded runs),
@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdio>
 #include <memory>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -107,66 +108,105 @@ sparql::CompiledPattern Pat(const Graph& g, sparql::VarTable* vars,
   return cp;
 }
 
-// ---- 4-arg ChoosePerm ----------------------------------------------------
+// ---- sort-aware ChoosePerm ------------------------------------------------
 
 TEST(ChoosePermOrderTest, PrefersRequestedSortLaneAmongLongestPrefixes) {
   // No bound lane: the preference picks the permutation sorted on it.
   EXPECT_EQ(Graph::ChoosePerm(false, false, false, 0), Graph::kPermSPO);
   EXPECT_EQ(Graph::ChoosePerm(false, false, false, 1), Graph::kPermPOS);
   EXPECT_EQ(Graph::ChoosePerm(false, false, false, 2), Graph::kPermOSP);
-  // p bound: POS and PSO tie on prefix; the next lane decides.
+  // p bound, sort on o: POS's (p, o) prefix delivers it.
   EXPECT_EQ(Graph::ChoosePerm(false, true, false, 2), Graph::kPermPOS);
-  EXPECT_EQ(Graph::ChoosePerm(false, true, false, 0), Graph::kPermPSO);
-  // s bound, sort on o: only the secondary SOP provides (s, o, ...).
-  EXPECT_EQ(Graph::ChoosePerm(true, false, false, 2), Graph::kPermSOP);
-  // p+o bound, sort on s: POS and OPS both satisfy; the primary wins.
+  // p bound, sort on s: only SPO puts s first; it filters p inline.
+  EXPECT_EQ(Graph::ChoosePerm(false, true, false, 0), Graph::kPermSPO);
+  // s bound, sort on o: only OSP puts o before p; it filters s inline.
+  EXPECT_EQ(Graph::ChoosePerm(true, false, false, 2), Graph::kPermOSP);
+  // p+o bound, sort on s: POS's (p, o) prefix leaves s last.
   EXPECT_EQ(Graph::ChoosePerm(false, true, true, 0), Graph::kPermPOS);
   // s+o bound, sort on p: OSP's (o, s, p) prefix already delivers it.
   EXPECT_EQ(Graph::ChoosePerm(true, false, true, 1), Graph::kPermOSP);
-  // No (or an unsatisfiable) preference degrades to the 3-arg choice.
+  // No (or a bound) preference is the longest-prefix choice.
   EXPECT_EQ(Graph::ChoosePerm(false, false, false, -1), Graph::kPermSPO);
   EXPECT_EQ(Graph::ChoosePerm(true, false, true, -1), Graph::kPermOSP);
+  EXPECT_EQ(Graph::ChoosePerm(true, false, true), Graph::kPermOSP);
   EXPECT_EQ(Graph::ChoosePerm(true, true, true, 2), Graph::kPermSPO);
 }
 
-// ---- secondary permutations ----------------------------------------------
-
-TEST(SecondaryPermTest, EnumerateInOwnSortOrderWithExactPrefixEstimates) {
-  auto g = BuildKg(11, 60);
-  struct Case {
-    Graph::Perm perm;
-    int lanes[3];  // triple lanes in key order
+// The seed-order oracle. The six lane orders (SPO, POS, OSP and their
+// transpositions PSO, OPS, SOP) hold a sort order for every bound-lane
+// subset and preferred lane: the longest bound prefix, then the one whose
+// first free lane is the preferred one, then table order. Scanning
+// ChoosePerm's permutation must give exactly the rows of Match() sorted in
+// that lane order, for every subset and preference, on both backends.
+TEST(ChoosePermOrderTest, ScansInTheSixPermutationSeedOrder) {
+  constexpr int kSix[6][3] = {{0, 1, 2}, {1, 2, 0}, {2, 0, 1},
+                              {1, 0, 2}, {0, 2, 1}, {2, 1, 0}};
+  auto six_perm_lanes = [&](const bool bound[3], int prefer) {
+    int best = 0, best_prefix = -1, best_pref = -1;
+    for (int perm = 0; perm < 6; ++perm) {
+      int prefix = 0;
+      while (prefix < 3 && bound[kSix[perm][prefix]]) ++prefix;
+      const int pref = prefix < 3 && kSix[perm][prefix] == prefer ? 1 : 0;
+      if (prefix > best_prefix ||
+          (prefix == best_prefix && pref > best_pref)) {
+        best = perm;
+        best_prefix = prefix;
+        best_pref = pref;
+      }
+    }
+    return kSix[best];
   };
-  const Case cases[] = {{Graph::kPermPSO, {1, 0, 2}},
-                        {Graph::kPermSOP, {0, 2, 1}},
-                        {Graph::kPermOPS, {2, 1, 0}}};
-  for (const Case& c : cases) {
-    std::vector<rdf::TripleId> out;
-    g->ForEachInPerm(c.perm, kNoTermId, kNoTermId, kNoTermId,
-                     [&](const rdf::TripleId& t) { out.push_back(t); });
-    ASSERT_EQ(out.size(), g->size()) << "perm " << c.perm;
-    auto key = [&](const rdf::TripleId& t) {
-      const TermId lanes[3] = {t.s, t.p, t.o};
-      return std::array<TermId, 3>{lanes[c.lanes[0]], lanes[c.lanes[1]],
-                                   lanes[c.lanes[2]]};
-    };
-    for (size_t i = 1; i < out.size(); ++i) {
-      EXPECT_LE(key(out[i - 1]), key(out[i])) << "perm " << c.perm;
+  auto heap = BuildKg(11, 60);
+  auto mapped = OpenMapped(*heap, "seed-order");
+  const TermId man = heap->terms().Find(Term::Iri(kEx + "manufacturer"));
+  ASSERT_NE(man, kNoTermId);
+  // Lane values to bind: a manufacturer triple and the graph's first one.
+  const rdf::TripleId samples[] = {
+      heap->Match(kNoTermId, man, kNoTermId).front(),
+      heap->triples().front()};
+  size_t checked = 0;
+  for (const Graph* g : {heap.get(), mapped.get()}) {
+    for (const rdf::TripleId& sample : samples) {
+      const TermId values[3] = {sample.s, sample.p, sample.o};
+      for (int mask = 0; mask < 8; ++mask) {
+        const bool bound[3] = {(mask & 1) != 0, (mask & 2) != 0,
+                               (mask & 4) != 0};
+        TermId key[3];
+        for (int lane = 0; lane < 3; ++lane) {
+          key[lane] = bound[lane] ? values[lane] : kNoTermId;
+        }
+        for (int prefer = -1; prefer < 3; ++prefer) {
+          const int* lanes = six_perm_lanes(bound, prefer);
+          auto sort_key = [lanes](const rdf::TripleId& t) {
+            const TermId v[3] = {t.s, t.p, t.o};
+            return std::array<TermId, 3>{v[lanes[0]], v[lanes[1]],
+                                         v[lanes[2]]};
+          };
+          std::vector<rdf::TripleId> want = g->Match(key[0], key[1], key[2]);
+          std::sort(want.begin(), want.end(),
+                    [&](const rdf::TripleId& a, const rdf::TripleId& b) {
+                      return sort_key(a) < sort_key(b);
+                    });
+          const Graph::Perm perm =
+              Graph::ChoosePerm(bound[0], bound[1], bound[2], prefer);
+          std::vector<rdf::TripleId> got;
+          g->ForEachInPerm(perm, key[0], key[1], key[2],
+                           [&](const rdf::TripleId& t) { got.push_back(t); });
+          ASSERT_FALSE(want.empty());
+          EXPECT_EQ(got, want) << "mask " << mask << " prefer " << prefer
+                               << " perm " << sparql::PermName(perm);
+          if (prefer < 0) {
+            // Every bound lane is in the prefix: the estimate is exact.
+            EXPECT_EQ(g->EstimateInPerm(perm, key[0], key[1], key[2]),
+                      want.size())
+                << "mask " << mask;
+          }
+          ++checked;
+        }
+      }
     }
   }
-  // A (p, s) prefix on PSO narrows exactly, like any complete prefix.
-  const TermId man = g->terms().Find(Term::Iri(kEx + "manufacturer"));
-  ASSERT_NE(man, kNoTermId);
-  const size_t width = g->EstimateInPerm(Graph::kPermPSO, kNoTermId, man,
-                                         kNoTermId);
-  EXPECT_EQ(width, g->CountMatch(kNoTermId, man, kNoTermId));
-  std::vector<rdf::TripleId> narrowed;
-  g->ForEachInPerm(Graph::kPermPSO, kNoTermId, man, kNoTermId,
-                   [&](const rdf::TripleId& t) { narrowed.push_back(t); });
-  EXPECT_EQ(narrowed.size(), width);
-  for (size_t i = 1; i < narrowed.size(); ++i) {
-    EXPECT_LE(narrowed[i - 1].s, narrowed[i].s);
-  }
+  EXPECT_EQ(checked, 2u * 2u * 8u * 4u);
 }
 
 // ---- DP order search and plan annotation ---------------------------------
@@ -232,7 +272,7 @@ TEST(PlannerDpTest, AnnotatesInterestingOrderAndSeedScan) {
   EXPECT_EQ(json.find("\"strategy\":\"M\""), std::string::npos);
 
   // Both later steps probe on ?l: the seed scans manufacturer sorted on ?l,
-  // which only the secondary PSO provides.
+  // which SPO provides, filtering the predicate inline.
   sparql::VarTable vars2;
   const std::vector<sparql::CompiledPattern> star = {
       Pat(*g, &vars2, "?l", "manufacturer", "?m"),
@@ -243,7 +283,7 @@ TEST(PlannerDpTest, AnnotatesInterestingOrderAndSeedScan) {
       sparql::AnnotateBgpPlan(*g, star, /*seeded=*/true);
   EXPECT_EQ(seeded.head_slot, 0);
   EXPECT_EQ(seeded.steps[0].strategy, 'S');
-  EXPECT_EQ(seeded.steps[0].perm, Graph::kPermPSO);
+  EXPECT_EQ(seeded.steps[0].perm, Graph::kPermSPO);
   // An unseeded run probes its first pattern's constants in the 3-arg
   // ChoosePerm permutation and keeps no interesting order; the estimates
   // are the seeded plan's.
@@ -359,10 +399,94 @@ TEST(PlannerV2Test, SeededRunSurfacesPlanAndStats) {
   EXPECT_NE(stats.ToJson().find("\"plans\":["), std::string::npos);
 }
 
+// ---- EXPLAIN ---------------------------------------------------------------
+
+// One BGP run as "dp=<0|1> head=<slot> first=<S|A> order=<sources>".
+std::string DescribeRun(bool dp, int head_slot, char first,
+                        const std::vector<int>& order) {
+  std::string out = "dp=" + std::to_string(dp ? 1 : 0) +
+                    " head=" + std::to_string(head_slot) + " first=" + first +
+                    " order=";
+  for (int src : order) out += std::to_string(src) + ",";
+  return out;
+}
+
+// A FILTER splits the triples into two runs, and the second extends rows
+// that bind ?l and ?p: Execute() orders it greedily from those slots and
+// seeds no scan. EXPLAIN plans every run as Execute() runs it: each run's
+// dp flag, head slot, first step and pattern order match ExecStats.
+TEST(PlannerV2Test, ExplainPlansEachRunAsExecuteRunsIt) {
+  auto g = BuildKg(7, 600);
+  auto parsed = sparql::ParseQuery(
+      std::string(kPfx) +
+      "SELECT ?l ?m ?c WHERE { ?l ex:price ?p . FILTER(?p > 100) "
+      "?l ex:manufacturer ?m . ?m ex:origin ?c }");
+  ASSERT_TRUE(parsed.ok());
+  const std::regex head_re(R"re("dp":(true|false),"head_slot":(-?\d+))re");
+  const std::regex step_re(R"re("pattern":(\d+),"strategy":"(.)")re");
+  for (bool use_dp : {false, true}) {
+    sparql::Executor exec(g.get());
+    exec.set_use_dp(use_dp);
+    const std::string plan = exec.ExplainJson(parsed.value());
+    std::vector<std::string> planned;
+    std::vector<size_t> run_sizes;
+    for (std::sregex_iterator it(plan.begin(), plan.end(), head_re), end;
+         it != end; ++it) {
+      const size_t from = static_cast<size_t>(it->position() + it->length());
+      const size_t to = plan.find("\"dp\":", from);
+      const std::string steps =
+          plan.substr(from, to == std::string::npos ? to : to - from);
+      std::vector<int> order;
+      char first = '?';
+      for (std::sregex_iterator st(steps.begin(), steps.end(), step_re);
+           st != std::sregex_iterator(); ++st) {
+        if (order.empty()) first = (*st)[2].str()[0];
+        order.push_back(std::stoi((*st)[1].str()));
+      }
+      planned.push_back(DescribeRun((*it)[1] == "true",
+                                    std::stoi((*it)[2].str()), first, order));
+      run_sizes.push_back(order.size());
+    }
+    ASSERT_EQ(planned.size(), 2u) << plan;
+
+    auto res = exec.Execute(parsed.value());
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    ASSERT_GT(res.value().num_rows(), 0u);
+    const sparql::ExecStats& stats = exec.stats();
+    std::vector<std::string> ran;
+    size_t at = 0, shape = 0;
+    for (size_t n : run_sizes) {
+      ASSERT_LE(at + n, stats.join_order.size()) << stats.ToJson();
+      const std::vector<int> order(stats.join_order.begin() + at,
+                                   stats.join_order.begin() + at + n);
+      // Only a seeded run records a plan shape; any other is neither
+      // DP-ordered nor sorted.
+      bool dp = false;
+      int head_slot = -1;
+      const bool seeded = stats.join_strategy[at] == 'S';
+      if (seeded) {
+        ASSERT_LT(shape, stats.plan_shapes.size());
+        std::smatch m;
+        ASSERT_TRUE(
+            std::regex_search(stats.plan_shapes[shape++], m, head_re));
+        dp = m[1] == "true";
+        head_slot = std::stoi(m[2].str());
+      }
+      ran.push_back(DescribeRun(dp, head_slot, seeded ? 'S' : 'A', order));
+      at += n;
+    }
+    EXPECT_EQ(at, stats.join_order.size());
+    EXPECT_EQ(shape, stats.plan_shapes.size());
+    EXPECT_EQ(planned, ran) << "use_dp=" << use_dp << "\n" << plan;
+    // The run after the FILTER probes manufacturer by the bound ?l first.
+    EXPECT_EQ(planned[1], DescribeRun(false, -1, 'A', {0, 1}));
+  }
+}
+
 // ---- seed scan -------------------------------------------------------------
 
 // The seed step scans the first pattern's range in the permutation the plan
-// picks, a secondary one included, so the intermediate comes out sorted on
+// picks, a filtered one included, so the intermediate comes out sorted on
 // the head variable and the later (order-preserving) steps keep it so. Both
 // backends stream the same rows, and the seeded run answers the same set as
 // an unseeded one.
@@ -375,11 +499,11 @@ TEST(PlannerV2Test, SeedScanStreamsIdenticallyOnHeapAndMappedBackends) {
     int head_slot;
   };
   const Case cases[] = {
-      // Both later steps probe ?l: only the secondary PSO sorts on it.
+      // Both later steps probe ?l: SPO sorts on it, filtering the predicate.
       {{{"?l", "manufacturer", "?m"},
         {"?l", "price", "?p"},
         {"?l", "releaseDate", "?d"}},
-       Graph::kPermPSO,
+       Graph::kPermSPO,
        0},
       // Step 1 probes ?m, the seed's object: the primary POS.
       {{{"?l", "manufacturer", "?m"},
