@@ -9,13 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "equivalence_corpus.h"
-#include "hifun/hifun_parser.h"
+#include "query_corpora.h"
 #include "sparql/executor.h"
 #include "sparql/parser.h"
-#include "translator/translator.h"
-#include "workload/invoices.h"
-#include "workload/products.h"
 
 namespace rdfa {
 namespace {
@@ -74,127 +70,51 @@ std::string Shape(const sparql::GraphPattern& p) {
   return out + "}";
 }
 
-struct Corpus {
-  const char* name;
-  rdf::Graph* graph;
-  std::vector<std::string> queries;
-};
-
 // Checks every query of `corpus` against its undotted copy; returns how
 // many copies differ from their original text.
-size_t CheckCorpus(const Corpus& corpus) {
+size_t CheckCorpus(const test::QueryCorpus& corpus) {
+  rdf::Graph graph;
+  corpus.build(&graph);
+  const char* name = corpus.name.c_str();
   size_t changed = 0;
   for (const std::string& q : corpus.queries) {
+    EXPECT_FALSE(q.empty()) << name << ": a HIFUN query did not translate";
     const std::string variant = DropOptionalDots(q);
     if (variant == q) continue;
     ++changed;
     auto a = sparql::ParseQuery(q);
     auto b = sparql::ParseQuery(variant);
-    EXPECT_TRUE(a.ok()) << corpus.name << ": " << q;
-    EXPECT_TRUE(b.ok()) << corpus.name << ": " << variant << "\n"
+    EXPECT_TRUE(a.ok()) << name << ": " << q;
+    EXPECT_TRUE(b.ok()) << name << ": " << variant << "\n"
                         << b.status().ToString();
     if (!a.ok() || !b.ok()) continue;
     EXPECT_EQ(Shape(a.value().select.where), Shape(b.value().select.where))
-        << corpus.name << ": " << variant;
-    sparql::Executor ea(corpus.graph), eb(corpus.graph);
+        << name << ": " << variant;
+    sparql::Executor ea(&graph), eb(&graph);
     EXPECT_EQ(ea.ExplainJson(a.value()), eb.ExplainJson(b.value()))
-        << corpus.name << ": " << variant;
+        << name << ": " << variant;
     auto ra = ea.Execute(a.value());
     auto rb = eb.Execute(b.value());
-    EXPECT_EQ(ra.ok(), rb.ok()) << corpus.name << ": " << variant;
+    EXPECT_EQ(ra.ok(), rb.ok()) << name << ": " << variant;
     if (ra.ok() && rb.ok()) {
       EXPECT_EQ(ra.value().ToTsv(), rb.value().ToTsv())
-          << corpus.name << ": " << variant;
+          << name << ": " << variant;
     }
   }
   return changed;
 }
 
-std::string Translate(const std::string& hifun, const std::string& ns) {
-  rdf::PrefixMap prefixes;
-  auto parsed = hifun::ParseHifun(hifun, prefixes, ns);
-  EXPECT_TRUE(parsed.ok()) << hifun;
-  if (!parsed.ok()) return "";
-  auto sparql = translator::TranslateToSparql(parsed.value());
-  EXPECT_TRUE(sparql.ok()) << hifun;
-  return sparql.ok() ? sparql.value() : "";
-}
-
 TEST(OptionalDotTest, StrippedCopiesParseAndAnswerAlike) {
-  rdf::Graph products;
-  workload::BuildRunningExample(&products);
-  workload::ProductKgOptions popt;
-  popt.laptops = 200;
-  workload::GenerateProductKg(&products, popt);
-  rdf::Graph invoices;
-  workload::BuildInvoicesExample(&invoices);
-  workload::InvoicesOptions iopt;
-  iopt.invoices = 300;
-  workload::GenerateInvoices(&invoices, iopt);
-
-  const std::string ex = "PREFIX ex: <http://www.ics.forth.gr/example#>\n";
-  // The parser suite's accepted queries.
-  Corpus parser{"parser", &products, {
-      "SELECT ?x WHERE { ?x <urn:p> ?y . }",
-      "SELECT * WHERE { ?x <urn:p> ?a , ?b ; <urn:q> ?c . }",
-      "SELECT ?x WHERE { ?x <urn:p> ?v . FILTER(?v >= 2 && ?v < 10) . }",
-      "SELECT ?m (AVG(?p) AS ?avgp) WHERE { ?x <urn:man> ?m . ?x <urn:price> "
-      "?p . } GROUP BY ?m HAVING (AVG(?p) > 500) ORDER BY DESC(?avgp) "
-      "LIMIT 3 OFFSET 1",
-      "SELECT * WHERE { ?x <urn:p> ?y . OPTIONAL { ?y <urn:q> ?z . } "
-      "{ ?x a <urn:A> . } UNION { ?x a <urn:B> . } }",
-      "SELECT * WHERE { ?x <urn:p> ?v . BIND(?v * 2 AS ?w) "
-      "VALUES ?x { <urn:a> <urn:b> } }",
-      "SELECT ?m ?avg WHERE { ?m a <urn:C> . { SELECT ?m (AVG(?p) AS ?avg) "
-      "WHERE { ?x <urn:man> ?m . ?x <urn:price> ?p . } GROUP BY ?m } }",
-      "SELECT ?x WHERE { ?x <urn:manufacturer>/<urn:origin> <urn:USA> . }",
-      "SELECT MONTH(?d) SUM(?q) WHERE { ?x <urn:date> ?d . ?x <urn:qty> ?q . "
-      "} GROUP BY MONTH(?d)",
-      "SELECT (GROUP_CONCAT(?n ; SEPARATOR=\"|\") AS ?all) WHERE { "
-      "?x <urn:name> ?n . }",
-      ex + "SELECT ?l ?c WHERE { ?l ex:price ?p . FILTER(?p < 900) . "
-           "OPTIONAL { ?l ex:manufacturer ?m . ?m ex:origin ?c . } . "
-           "MINUS { ?l ex:USBPorts 1 . } . BIND(?p * 2 AS ?d) . }",
-  }};
-  // The translator suite's HIFUN queries, over the invoices.
-  const char* const kTranslator[] = {
-      "(takesPlaceAt, inQuantity, SUM)",
-      "(takesPlaceAt / = b1, inQuantity, SUM)",
-      "(takesPlaceAt, inQuantity / >= 1, SUM)",
-      "(takesPlaceAt, inQuantity, SUM / > 1000)",
-      "(brand o delivers, inQuantity, SUM)",
-      "(MONTH(hasDate), inQuantity, SUM)",
-      "((takesPlaceAt x delivers), inQuantity, SUM)",
-      "((takesPlaceAt x brand o delivers), inQuantity, SUM)",
-      "(takesPlaceAt, inQuantity, SUM) over Invoice",
-      "(takesPlaceAt, inQuantity / delivers.brand = BrandA, SUM)",
-      "(takesPlaceAt, ID / delivers.brand != BrandA, COUNT)",
-      "(takesPlaceAt, inQuantity / YEAR(hasDate) = 2021, SUM)",
-      "(takesPlaceAt, inQuantity, SUM+AVG+MAX)",
-      "(eps, inQuantity, AVG)",
-      "(takesPlaceAt, ID, COUNT)",
-      "((takesPlaceAt x MONTH(hasDate)), inQuantity, MAX) over Invoice",
-  };
-  Corpus translated{"translator", &invoices, {}};
-  for (const char* h : kTranslator) {
-    translated.queries.push_back(Translate(h, workload::kInvoiceNs));
-  }
-  // The HTTP protocol suite's golden-body queries.
-  Corpus http{"http", &products, {
-      ex + "SELECT ?l ?p WHERE { ?l ex:price ?p . }",
-      ex + "SELECT ?l ?m ?c WHERE { ?l ex:manufacturer ?m . "
-           "?m ex:origin ?c . }",
-  }};
-  EXPECT_GT(CheckCorpus(parser), 0u);
-  EXPECT_GT(CheckCorpus(translated), 0u);
-  EXPECT_EQ(CheckCorpus(http), 0u);  // no optional '.' in this corpus
-
-  // The equivalence corpus, each over its own graph.
+  // The parser, translator and HTTP corpora come first; the rest are the
+  // equivalence cases (query_corpora.h).
+  const std::vector<test::QueryCorpus> corpora = test::QueryCorpora();
+  ASSERT_GT(corpora.size(), 3u);
+  EXPECT_GT(CheckCorpus(corpora[0]), 0u);   // parser
+  EXPECT_GT(CheckCorpus(corpora[1]), 0u);   // translator
+  EXPECT_EQ(CheckCorpus(corpora[2]), 0u);   // http: no optional '.' here
   size_t changed = 0;
-  for (const test::EquivalenceCase& tc : test::EquivalenceCorpus()) {
-    rdf::Graph g;
-    test::BuildEquivalenceGraph(tc, &g);
-    changed += CheckCorpus({tc.name.c_str(), &g, {Translate(tc.hifun, tc.ns)}});
+  for (size_t i = 3; i < corpora.size(); ++i) {
+    changed += CheckCorpus(corpora[i]);
   }
   EXPECT_GT(changed, 0u);
 }
