@@ -288,12 +288,14 @@ def _profile_ops(nodes, out):
 
 # ExecStats timing fields and the profile op that is each one's clock.
 _STAGE_FIELDS = (("filter_ms", "filter"),
+                 ("bind_ms", "bind"),
                  ("group_agg_ms", "group-aggregate"),
-                 ("projection_ms", "projection"))
+                 ("projection_ms", "projection"),
+                 ("order_ms", "order-distinct"))
 
 # Every ExecStats stage time; together they fit inside total_ms.
-_STAGE_TIMES = ("index_build_ms", "bgp_ms", "filter_ms", "group_agg_ms",
-                "projection_ms")
+_STAGE_TIMES = ("index_build_ms", "bgp_ms", "filter_ms", "bind_ms",
+                "group_agg_ms", "projection_ms", "order_ms")
 
 
 def _profile_nodes(nodes, op, out):

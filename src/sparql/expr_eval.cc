@@ -468,7 +468,7 @@ Value ApplyCall(const Expr& e, std::span<const Value> args) {
   return Value::Unbound();
 }
 
-Value EvalCall(const Expr& e, const Binding& binding, const EvalContext& ctx) {
+Value EvalCall(const Expr& e, SolutionRow binding, const EvalContext& ctx) {
   const std::string& name = e.call_name;
 
   if (name == "BOUND") {
@@ -501,7 +501,7 @@ Value EvalCall(const Expr& e, const Binding& binding, const EvalContext& ctx) {
 }
 
 // The id in `slot`; kNoTermId when unbound or never bound.
-rdf::TermId SlotId(int slot, const Binding& binding) {
+rdf::TermId SlotId(int slot, SolutionRow binding) {
   return slot >= 0 && static_cast<size_t>(slot) < binding.size()
              ? binding[slot]
              : rdf::kNoTermId;
@@ -509,7 +509,7 @@ rdf::TermId SlotId(int slot, const Binding& binding) {
 
 // The value of a bound slot: its decoded value from the dictionary, terms
 // by reference.
-Value SlotValue(int slot, const Binding& binding, const EvalContext& ctx) {
+Value SlotValue(int slot, SolutionRow binding, const EvalContext& ctx) {
   const rdf::TermId id = SlotId(slot, binding);
   if (id == rdf::kNoTermId) return Value::Unbound();
   return Value::OfId(*ctx.terms, id);
@@ -517,7 +517,7 @@ Value SlotValue(int slot, const Binding& binding, const EvalContext& ctx) {
 
 }  // namespace
 
-Value EvalExpr(const Expr& expr, const Binding& binding,
+Value EvalExpr(const Expr& expr, SolutionRow binding,
                const EvalContext& ctx) {
   switch (expr.kind) {
     case Expr::Kind::kVar:
@@ -618,7 +618,7 @@ int CompiledExpr::Lower(const Expr& e, const VarTable& vars) {
   return static_cast<int>(nodes_.size()) - 1;
 }
 
-const Value& CompiledExpr::Operand(int n, const Binding& row,
+const Value& CompiledExpr::Operand(int n, SolutionRow row,
                                    const EvalContext& ctx,
                                    Value* scratch) const {
   if (nodes_[n].kind == Kind::kConst) return nodes_[n].constant;
@@ -626,7 +626,7 @@ const Value& CompiledExpr::Operand(int n, const Binding& row,
   return *scratch;
 }
 
-Value CompiledExpr::EvalNode(int n, const Binding& row,
+Value CompiledExpr::EvalNode(int n, SolutionRow row,
                              const EvalContext& ctx) const {
   const Node& node = nodes_[n];
   switch (node.kind) {
@@ -666,7 +666,7 @@ Value CompiledExpr::EvalNode(int n, const Binding& row,
   return EvalExpr(*node.expr, row, ctx);
 }
 
-bool CompiledExpr::LeafNumber(int n, const Binding& row,
+bool CompiledExpr::LeafNumber(int n, SolutionRow row,
                               const EvalContext& ctx, double* out) const {
   const Node& node = nodes_[n];
   if (node.kind == Kind::kConst) {
@@ -683,7 +683,7 @@ bool CompiledExpr::LeafNumber(int n, const Binding& row,
   return true;
 }
 
-std::optional<bool> CompiledExpr::TestNode(int n, const Binding& row,
+std::optional<bool> CompiledExpr::TestNode(int n, SolutionRow row,
                                            const EvalContext& ctx) const {
   const Node& node = nodes_[n];
   switch (node.kind) {

@@ -22,6 +22,7 @@
 #include "sparql/parser.h"
 #include "test_paths.h"
 #include "workload/products.h"
+#include "solution_rows.h"
 
 namespace rdfa {
 namespace {
@@ -311,34 +312,31 @@ TEST_F(JoinStrategyTest, HeterogeneousRowsFallBackPerRowByteIdentically) {
       sparql::CompileTriple(tp, &vars, g)};
   ASSERT_FALSE(patterns[0].impossible);
 
-  std::vector<sparql::Binding> seed_rows;
+  sparql::SolutionTable seed_rows(vars.size());
   int next = 0;
   g.ForEachMatch(kNoTermId, g.terms().Find(Term::Iri(kEx + "manufacturer")),
                  kNoTermId, [&](const rdf::TripleId& t) {
-                   sparql::Binding b(vars.size(), kNoTermId);
+                   const std::span<TermId> b = seed_rows.AppendRow({});
                    // Every third row arrives with ?m unbound.
                    if (++next % 3 != 0) b[0] = t.o;
-                   seed_rows.push_back(std::move(b));
                  });
   ASSERT_GE(seed_rows.size(), 100u);
 
   // The first row has ?m bound, and >= 100 probes against a 20-company
   // build side clear kHashBuildFactor: adaptive builds the table.
   auto run = [&](sparql::JoinStrategy strategy, sparql::ExecStats* stats) {
-    std::vector<sparql::Binding> rows = seed_rows;
+    sparql::SolutionTable rows = seed_rows;
     sparql::JoinOptions jopts;
     jopts.strategy = strategy;
     jopts.stats = stats;
     Status st = sparql::JoinBgp(g, patterns, vars.size(), /*reorder=*/false,
                                 jopts, &rows);
     EXPECT_TRUE(st.ok()) << st.ToString();
-    return rows;
+    return test::Rows(rows);
   };
   sparql::ExecStats nlj_stats, hash_stats;
-  std::vector<sparql::Binding> nlj =
-      run(sparql::JoinStrategy::kNestedLoop, &nlj_stats);
-  std::vector<sparql::Binding> hash =
-      run(sparql::JoinStrategy::kAdaptive, &hash_stats);
+  test::RowList nlj = run(sparql::JoinStrategy::kNestedLoop, &nlj_stats);
+  test::RowList hash = run(sparql::JoinStrategy::kAdaptive, &hash_stats);
   ASSERT_TRUE(UsedHash(hash_stats)) << hash_stats.Summary();
   EXPECT_FALSE(UsedHash(nlj_stats));
   ASSERT_EQ(nlj.size(), hash.size());
@@ -378,8 +376,7 @@ TEST_F(JoinStrategyTest, DeadlineTripsInsideHashBuildDeterministically) {
   sparql::JoinOptions jopts;
   jopts.stats = &stats;
   jopts.ctx = &ctx;
-  std::vector<sparql::Binding> rows = {
-      sparql::Binding(vars.size(), kNoTermId)};
+  sparql::SolutionTable rows = test::Table(vars.size(), {{}});
   Status st =
       sparql::JoinBgp(g, patterns, vars.size(), /*reorder=*/false, jopts,
                       &rows);

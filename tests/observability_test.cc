@@ -41,6 +41,7 @@
 #include "test_store.h"
 #include "workload/invoices.h"
 #include "workload/products.h"
+#include "solution_rows.h"
 
 namespace rdfa {
 namespace {
@@ -429,8 +430,7 @@ TEST(AbortTraceTest, MidJoinCancellationClosesTheAbortedSpan) {
   sparql::JoinOptions jopts;
   jopts.stats = &stats;
   jopts.ctx = &ctx;
-  std::vector<sparql::Binding> rows = {
-      sparql::Binding(vars.size(), rdf::kNoTermId)};
+  sparql::SolutionTable rows = test::Table(vars.size(), {{}});
   Status st = sparql::JoinBgp(g, patterns, vars.size(), /*reorder=*/false,
                               jopts, &rows);
   ASSERT_FALSE(st.ok());
@@ -1450,6 +1450,8 @@ TEST(ExplainTest, AnalyzeProfileReconcilesWithExecStats) {
       EXPECT_NEAR(stats.group_agg_ms, SpanMs(*tracer, "group-aggregate"),
                   1e-6);
       EXPECT_NEAR(stats.projection_ms, SpanMs(*tracer, "projection"), 1e-6);
+      EXPECT_NEAR(stats.bind_ms, SpanMs(*tracer, "bind"), 1e-6);
+      EXPECT_NEAR(stats.order_ms, SpanMs(*tracer, "order-distinct"), 1e-6);
       EXPECT_NEAR(stats.index_build_ms, SpanMs(*tracer, "index-build"),
                   1e-6);
       EXPECT_NEAR(stats.total_ms, SpanMs(*tracer, "execute"), 1e-6);
@@ -1500,8 +1502,56 @@ TEST(ExplainTest, ExistsProbeTimeIsChargedOnlyToItsFilter) {
   const sparql::ExecStats& stats = exec.stats();
   EXPECT_NEAR(stats.filter_ms, outer_filter_ms, 1e-6);
   EXPECT_LE(stats.index_build_ms + stats.bgp_ms + stats.filter_ms +
-                stats.group_agg_ms + stats.projection_ms,
+                stats.bind_ms + stats.group_agg_ms + stats.projection_ms +
+                stats.order_ms,
             stats.total_ms + 1e-6);
+}
+
+// The BIND a GROUP BY alias becomes runs in a "bind" span and ORDER BY in
+// an "order-distinct" span, each its ExecStats field's only clock. A BIND
+// inside an EXISTS probe keeps its span, but its time stays with the
+// filter that runs the probe.
+TEST(ExplainTest, BindAndOrderSpansAreTheirFieldsClocks) {
+  rdf::Graph g;
+  workload::ProductKgOptions opt;
+  opt.laptops = 500;
+  workload::GenerateProductKg(&g, opt);
+  auto run = [&](const std::string& query, sparql::ExecStats* stats) {
+    auto parsed = sparql::ParseQuery(kProductPfx + query);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().message();
+    auto tracer = std::make_shared<Tracer>();
+    sparql::Executor exec(&g);
+    QueryContext ctx;
+    ctx.set_tracer(tracer);
+    exec.set_query_context(ctx);
+    EXPECT_TRUE(exec.Execute(parsed.value()).ok());
+    *stats = exec.stats();
+    return tracer;
+  };
+  sparql::ExecStats stats;
+  auto tracer = run(
+      "SELECT ?m ?y (AVG(?p) AS ?avg) WHERE { ?l ex:manufacturer ?m . "
+      "?l ex:releaseDate ?d . ?l ex:price ?p } "
+      "GROUP BY ?m (YEAR(?d) AS ?y) ORDER BY ?m ?y",
+      &stats);
+  ASSERT_TRUE(tracer->HasSpan("bind"));
+  ASSERT_TRUE(tracer->HasSpan("order-distinct"));
+  EXPECT_GT(stats.bind_ms, 0.0);
+  EXPECT_NEAR(stats.bind_ms, SpanMs(*tracer, "bind"), 1e-6);
+  EXPECT_NEAR(stats.order_ms, SpanMs(*tracer, "order-distinct"), 1e-6);
+  const std::string json = stats.ToJson();
+  EXPECT_NE(json.find("\"bind_ms\":"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"order_ms\":"), std::string::npos) << json;
+  EXPECT_NE(stats.Summary().find(" bind="), std::string::npos);
+  EXPECT_NE(stats.Summary().find(" order_distinct="), std::string::npos);
+
+  tracer = run(
+      "SELECT ?l WHERE { ?l ex:manufacturer ?m . FILTER(EXISTS { "
+      "?l ex:price ?q . BIND(?q * 2 AS ?d) }) }",
+      &stats);
+  EXPECT_TRUE(tracer->HasSpan("bind"));
+  EXPECT_EQ(stats.bind_ms, 0.0);
+  EXPECT_EQ(stats.order_ms, 0.0);
 }
 
 // ---------------------------------------------------------------------------

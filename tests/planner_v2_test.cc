@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <regex>
 #include <string>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "sparql/planner.h"
 #include "test_paths.h"
 #include "workload/products.h"
+#include "solution_rows.h"
 
 namespace rdfa {
 namespace {
@@ -411,75 +413,97 @@ std::string DescribeRun(bool dp, int head_slot, char first,
   return out;
 }
 
-// A FILTER splits the triples into two runs, and the second extends rows
-// that bind ?l and ?p: Execute() orders it greedily from those slots and
-// seeds no scan. EXPLAIN plans every run as Execute() runs it: each run's
-// dp flag, head slot, first step and pattern order match ExecStats.
+// EXPLAIN plans every top-level run as Execute() runs it: each run's dp
+// flag, head slot, first step and pattern order match ExecStats. A run
+// after a FILTER, a BIND or a sub-select extends rows that bind their
+// slots, so Execute() orders it greedily from those slots and seeds no
+// scan. Runs nested in a sub-select execute first; the top-level runs are
+// the last entries of ExecStats.
 TEST(PlannerV2Test, ExplainPlansEachRunAsExecuteRunsIt) {
   auto g = BuildKg(7, 600);
-  auto parsed = sparql::ParseQuery(
-      std::string(kPfx) +
-      "SELECT ?l ?m ?c WHERE { ?l ex:price ?p . FILTER(?p > 100) "
-      "?l ex:manufacturer ?m . ?m ex:origin ?c }");
-  ASSERT_TRUE(parsed.ok());
+  struct Case {
+    std::string query;
+    size_t runs;           ///< top-level triple runs
+    std::string last_run;  ///< DescribeRun of the last of them
+  };
+  const Case cases[] = {
+      // The FILTER splits two runs; the second probes manufacturer by the
+      // bound ?l first.
+      {"SELECT ?l ?m ?c WHERE { ?l ex:price ?p . FILTER(?p > 100) "
+       "?l ex:manufacturer ?m . ?m ex:origin ?c }",
+       2, DescribeRun(false, -1, 'A', {0, 1})},
+      // The sub-select binds ?m, so the run probes manufacturer by ?m.
+      {"SELECT ?l ?p WHERE { { SELECT ?m WHERE { ?m ex:origin ?c } } "
+       "?l ex:manufacturer ?m . ?l ex:price ?p }",
+       1, DescribeRun(false, -1, 'A', {0, 1})},
+  };
   const std::regex head_re(R"re("dp":(true|false),"head_slot":(-?\d+))re");
   const std::regex step_re(R"re("pattern":(\d+),"strategy":"(.)")re");
-  for (bool use_dp : {false, true}) {
-    sparql::Executor exec(g.get());
-    exec.set_use_dp(use_dp);
-    const std::string plan = exec.ExplainJson(parsed.value());
-    std::vector<std::string> planned;
-    std::vector<size_t> run_sizes;
-    for (std::sregex_iterator it(plan.begin(), plan.end(), head_re), end;
-         it != end; ++it) {
-      const size_t from = static_cast<size_t>(it->position() + it->length());
-      const size_t to = plan.find("\"dp\":", from);
-      const std::string steps =
-          plan.substr(from, to == std::string::npos ? to : to - from);
-      std::vector<int> order;
-      char first = '?';
-      for (std::sregex_iterator st(steps.begin(), steps.end(), step_re);
-           st != std::sregex_iterator(); ++st) {
-        if (order.empty()) first = (*st)[2].str()[0];
-        order.push_back(std::stoi((*st)[1].str()));
+  for (const Case& c : cases) {
+    auto parsed = sparql::ParseQuery(std::string(kPfx) + c.query);
+    ASSERT_TRUE(parsed.ok()) << c.query;
+    for (bool use_dp : {false, true}) {
+      sparql::Executor exec(g.get());
+      exec.set_use_dp(use_dp);
+      const std::string plan = exec.ExplainJson(parsed.value());
+      std::vector<std::string> planned;
+      std::vector<size_t> run_sizes;
+      for (std::sregex_iterator it(plan.begin(), plan.end(), head_re), end;
+           it != end; ++it) {
+        const size_t from = static_cast<size_t>(it->position() + it->length());
+        const size_t to = plan.find("\"dp\":", from);
+        const std::string steps =
+            plan.substr(from, to == std::string::npos ? to : to - from);
+        std::vector<int> order;
+        char first = '?';
+        for (std::sregex_iterator st(steps.begin(), steps.end(), step_re);
+             st != std::sregex_iterator(); ++st) {
+          if (order.empty()) first = (*st)[2].str()[0];
+          order.push_back(std::stoi((*st)[1].str()));
+        }
+        planned.push_back(DescribeRun((*it)[1] == "true",
+                                      std::stoi((*it)[2].str()), first, order));
+        run_sizes.push_back(order.size());
       }
-      planned.push_back(DescribeRun((*it)[1] == "true",
-                                    std::stoi((*it)[2].str()), first, order));
-      run_sizes.push_back(order.size());
-    }
-    ASSERT_EQ(planned.size(), 2u) << plan;
+      ASSERT_EQ(planned.size(), c.runs) << plan;
 
-    auto res = exec.Execute(parsed.value());
-    ASSERT_TRUE(res.ok()) << res.status().ToString();
-    ASSERT_GT(res.value().num_rows(), 0u);
-    const sparql::ExecStats& stats = exec.stats();
-    std::vector<std::string> ran;
-    size_t at = 0, shape = 0;
-    for (size_t n : run_sizes) {
-      ASSERT_LE(at + n, stats.join_order.size()) << stats.ToJson();
-      const std::vector<int> order(stats.join_order.begin() + at,
-                                   stats.join_order.begin() + at + n);
-      // Only a seeded run records a plan shape; any other is neither
-      // DP-ordered nor sorted.
-      bool dp = false;
-      int head_slot = -1;
-      const bool seeded = stats.join_strategy[at] == 'S';
-      if (seeded) {
-        ASSERT_LT(shape, stats.plan_shapes.size());
-        std::smatch m;
-        ASSERT_TRUE(
-            std::regex_search(stats.plan_shapes[shape++], m, head_re));
-        dp = m[1] == "true";
-        head_slot = std::stoi(m[2].str());
+      auto res = exec.Execute(parsed.value());
+      ASSERT_TRUE(res.ok()) << res.status().ToString();
+      ASSERT_GT(res.value().num_rows(), 0u);
+      const sparql::ExecStats& stats = exec.stats();
+      const size_t top_steps =
+          std::accumulate(run_sizes.begin(), run_sizes.end(), size_t{0});
+      ASSERT_LE(top_steps, stats.join_order.size()) << stats.ToJson();
+      size_t at = stats.join_order.size() - top_steps;
+      // Each seeded run records one plan shape, its first step an 'S'.
+      size_t shape = static_cast<size_t>(
+          std::count(stats.join_strategy.begin(),
+                     stats.join_strategy.begin() + at, 'S'));
+      std::vector<std::string> ran;
+      for (size_t n : run_sizes) {
+        const std::vector<int> order(stats.join_order.begin() + at,
+                                     stats.join_order.begin() + at + n);
+        // Only a seeded run records a plan shape; any other is neither
+        // DP-ordered nor sorted.
+        bool dp = false;
+        int head_slot = -1;
+        const bool seeded = stats.join_strategy[at] == 'S';
+        if (seeded) {
+          ASSERT_LT(shape, stats.plan_shapes.size());
+          std::smatch m;
+          ASSERT_TRUE(
+              std::regex_search(stats.plan_shapes[shape++], m, head_re));
+          dp = m[1] == "true";
+          head_slot = std::stoi(m[2].str());
+        }
+        ran.push_back(DescribeRun(dp, head_slot, seeded ? 'S' : 'A', order));
+        at += n;
       }
-      ran.push_back(DescribeRun(dp, head_slot, seeded ? 'S' : 'A', order));
-      at += n;
+      EXPECT_EQ(at, stats.join_order.size());
+      EXPECT_EQ(shape, stats.plan_shapes.size());
+      EXPECT_EQ(planned, ran) << "use_dp=" << use_dp << "\n" << plan;
+      EXPECT_EQ(planned.back(), c.last_run) << c.query;
     }
-    EXPECT_EQ(at, stats.join_order.size());
-    EXPECT_EQ(shape, stats.plan_shapes.size());
-    EXPECT_EQ(planned, ran) << "use_dp=" << use_dp << "\n" << plan;
-    // The run after the FILTER probes manufacturer by the bound ?l first.
-    EXPECT_EQ(planned[1], DescribeRun(false, -1, 'A', {0, 1}));
   }
 }
 
@@ -526,8 +550,7 @@ TEST(PlannerV2Test, SeedScanStreamsIdenticallyOnHeapAndMappedBackends) {
         EXPECT_EQ(plan.steps[0].perm, c.perm);
         EXPECT_EQ(plan.head_slot, c.head_slot);
       }
-      std::vector<sparql::Binding> rows = {
-          sparql::Binding(vars.size(), kNoTermId)};
+      sparql::SolutionTable rows = test::Table(vars.size(), {{}});
       sparql::JoinOptions jopts;
       jopts.use_dp = use_dp;
       jopts.replay_order = &source_order;
@@ -535,7 +558,7 @@ TEST(PlannerV2Test, SeedScanStreamsIdenticallyOnHeapAndMappedBackends) {
       Status st = sparql::JoinBgp(g, patterns, vars.size(), /*reorder=*/false,
                                   jopts, &rows);
       EXPECT_TRUE(st.ok()) << st.ToString();
-      return rows;
+      return test::Rows(rows);
     };
     const TermId seed_p =
         heap->terms().Find(Term::Iri(kEx + c.patterns[0][1]));
@@ -543,8 +566,8 @@ TEST(PlannerV2Test, SeedScanStreamsIdenticallyOnHeapAndMappedBackends) {
     const size_t seed_width = heap->CountMatch(kNoTermId, seed_p, kNoTermId);
 
     sparql::ExecStats heap_stats, mapped_stats;
-    const std::vector<sparql::Binding> h = run(*heap, true, &heap_stats);
-    const std::vector<sparql::Binding> m = run(*mapped, true, &mapped_stats);
+    const test::RowList h = run(*heap, true, &heap_stats);
+    const test::RowList m = run(*mapped, true, &mapped_stats);
     ASSERT_GT(h.size(), 0u);
     ASSERT_EQ(h.size(), m.size()) << "perm " << c.perm;
     for (size_t i = 0; i < h.size(); ++i) {
@@ -561,8 +584,8 @@ TEST(PlannerV2Test, SeedScanStreamsIdenticallyOnHeapAndMappedBackends) {
           << "perm " << c.perm << " row " << i;
     }
 
-    std::vector<sparql::Binding> want = run(*heap, false, nullptr);
-    std::vector<sparql::Binding> got = h;
+    test::RowList want = run(*heap, false, nullptr);
+    test::RowList got = h;
     std::sort(want.begin(), want.end());
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, want) << "perm " << c.perm;
@@ -580,13 +603,13 @@ TEST(PlannerV2Test, CancelAtSeedExitKeepsItsStatsAndDropsItsRows) {
   ASSERT_NE(man, kNoTermId);
   const std::vector<int> source_order = {0, 1};
   auto run = [&](QueryContext* ctx, sparql::ExecStats* stats,
-                 std::vector<sparql::Binding>* rows) {
+                 sparql::SolutionTable* rows) {
     sparql::VarTable vars;
     std::vector<sparql::CompiledPattern> patterns = {
         Pat(*g, &vars, "?l", "manufacturer", "?m"),
         Pat(*g, &vars, "?m", "origin", "?c"),
     };
-    rows->assign(1, sparql::Binding(vars.size(), kNoTermId));
+    *rows = test::Table(vars.size(), {{}});
     sparql::JoinOptions jopts;
     jopts.strategy = sparql::JoinStrategy::kNestedLoop;  // no hash build
     jopts.use_dp = true;
@@ -599,7 +622,7 @@ TEST(PlannerV2Test, CancelAtSeedExitKeepsItsStatsAndDropsItsRows) {
 
   QueryContext probe;
   sparql::ExecStats probe_stats;
-  std::vector<sparql::Binding> full;
+  sparql::SolutionTable full;
   ASSERT_TRUE(run(&probe, &probe_stats, &full).ok());
   ASSERT_EQ(probe_stats.join_strategy, (std::vector<char>{'S', 'N'}));
   EXPECT_EQ(probe.checks_performed(), 4);
@@ -608,7 +631,7 @@ TEST(PlannerV2Test, CancelAtSeedExitKeepsItsStatsAndDropsItsRows) {
   QueryContext ctx;
   ctx.CancelAfterChecks(2);
   sparql::ExecStats stats;
-  std::vector<sparql::Binding> rows;
+  sparql::SolutionTable rows;
   Status st = run(&ctx, &stats, &rows);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCancelled);
@@ -618,7 +641,7 @@ TEST(PlannerV2Test, CancelAtSeedExitKeepsItsStatsAndDropsItsRows) {
   EXPECT_EQ(stats.rows_scanned[0],
             g->CountMatch(kNoTermId, man, kNoTermId));
   ASSERT_EQ(rows.size(), 1u);
-  for (TermId v : rows.front()) EXPECT_EQ(v, kNoTermId);
+  for (TermId v : rows.row(0)) EXPECT_EQ(v, kNoTermId);
 }
 
 // ---- probe reuse over the sorted seed ------------------------------------
@@ -708,8 +731,7 @@ TEST(PlannerV2Test, CapturedOrderReplayReproducesPlanBitForBit) {
         Pat(*g, &vars, "?m", "origin", "?c"),
         Pat(*g, &vars, "?c", "GDPPerCapita", "?gdp"),
     };
-    std::vector<sparql::Binding> rows = {
-        sparql::Binding(vars.size(), kNoTermId)};
+    sparql::SolutionTable rows = test::Table(vars.size(), {{}});
     sparql::JoinOptions jopts;
     jopts.use_dp = true;
     jopts.stats = stats;
@@ -718,19 +740,17 @@ TEST(PlannerV2Test, CapturedOrderReplayReproducesPlanBitForBit) {
     Status st = sparql::JoinBgp(*g, patterns, vars.size(), /*reorder=*/true,
                                 jopts, &rows);
     EXPECT_TRUE(st.ok()) << st.ToString();
-    return rows;
+    return test::Rows(rows);
   };
   std::vector<int> captured;
   sparql::ExecStats first_stats;
-  const std::vector<sparql::Binding> first =
-      run(nullptr, &captured, &first_stats);
+  const test::RowList first = run(nullptr, &captured, &first_stats);
   ASSERT_EQ(captured.size(), 3u);
   EXPECT_EQ(first_stats.dp_plans, 1u);
   ASSERT_EQ(first_stats.plan_shapes.size(), 1u);
 
   sparql::ExecStats replayed_stats;
-  const std::vector<sparql::Binding> replayed =
-      run(&captured, nullptr, &replayed_stats);
+  const test::RowList replayed = run(&captured, nullptr, &replayed_stats);
   ASSERT_EQ(replayed.size(), first.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i], replayed[i]) << "row " << i;

@@ -19,6 +19,7 @@
 #include "rdf/binary_io.h"
 #include "sparql/bgp.h"
 #include "test_paths.h"
+#include "solution_rows.h"
 
 namespace rdfa {
 namespace {
@@ -272,7 +273,7 @@ TEST_P(ProbeCursorTest, HashFallbackRowsMatchTheReference) {
     objects.push_back(t.o);
   }
   std::mt19937_64 rng(std::get<0>(GetParam()));
-  std::vector<sparql::Binding> rows;
+  test::RowList rows;
   for (int i = 0; i < 900; ++i) {
     if (i % 3 == 0) {
       rows.push_back({subjects[rng() % subjects.size()], kNoTermId});
@@ -285,8 +286,8 @@ TEST_P(ProbeCursorTest, HashFallbackRowsMatchTheReference) {
   std::sort(rows.begin() + 600, rows.end(),
             [](const auto& a, const auto& b) { return a > b; });
 
-  std::vector<sparql::Binding> want;
-  for (const sparql::Binding& row : rows) {
+  test::RowList want;
+  for (const std::vector<TermId>& row : rows) {
     for (const TripleId& t : reference_->Match(row[0], p, row[1])) {
       want.push_back({t.s, t.o});
     }
@@ -300,14 +301,14 @@ TEST_P(ProbeCursorTest, HashFallbackRowsMatchTheReference) {
     sparql::JoinOptions opts;
     opts.threads = threads;
     opts.stats = &stats;
-    std::vector<sparql::Binding> got = rows;
+    sparql::SolutionTable got = test::Table(2, rows);
     ASSERT_TRUE(
         sparql::JoinBgp(graph(), {pattern}, 2, false, opts, &got).ok());
     EXPECT_EQ(stats.hash_builds, 1u);
     if (threads > 1) {
       EXPECT_GT(stats.morsel_count, 1u);
     }
-    EXPECT_EQ(got, want) << "threads=" << threads;
+    EXPECT_EQ(test::Rows(got), want) << "threads=" << threads;
   }
 }
 

@@ -17,6 +17,7 @@
 #include "translator/translator.h"
 #include "viz/table_render.h"
 #include "workload/products.h"
+#include "solution_rows.h"
 
 namespace rdfa {
 namespace {
@@ -65,9 +66,9 @@ TEST_P(RandomBgpTest, IndexJoinMatchesNaiveJoin) {
     for (const auto& tp : patterns) {
       compiled.push_back(sparql::CompileTriple(tp, &vars, g));
     }
-    std::vector<sparql::Binding> rows = {sparql::Binding(vars.size(),
-                                                         rdf::kNoTermId)};
-    sparql::JoinBgp(g, compiled, vars.size(), /*reorder=*/true, &rows);
+    sparql::SolutionTable rows = test::Table(vars.size(), {{}});
+    sparql::JoinBgp(g, compiled, vars.size(), /*reorder=*/true,
+                    sparql::JoinOptions{}, &rows);
 
     // Naive reference: nested loops over all triples.
     std::multiset<std::string> expected;
@@ -109,7 +110,7 @@ TEST_P(RandomBgpTest, IndexJoinMatchesNaiveJoin) {
     recurse(0, {});
 
     std::multiset<std::string> got;
-    for (const sparql::Binding& row : rows) {
+    for (const std::vector<rdf::TermId>& row : test::Rows(rows)) {
       std::string key;
       for (const char* v : {"a", "b", "c"}) {
         int slot = vars.Find(v);

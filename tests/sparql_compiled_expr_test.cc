@@ -184,11 +184,11 @@ TEST(CompiledExprTest, MatchesTheInterpreterOnASeededCorpus) {
   EvalContext ctx{.terms = &g.terms(), .vars = &vars};
 
   std::mt19937_64 rng(2024);
-  std::vector<Binding> rows;
+  std::vector<std::vector<rdf::TermId>> rows;
   for (int r = 0; r < 24; ++r) {
     // Every slot unbound about one time in four; some rows are shorter
     // than the table (slots past their end read as unbound).
-    Binding row(r % 8 == 7 ? 2 : 4);
+    std::vector<rdf::TermId> row(r % 8 == 7 ? 2 : 4);
     for (rdf::TermId& cell : row) {
       cell = rng() % 4 == 0 ? rdf::kNoTermId : ids[rng() % ids.size()];
     }
@@ -200,7 +200,7 @@ TEST(CompiledExprTest, MatchesTheInterpreterOnASeededCorpus) {
   for (int i = 0; i < 4000; ++i) {
     const ExprPtr expr = gen.Gen(4);
     const CompiledExpr compiled(*expr, vars);
-    for (const Binding& row : rows) {
+    for (const std::vector<rdf::TermId>& row : rows) {
       const Value want = EvalExpr(*expr, row, ctx);
       const Value got = compiled.Eval(row, ctx);
       ASSERT_EQ(Render(got), Render(want)) << "expression #" << i;
@@ -220,7 +220,7 @@ TEST(CompiledExprTest, ThreeValuedLogicAndInOverErrors) {
   VarTable vars;
   vars.IdOf("t");
   vars.IdOf("f");
-  const Binding row = {g.terms().Intern(Term::Boolean(true)),
+  const std::vector<rdf::TermId> row = {g.terms().Intern(Term::Boolean(true)),
                        g.terms().Intern(Term::Boolean(false))};
   EvalContext ctx{.terms = &g.terms(), .vars = &vars};
   // ?e is never bound: an error operand.
@@ -291,7 +291,7 @@ TEST(CompiledExprTest, TestOfLeafComparisonsMatchesTheInterpreter) {
   for (size_t i = 0; i <= pool.size(); ++i) {
     for (size_t j = 0; j <= pool.size(); ++j) {
       // i or j == pool.size(): that slot is unbound.
-      const Binding row = {
+      const std::vector<rdf::TermId> row = {
           i < pool.size() ? g.terms().Intern(pool[i]) : rdf::kNoTermId,
           j < pool.size() ? g.terms().Intern(pool[j]) : rdf::kNoTermId,
           seven};
