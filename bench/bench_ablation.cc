@@ -7,8 +7,7 @@
 // (rows_scanned) and wall time.
 //
 // Run: ./build/bench/bench_ablation [--scale=100k] [--iters=N]
-//                                   [--json=<path>] [--ablate-hash-join]
-//                                   [--storage=heap|mmap]
+//                                   [--json=<path>] [--storage=heap|mmap]
 //                                   [--trace-out=<dir>]
 //   --scale:            laptop count of the generated product KG
 //                       (default 20k)
@@ -17,8 +16,6 @@
 //   --json=<path>:      write one machine-readable JSON object for the
 //                       whole run (scale, iters, p50/p99, per-run
 //                       ExecStats + plan shapes + result hash)
-//   --ablate-hash-join: force nested-loop joins in the adaptive configs,
-//                       isolating the hash join's contribution
 //   --storage=heap|mmap: serve the KG from the heap (default) or round-trip
 //                       it through an RDFA3 snapshot and run everything off
 //                       the mapped view; result hashes must agree between
@@ -28,9 +25,10 @@
 //                       (query, config) pair — first iteration of each
 //
 // Exit code is non-zero if any configuration diverges from the baseline
-// result set, or if (without --ablate-hash-join) the adaptive configuration
-// fails to beat the NLJ baseline on total rows_scanned, or the planner-v2
-// dp configuration fails to beat the adaptive one.
+// result set, or if the adaptive configuration fails to beat the NLJ
+// baseline on total rows_scanned (the nlj rows are the hash-join
+// ablation), or the planner-v2 dp configuration fails to beat the adaptive
+// one.
 
 #include <chrono>
 #include <cstdio>
@@ -189,7 +187,6 @@ int main(int argc, char** argv) {
   int iters = 1;
   std::string json_path;
   std::string storage = "heap";
-  bool ablate_hash = false;
   rdfa::bench::TraceSink trace_sink;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -201,8 +198,6 @@ int main(int argc, char** argv) {
       iters = n < 1 ? 1 : n;
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = arg.substr(7);
-    } else if (arg == "--ablate-hash-join") {
-      ablate_hash = true;
     } else if (arg.rfind("--storage=", 0) == 0) {
       storage = arg.substr(10);
       if (storage != "heap" && storage != "mmap") {
@@ -215,8 +210,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const JoinStrategy adaptive =
-      ablate_hash ? JoinStrategy::kNestedLoop : JoinStrategy::kAdaptive;
   // Indices matter: 0/2 share the source-order plan and 1/3 the reordered
   // plan, so each pair differs only in strategy.
   const std::vector<Config> configs = {
@@ -224,8 +217,8 @@ int main(int argc, char** argv) {
       {"nlj/source", false, JoinStrategy::kNestedLoop},
       {"nlj/reorder", true, JoinStrategy::kNestedLoop},
       // Adaptive hash join.
-      {"adaptive/source", false, adaptive},
-      {"adaptive/reorder", true, adaptive},
+      {"adaptive/source", false, JoinStrategy::kAdaptive},
+      {"adaptive/reorder", true, JoinStrategy::kAdaptive},
       // Planner v2: DP join ordering + seed scan. DP *is* the reorderer,
       // so it ignores the reorder flag and one plan covers both orders.
       {"dp", true, JoinStrategy::kAdaptive, true},
@@ -257,10 +250,9 @@ int main(int argc, char** argv) {
   }
   g->Freeze();
   std::printf(
-      "product KG: %zu triples (%zu laptops, %zu companies) storage=%s%s\n"
+      "product KG: %zu triples (%zu laptops, %zu companies) storage=%s\n"
       "\n",
-      g->size(), opt.laptops, opt.companies, storage.c_str(),
-      ablate_hash ? "  [hash join ABLATED]" : "");
+      g->size(), opt.laptops, opt.companies, storage.c_str());
 
   bool identical = true;
   bool all_ok = true;
@@ -371,11 +363,11 @@ int main(int argc, char** argv) {
               identical ? "equivalent" : "DIVERGED");
 
   const bool hash_won = adaptive_scanned < baseline_scanned;
-  if (!ablate_hash && !hash_won) {
+  if (!hash_won) {
     std::printf("FAILED: adaptive hash join did not reduce rows scanned\n");
   }
   const bool dp_won = dp_scanned < adaptive_scanned;
-  if (!ablate_hash && !dp_won) {
+  if (!dp_won) {
     std::printf("FAILED: planner v2 (DP) did not reduce rows scanned\n");
   }
 
@@ -386,7 +378,6 @@ int main(int argc, char** argv) {
     top.AddInt("iters", static_cast<uint64_t>(iters));
     top.AddInt("triples", g->size());
     top.AddString("storage", storage);
-    top.AddBool("ablate_hash_join", ablate_hash);
     top.AddNumber("p50_ms", Percentile(latencies, 0.50));
     top.AddNumber("p99_ms", Percentile(latencies, 0.99));
     top.AddInt("baseline_rows_scanned", baseline_scanned);
@@ -400,6 +391,6 @@ int main(int argc, char** argv) {
   }
 
   if (!all_ok || !identical) return 1;
-  if (!ablate_hash && (!hash_won || !dp_won)) return 1;
+  if (!hash_won || !dp_won) return 1;
   return 0;
 }

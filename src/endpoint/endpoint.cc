@@ -380,8 +380,8 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
   };
   if (cache_on) {
     fingerprint = NormalizeQueryText(sparql);
-    // DP shapes both the cached plan's join orders and (via row order) the
-    // answer bytes, so DP runs get their own answer and plan cache slots.
+    // DP shapes the answer bytes (via row order), so DP runs get their own
+    // answer and plan cache slots.
     if (use_dp_) fingerprint += "\n#planner-cfg:dp";
     query_hash = HashQueryText(fingerprint);
     TraceSpan cache_span(tracer.get(), "cache-lookup");
@@ -413,14 +413,12 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
   }
 
   auto start = std::chrono::steady_clock::now();
-  // Plan-cache lookup (same stamp protocol: the cached BGP orders came from
-  // the statistics of the version the plan was stamped with). A hit skips
-  // the parse and replays the recorded join orders; a miss parses and
-  // captures them for reuse.
+  // Plan-cache lookup (same stamp protocol as the answer cache). A hit
+  // skips the parse; either way the executor plans every BGP run on the
+  // pinned snapshot.
   std::shared_ptr<const sparql::PlanEntry> plan;
   if (cache_on) plan = plan_cache_->Get(query_hash, stamp_fn);
   sparql::ParsedQuery parsed_local;
-  sparql::PlanEntry fresh_plan;
   const sparql::ParsedQuery* query = nullptr;
   if (plan != nullptr) {
     resp.plan_cache_hit = true;
@@ -441,11 +439,6 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
   exec.set_thread_count(thread_count_);
   exec.set_use_dp(use_dp_);
   exec.set_query_context(ctx);
-  if (plan != nullptr) {
-    exec.ReplayJoinOrders(&plan->bgp_orders);
-  } else if (cache_on) {
-    exec.CaptureJoinOrders(&fresh_plan.bgp_orders);
-  }
   Result<sparql::ResultTable> table = exec.Execute(*query);
   resp.exec_stats = exec.stats();
   auto end = std::chrono::steady_clock::now();
@@ -487,9 +480,8 @@ Result<QueryResponse> SimulatedEndpoint::Query(const std::string& sparql,
     answer_cache_->Put(fingerprint, stamp, resp.table,
                        resp.table.ApproxBytes(), footprint);
     if (plan == nullptr) {
-      fresh_plan.ast = *query;
-      fresh_plan.footprint = std::move(footprint);
-      plan_cache_->Put(query_hash, stamp, std::move(fresh_plan));
+      plan_cache_->Put(query_hash, stamp,
+                       {.ast = *query, .footprint = std::move(footprint)});
     }
   }
   {

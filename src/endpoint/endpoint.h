@@ -63,7 +63,7 @@ struct QueryResponse {
   double queued_ms = 0;    ///< time spent waiting for an admission slot
   size_t queue_depth = 0;  ///< waiters still queued when admitted / shed
   bool cache_hit = false;
-  /// The execution reused a cached plan (parse + BGP reordering skipped).
+  /// The execution reused a cached parse (the parse was skipped).
   /// Always false on answer-cache hits — nothing executed at all.
   bool plan_cache_hit = false;
   /// Outcome of the request. OK for a served answer. DeadlineExceeded /

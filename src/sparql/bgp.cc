@@ -733,8 +733,8 @@ Status ExecuteSeedStep(const rdf::Graph& graph, const CompiledPattern& p,
 
 // Plans a DP-seeded run's seed: annotates the execution-ordered patterns
 // and surfaces the plan shape. Returns the seed permutation. Annotation is
-// a pure function of the order, so a plan-cache replay of the captured
-// order reproduces the plan bit-for-bit.
+// a pure function of the order, so EXPLAIN, which annotates the order
+// PlanBgpOrder gives, shows the plan this run executes.
 rdf::Graph::Perm PlanSeed(const rdf::Graph& graph,
                           const std::vector<CompiledPattern>& patterns,
                           const std::vector<int>& source_index,
@@ -766,8 +766,8 @@ bool TopLevelRun(const SolutionTable& rows) {
   return true;
 }
 
-/// The one DP-eligibility rule, shared by execution, plan-cache replays and
-/// EXPLAIN so they cannot disagree.
+/// The one DP-eligibility rule, shared by execution and EXPLAIN so they
+/// cannot disagree.
 bool DpOrders(const JoinOptions& opts, const SolutionTable& rows,
               size_t n) {
   return opts.use_dp && DpSearches(n) && TopLevelRun(rows);
@@ -791,59 +791,25 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
   std::vector<int> source_index(patterns.size());
   std::iota(source_index.begin(), source_index.end(), 0);
 
-  Tracer* tracer = TracerOf(opts);
-
   const bool top_level = TopLevelRun(*rows);
   const bool seeded = opts.use_dp && !patterns.empty() && top_level;
-  // "This plan's order came from the DP search" — deterministic across
-  // capture and replay (a replayed DP order still reports dp=true).
+  // "This plan's order came from the DP search".
   const bool dp_ordered = DpOrders(opts, *rows, patterns.size());
-
-  // Plan-cache replay: apply a previously chosen order without re-running
-  // the greedy reorderer. Only a valid permutation of the pattern count is
-  // trusted — anything else (stale entry shape, corrupted data) falls back
-  // to the normal path below.
-  std::vector<int> order;
-  bool replayed = false;
-  if (opts.replay_order != nullptr &&
-      opts.replay_order->size() == patterns.size()) {
-    std::vector<bool> used(patterns.size(), false);
-    replayed = true;
-    for (int src : *opts.replay_order) {
-      if (src < 0 || static_cast<size_t>(src) >= patterns.size() ||
-          used[src]) {
-        replayed = false;
-        break;
-      }
-      used[src] = true;
-    }
-    if (replayed) {
-      TraceSpan plan_span(tracer, "plan");
-      plan_span.Arg("patterns", static_cast<uint64_t>(patterns.size()));
-      plan_span.Arg("replayed", true);
-      order = *opts.replay_order;
-    }
-  }
 
   // Join ordering (PlanBgpOrder). DP also applies when `reorder` is off,
   // making the chosen order immune to source-order accidents. Orders only
   // change performance, never the result set.
-  if (!replayed && patterns.size() > 1 && (reorder || dp_ordered)) {
-    TraceSpan plan_span(tracer, "plan");
+  if (patterns.size() > 1 && (reorder || dp_ordered)) {
+    TraceSpan plan_span(TracerOf(opts), "plan");
     plan_span.Arg("patterns", static_cast<uint64_t>(patterns.size()));
     if (dp_ordered) plan_span.Arg("dp", true);
-    order = PlanBgpOrder(graph, patterns, opts, reorder, *rows);
-  }
-  if (!order.empty()) {
+    std::vector<int> order =
+        PlanBgpOrder(graph, patterns, opts, reorder, *rows);
     std::vector<CompiledPattern> ordered;
     ordered.reserve(patterns.size());
     for (int idx : order) ordered.push_back(patterns[idx]);
     patterns = std::move(ordered);
     source_index = std::move(order);
-  }
-
-  if (opts.capture_order != nullptr) {
-    opts.capture_order->assign(source_index.begin(), source_index.end());
   }
 
   // A DP-seeded run starts with a seed scan in the plan's permutation. Then

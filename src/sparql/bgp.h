@@ -78,15 +78,6 @@ struct JoinOptions {
   /// is immune to source-order accidents. Orders only change performance,
   /// never the result set.
   bool use_dp = false;
-  /// Plan-cache replay: a join order previously chosen for this BGP (source
-  /// indexes in execution order, the ExecStats::join_order format). When it
-  /// is a valid permutation of the pattern count, the greedy reorderer is
-  /// skipped and this order applied verbatim; otherwise it is ignored.
-  /// Orders only change performance, never result bytes.
-  const std::vector<int>* replay_order = nullptr;
-  /// Plan-cache capture: when set, receives the order actually executed
-  /// (whether replayed, greedily chosen, or source order).
-  std::vector<int>* capture_order = nullptr;
   /// A top-level run (one all-unbound row) calls this
   /// between steps with the slots the steps so far bind, so the caller can
   /// run the FILTERs those slots make ready on `*rows` before later steps
@@ -108,7 +99,7 @@ Status JoinBgp(const rdf::Graph& graph, std::vector<CompiledPattern> patterns,
                SolutionTable* rows);
 
 /// Plans a BGP run's join order without executing anything: the order
-/// JoinBgp chooses, unless it replays one, for a run extending `rows` — the
+/// JoinBgp chooses for a run extending `rows` — the
 /// DP search for a top-level run (one all-unbound row) under `opts.use_dp`
 /// of a size DpSearches (planner.h), else the greedy reorderer from the
 /// slots bound in the first row of `rows` when `reorder`, else source order.

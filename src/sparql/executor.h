@@ -75,21 +75,6 @@ class Executor {
   const ExecStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 
-  /// Plan-cache hooks. ReplayJoinOrders installs previously captured BGP
-  /// join orders — one vector per BGP join run, consumed positionally in
-  /// evaluation order by subsequent Execute() calls, bypassing the greedy
-  /// reorderer (a shape mismatch falls back to it). CaptureJoinOrders
-  /// records the orders an execution actually chooses into `*out`. Orders
-  /// affect join cost only, never result bytes; both hooks accept nullptr
-  /// to detach. The pointees must outlive the Execute() calls.
-  void ReplayJoinOrders(const std::vector<std::vector<int>>* orders) {
-    replay_orders_ = orders;
-  }
-  void CaptureJoinOrders(std::vector<std::vector<int>>* out) {
-    if (out != nullptr) out->clear();
-    capture_orders_ = out;
-  }
-
   Result<ResultTable> Select(const SelectQuery& query);
   Result<bool> Ask(const AskQuery& query);
   /// Instantiates the CONSTRUCT template into `*out`; returns the number of
@@ -131,10 +116,10 @@ class Executor {
   Result<UpdateStats> Update(const UpdateRequest& request);
 
  private:
-  /// Evaluates `pattern` over the rows of `seed` (an empty seed stands for
-  /// one all-unbound row), allocating slots in `vars`. Each element rewrites
-  /// the table in place or builds the next one; the result is as wide as
-  /// `vars`.
+  /// Evaluates `pattern` over the rows of `seed`, allocating slots in
+  /// `vars`; a whole query's WHERE starts from one all-unbound row, and an
+  /// empty seed yields no rows. Each element rewrites the table in place or
+  /// builds the next one; the result is as wide as `vars`.
   Result<SolutionTable> EvalPattern(const GraphPattern& pattern,
                                     VarTable* vars, SolutionTable seed);
 
@@ -142,11 +127,6 @@ class Executor {
   /// The EXISTS evaluator for expressions over rows of `vars` (which must
   /// outlive it): joins the probe pattern against the row.
   ExistsEval ExistsProbe(const VarTable& vars);
-
-  /// Upper bound on BGP join runs captured per query: keeps plan entries
-  /// for EXISTS-heavy queries (one run per probed row) from ballooning.
-  /// Runs past the cap just re-run the greedy reorderer.
-  static constexpr size_t kMaxCachedBgpOrders = 64;
 
   rdf::Graph* graph_;
   bool reorder_joins_;
@@ -156,9 +136,6 @@ class Executor {
   bool use_dp_ = false;
   ExecStats stats_;
   QueryContext ctx_;
-  const std::vector<std::vector<int>>* replay_orders_ = nullptr;
-  std::vector<std::vector<int>>* capture_orders_ = nullptr;
-  size_t bgp_seq_ = 0;
 };
 
 /// Parses and executes `text` in one call.

@@ -98,6 +98,7 @@ class Parser {
     } else if (PeekKeyword("ASK")) {
       q.form = ParsedQuery::Form::kAsk;
       Consume();
+      ConsumeKeyword("WHERE");  // optional, as in SELECT
       RDFA_ASSIGN_OR_RETURN(q.ask.where, ParseGroupGraphPattern());
     } else if (PeekKeyword("DESCRIBE")) {
       q.form = ParsedQuery::Form::kDescribe;
@@ -610,17 +611,25 @@ class Parser {
       }
       if (q.order_by.empty()) return Err("empty ORDER BY");
     }
-    if (ConsumeKeyword("LIMIT")) {
-      if (Peek().kind != TokenKind::kInteger) return Err("expected LIMIT count");
-      RDFA_ASSIGN_OR_RETURN(q.limit, ParseCount("LIMIT"));
-    }
-    if (ConsumeKeyword("OFFSET")) {
-      if (Peek().kind != TokenKind::kInteger) {
-        return Err("expected OFFSET count");
+    // LimitOffsetClauses: LIMIT and OFFSET in either order, each at most
+    // once (a repeat is left as trailing input).
+    for (bool limit = false, offset = false;;) {
+      if (!limit && ConsumeKeyword("LIMIT")) {
+        limit = true;
+        if (Peek().kind != TokenKind::kInteger) {
+          return Err("expected LIMIT count");
+        }
+        RDFA_ASSIGN_OR_RETURN(q.limit, ParseCount("LIMIT"));
+      } else if (!offset && ConsumeKeyword("OFFSET")) {
+        offset = true;
+        if (Peek().kind != TokenKind::kInteger) {
+          return Err("expected OFFSET count");
+        }
+        RDFA_ASSIGN_OR_RETURN(q.offset, ParseCount("OFFSET"));
+      } else {
+        return q;
       }
-      RDFA_ASSIGN_OR_RETURN(q.offset, ParseCount("OFFSET"));
     }
-    return q;
   }
 
   /// A LIMIT/OFFSET count from the current integer token. strtoll saturates

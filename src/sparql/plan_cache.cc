@@ -16,15 +16,10 @@ std::string KeyFor(uint64_t query_hash) {
 }
 
 // Rough footprint of a plan entry. The AST is a pointer-heavy structure we
-// do not walk exactly; a fixed estimate plus the captured orders keeps the
-// byte budget meaningful without a recursive size pass.
+// do not walk exactly; a fixed estimate keeps the byte budget meaningful
+// without a recursive size pass.
 size_t ApproxPlanBytes(const PlanEntry& entry) {
-  size_t bytes = 1024;  // AST baseline
-  for (const auto& order : entry.bgp_orders) {
-    bytes += sizeof(order) + order.size() * sizeof(int);
-  }
-  bytes += entry.footprint.ApproxBytes();
-  return bytes;
+  return 1024 + entry.footprint.ApproxBytes();  // AST baseline
 }
 
 }  // namespace

@@ -4,33 +4,27 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "common/lru_cache.h"
 #include "sparql/ast.h"
 
 namespace rdfa::sparql {
 
-/// One cached query plan: the parsed AST plus the BGP join orders the
-/// executor chose for it (one vector per BGP join run, in evaluation
-/// order). The orders were derived from GraphStats, which change with the
-/// graph — hence the whole entry is stamped with, and validated against,
-/// the footprint stamp of the version that produced those statistics.
+/// One cached query: the parsed AST and its predicate footprint. Join
+/// orders are not cached; every BGP run is planned on the snapshot it runs
+/// on.
 struct PlanEntry {
   ParsedQuery ast;
-  std::vector<std::vector<int>> bgp_orders;
-  /// The query's predicate footprint, recorded at plan time (see
+  /// The query's predicate footprint, recorded at parse time (see
   /// common/footprint.h). Answer-cache entries for this query reuse it, and
-  /// the plan itself is validated with it: a mutation to an unrelated
-  /// predicate leaves both the plan and its statistics-derived join orders
-  /// valid.
+  /// the entry is stamped and validated with it like an answer.
   CacheFootprint footprint;
 };
 
-/// Stamp-validated plan cache keyed by the FNV-1a hash of the normalized
-/// query text (common/query_log.h). A hit skips both the parse and the
-/// greedy BGP reordering; a stamp mismatch is a miss that lazily evicts the
-/// stale plan. Thread-safe; counters exported as
+/// Stamp-validated cache of parsed queries keyed by the FNV-1a hash of the
+/// normalized query text (common/query_log.h). A hit skips the parse and
+/// the footprint walk; a stamp mismatch is a miss that lazily evicts the
+/// stale entry. Thread-safe; counters exported as
 /// rdfa_plan_cache_{hits,misses,evictions,invalidations}_total.
 class PlanCache {
  public:

@@ -36,8 +36,8 @@ struct PlannedStep {
 /// intermediate stays sorted by — set by the seed scan's permutation and
 /// preserved by every later step, since all of them extend rows in input
 /// order) plus per-step strategy and permutation choices. Derived
-/// deterministically from the execution order alone, so a plan-cache replay
-/// of the captured order reproduces it bit-for-bit.
+/// deterministically from the execution order alone, so EXPLAIN and the
+/// run it plans, given the same order, annotate the same plan.
 struct BgpPlan {
   std::vector<PlannedStep> steps;  ///< one per pattern, execution order
   int head_slot = -1;              ///< interesting-order binding slot

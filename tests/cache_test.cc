@@ -305,16 +305,14 @@ TEST(PlanCacheTest, RoundTripsParsedQueriesPerGeneration) {
   ASSERT_TRUE(parsed.ok());
   sparql::PlanEntry entry;
   entry.ast = parsed.value();
-  entry.bgp_orders = {{1, 0}};
   cache.Put(h, 1, std::move(entry));
 
   auto hit = cache.Get(h, stamp_fn);
   ASSERT_NE(hit, nullptr);
-  ASSERT_EQ(hit->bgp_orders.size(), 1u);
-  EXPECT_EQ(hit->bgp_orders[0], (std::vector<int>{1, 0}));
+  ASSERT_EQ(hit->ast.select.where.elements.size(), 1u);
+  EXPECT_EQ(hit->ast.select.where.elements[0].triple.o.var, "o");
 
-  // A different generation invalidates: plans ride on statistics that the
-  // mutation may have shifted.
+  // A different generation invalidates the entry.
   generation = 2;
   EXPECT_EQ(cache.Get(h, stamp_fn), nullptr);
   EXPECT_EQ(cache.Stats().invalidations, 1u);

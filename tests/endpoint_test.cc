@@ -320,25 +320,47 @@ TEST_F(EndpointTest, PlanCacheHitSkipsParsingButNotExecution) {
 TEST_F(EndpointTest, PlanCacheServesWhenAnswerCacheCannotHold) {
   // A 1-byte answer budget keeps every answer out of the cache (oversized
   // entries are skipped), so repeats re-execute — but the plan layer still
-  // hits, skipping parse + reorder while producing identical bytes.
-  SimulatedEndpoint ep(store_.get(), LatencyProfile::Local(),
-                       /*enable_cache=*/true);
-  CacheOptions opts;
-  opts.max_bytes = 1;
-  opts.shards = 1;
-  ep.set_cache_options(opts);
-  auto first = ep.Query(kQuery);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(first.value().status.ok());
-  EXPECT_FALSE(first.value().plan_cache_hit);
-  auto second = ep.Query(kQuery);
-  ASSERT_TRUE(second.ok());
-  ASSERT_TRUE(second.value().status.ok());
-  EXPECT_FALSE(second.value().cache_hit);
-  EXPECT_TRUE(second.value().plan_cache_hit);
-  EXPECT_EQ(second.value().table.ToTsv(), first.value().table.ToTsv());
-  EXPECT_EQ(ep.plan_cache_stats().hits, 1u);
-  EXPECT_EQ(ep.answer_cache_stats().entries, 0u);
+  // hits, skipping the parse. The hit plans its BGP runs afresh on the same
+  // snapshot, so it runs the miss's join order, strategies and plan shapes
+  // and produces identical bytes.
+  const char kStarChain[] =
+      "PREFIX inv: <http://www.ics.forth.gr/invoices#>\n"
+      "SELECT ?i ?b ?q ?br WHERE { ?i inv:takesPlaceAt ?b . ?i "
+      "inv:inQuantity ?q . ?i inv:delivers ?p . ?p inv:brand ?br . }";
+  for (const bool use_dp : {false, true}) {
+    const char* query = use_dp ? kStarChain : kQuery;
+    SimulatedEndpoint ep(store_.get(), LatencyProfile::Local(),
+                         /*enable_cache=*/true);
+    ep.set_use_dp(use_dp);
+    CacheOptions opts;
+    opts.max_bytes = 1;
+    opts.shards = 1;
+    ep.set_cache_options(opts);
+    auto first = ep.Query(query);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(first.value().status.ok());
+    EXPECT_FALSE(first.value().plan_cache_hit);
+    auto second = ep.Query(query);
+    ASSERT_TRUE(second.ok());
+    ASSERT_TRUE(second.value().status.ok());
+    EXPECT_FALSE(second.value().cache_hit);
+    EXPECT_TRUE(second.value().plan_cache_hit);
+    EXPECT_EQ(second.value().table.ToTsv(), first.value().table.ToTsv());
+    EXPECT_EQ(ep.plan_cache_stats().hits, 1u);
+    EXPECT_EQ(ep.answer_cache_stats().entries, 0u);
+
+    const sparql::ExecStats& miss = first.value().exec_stats;
+    const sparql::ExecStats& hit = second.value().exec_stats;
+    EXPECT_EQ(hit.join_order, miss.join_order) << query;
+    EXPECT_EQ(hit.join_strategy, miss.join_strategy) << query;
+    EXPECT_EQ(hit.plan_shapes, miss.plan_shapes) << query;
+    if (use_dp) {
+      // The DP run is seeded and its plan shape reported.
+      ASSERT_EQ(miss.join_order.size(), 4u);
+      ASSERT_EQ(miss.plan_shapes.size(), 1u);
+      EXPECT_EQ(miss.dp_plans, 1u);
+    }
+  }
 }
 
 TEST_F(EndpointTest, ReformattedQuerySharesTheCacheEntry) {

@@ -532,36 +532,6 @@ TEST_F(JoinStrategyTest, StarStepMatchesNestedLoopOnBothBackends) {
   }
 }
 
-TEST_F(JoinStrategyTest, StarOrderCapturesAndReplaysByteIdentically) {
-  std::unique_ptr<rdf::Graph> g = StarKg(11);
-  for (const StarCase& c : kStarCases) {
-    // One BGP run per query, with a star step in it.
-    if (c.strategies == nullptr || std::string(c.strategies).find('*') ==
-                                       std::string::npos) {
-      continue;
-    }
-    auto parsed = sparql::ParseQuery(StarQuery(c));
-    ASSERT_TRUE(parsed.ok()) << c.name;
-    std::vector<std::vector<int>> captured;
-    sparql::Executor first(g.get());
-    first.CaptureJoinOrders(&captured);
-    auto a = first.Execute(parsed.value());
-    ASSERT_TRUE(a.ok()) << c.name;
-    EXPECT_TRUE(UsedStar(first.stats())) << c.name;
-    ASSERT_EQ(captured.size(), 1u) << c.name;
-    EXPECT_EQ(captured[0], first.stats().join_order) << c.name;
-
-    sparql::Executor replay(g.get());
-    replay.ReplayJoinOrders(&captured);
-    auto b = replay.Execute(parsed.value());
-    ASSERT_TRUE(b.ok()) << c.name;
-    EXPECT_EQ(b.value().ToTsv(), a.value().ToTsv()) << c.name;
-    EXPECT_EQ(replay.stats().join_order, first.stats().join_order) << c.name;
-    EXPECT_EQ(replay.stats().join_strategy, first.stats().join_strategy)
-        << c.name;
-  }
-}
-
 TEST_F(JoinStrategyTest, GreedyOrderGroupsASubjectsSingleValuedPatterns) {
   // Source order interleaves the laptop star with the drive chain; the
   // planner groups the star right after the pick that binds ?l.

@@ -97,6 +97,22 @@ TEST_F(ExecutorTest, UnionCombines) {
   EXPECT_EQ(t.num_rows(), 4u);
 }
 
+TEST_F(ExecutorTest, UnionAfterAnEmptyStepIsEmpty) {
+  // No laptop costs 123456, so the UNION extends no rows: its branches must
+  // not evaluate from scratch.
+  const std::string where =
+      "WHERE { ?x ex:price 123456 . { ?a ex:origin ?c } UNION "
+      "{ ?a ex:man ?c } }";
+  ResultTable t = Run("PREFIX ex: <http://e.org/>\nSELECT * " + where);
+  EXPECT_EQ(t.num_rows(), 0u);
+  auto ask = ParseQuery("PREFIX ex: <http://e.org/>\nASK " + where);
+  ASSERT_TRUE(ask.ok()) << ask.status().ToString();
+  Executor exec(&g_);
+  auto res = exec.Ask(ask.value().ask);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_FALSE(res.value());
+}
+
 TEST_F(ExecutorTest, BindComputesValue) {
   ResultTable t = Run(
       "PREFIX ex: <http://e.org/>\n"
@@ -134,12 +150,16 @@ TEST_F(ExecutorTest, OrderByAscendingAndDescending) {
 }
 
 TEST_F(ExecutorTest, LimitOffset) {
-  ResultTable t = Run(
-      "PREFIX ex: <http://e.org/>\n"
-      "SELECT ?p WHERE { ?x ex:price ?p . } ORDER BY ?p LIMIT 2 OFFSET 1");
-  ASSERT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.at(0, 0).lexical(), "820");
-  EXPECT_EQ(t.at(1, 0).lexical(), "900");
+  // Either clause order answers the same.
+  for (const char* clauses : {"LIMIT 2 OFFSET 1", "OFFSET 1 LIMIT 2"}) {
+    ResultTable t = Run(
+        std::string("PREFIX ex: <http://e.org/>\n"
+                    "SELECT ?p WHERE { ?x ex:price ?p . } ORDER BY ?p ") +
+        clauses);
+    ASSERT_EQ(t.num_rows(), 2u) << clauses;
+    EXPECT_EQ(t.at(0, 0).lexical(), "820") << clauses;
+    EXPECT_EQ(t.at(1, 0).lexical(), "900") << clauses;
+  }
 }
 
 TEST_F(ExecutorTest, LimitOffsetClampToResultSize) {

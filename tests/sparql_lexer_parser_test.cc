@@ -135,6 +135,25 @@ TEST(ParserTest, LimitAtInt64MaxStillParses) {
   EXPECT_EQ(q.value().select.offset, 0);
 }
 
+TEST(ParserTest, LimitAndOffsetParseInEitherOrderOnce) {
+  // SPARQL 1.1 LimitOffsetClauses: LIMIT and OFFSET in either order.
+  for (const char* clauses : {"LIMIT 2 OFFSET 1", "OFFSET 1 LIMIT 2"}) {
+    auto q = ParseQuery(std::string("SELECT ?x WHERE { ?x ?p ?o . } ") +
+                        clauses);
+    ASSERT_TRUE(q.ok()) << clauses << ": " << q.status().ToString();
+    EXPECT_EQ(q.value().select.limit, 2) << clauses;
+    EXPECT_EQ(q.value().select.offset, 1) << clauses;
+  }
+  for (const char* clauses : {"LIMIT 2 LIMIT 3", "OFFSET 1 OFFSET 2",
+                              "LIMIT 2 OFFSET 1 LIMIT 3",
+                              "OFFSET 1 LIMIT 2 OFFSET 3"}) {
+    auto q = ParseQuery(std::string("SELECT ?x WHERE { ?x ?p ?o . } ") +
+                        clauses);
+    ASSERT_FALSE(q.ok()) << clauses;
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError) << clauses;
+  }
+}
+
 TEST(ParserTest, BareAggregateInSelect) {
   // The paper writes "SELECT ?x2 SUM(?x3)" without AS.
   auto q = ParseQuery(
@@ -219,9 +238,14 @@ TEST(ParserTest, ConstructQuery) {
 }
 
 TEST(ParserTest, AskQuery) {
-  auto q = ParseQuery("ASK { <urn:a> <urn:p> <urn:b> . }");
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  EXPECT_EQ(q.value().form, ParsedQuery::Form::kAsk);
+  // SPARQL 1.1 allows an optional WHERE, as in SELECT.
+  for (const char* text : {"ASK { <urn:a> <urn:p> <urn:b> . }",
+                           "ASK WHERE { <urn:a> <urn:p> <urn:b> . }"}) {
+    auto q = ParseQuery(text);
+    ASSERT_TRUE(q.ok()) << text << ": " << q.status().ToString();
+    EXPECT_EQ(q.value().form, ParsedQuery::Form::kAsk);
+    EXPECT_EQ(q.value().ask.where.elements.size(), 1u);
+  }
 }
 
 TEST(ParserTest, ErrorsAreParseErrors) {
